@@ -6,12 +6,13 @@ purpose: agreement between them is one of the library's standing checks.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import comb
 from typing import Callable, List
 
 from .qkit import parity_sign, q_int
-from .ratcore import Q_ONE, RatFuncQ, const, eval_at, qpow
+from .ratcore import Q_ONE, RatFuncQ, const, qpow
 
 
 class MomentSeq:
@@ -65,21 +66,25 @@ def q_bernoulli_explicit(n: int) -> RatFuncQ:
 
 _EULER_CACHE: List[RatFuncQ] = []
 _BERNOULLI_CACHE: List[RatFuncQ] = []
+# Extending a cache reads its length and then appends; two threads doing that
+# at once would store entries at the wrong index.
+_CACHE_LOCK = threading.Lock()
 
 
 def q_euler_recursive(n: int) -> RatFuncQ:
     """epsilon_n by solving sum_k C(n,k) q^{k+1} eps_k + eps_n = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_EULER_CACHE) <= n:
-        m = len(_EULER_CACHE)
-        if m == 0:
-            _EULER_CACHE.append(Q_ONE)
-            continue
-        acc = const(0)
-        for k in range(m):
-            acc = acc + const(comb(m, k)) * qpow(k + 1) * _EULER_CACHE[k]
-        _EULER_CACHE.append(-acc / (Q_ONE + qpow(m + 1)))
+    with _CACHE_LOCK:
+        while len(_EULER_CACHE) <= n:
+            m = len(_EULER_CACHE)
+            if m == 0:
+                _EULER_CACHE.append(Q_ONE)
+                continue
+            acc = const(0)
+            for k in range(m):
+                acc = acc + const(comb(m, k)) * qpow(k + 1) * _EULER_CACHE[k]
+            _EULER_CACHE.append(-acc / (Q_ONE + qpow(m + 1)))
     return _EULER_CACHE[n]
 
 
@@ -87,16 +92,17 @@ def q_bernoulli_recursive(n: int) -> RatFuncQ:
     """beta_n by solving sum_k C(n,k) q^{k+1} beta_k - beta_n = [n == 1]."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_BERNOULLI_CACHE) <= n:
-        m = len(_BERNOULLI_CACHE)
-        if m == 0:
-            _BERNOULLI_CACHE.append(Q_ONE)
-            continue
-        rhs = Q_ONE if m == 1 else const(0)
-        acc = const(0)
-        for k in range(m):
-            acc = acc + const(comb(m, k)) * qpow(k + 1) * _BERNOULLI_CACHE[k]
-        _BERNOULLI_CACHE.append((rhs - acc) / (qpow(m + 1) - Q_ONE))
+    with _CACHE_LOCK:
+        while len(_BERNOULLI_CACHE) <= n:
+            m = len(_BERNOULLI_CACHE)
+            if m == 0:
+                _BERNOULLI_CACHE.append(Q_ONE)
+                continue
+            rhs = Q_ONE if m == 1 else const(0)
+            acc = const(0)
+            for k in range(m):
+                acc = acc + const(comb(m, k)) * qpow(k + 1) * _BERNOULLI_CACHE[k]
+            _BERNOULLI_CACHE.append((rhs - acc) / (qpow(m + 1) - Q_ONE))
     return _BERNOULLI_CACHE[n]
 
 
@@ -120,4 +126,4 @@ def limit_q1(seq_id: str, n: int) -> Fraction:
         fn = _LIMIT_FNS[seq_id]
     except KeyError:
         raise ValueError(f"unknown sequence {seq_id!r}") from None
-    return eval_at(fn(n), Fraction(1))
+    return fn(n).eval_at(Fraction(1))

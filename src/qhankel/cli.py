@@ -3,8 +3,9 @@ and the named verification suite.
 
 Output contract
 ---------------
-* ``--format`` picks json, text, or latex; the QHANKEL_FORMAT environment
-  variable overrides the default (text) when the flag is absent.
+* ``--format`` picks json, text, or latex (``verify`` has no latex form and
+  rejects it); the QHANKEL_FORMAT environment variable overrides the default
+  (text) when the flag is absent, and a value the command lacks means text.
 * JSON output is byte-deterministic: sorted keys, fixed separators, canonical
   value encoding from :func:`qhankel.ratcore.serialize`.
 * Exit codes: 0 success, 1 computation error, 2 invalid flags, 3 an identity
@@ -17,38 +18,26 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import click
 
-from .carlitz import MomentSeq, q_bernoulli_seq, q_euler_seq
-from .functionals import theta_moment_seq, xi_moment_seq
 from .hankel import (
+    ROUTES,
     JFraction,
     HankelResult,
-    closed_form_chapoton_zeng,
-    closed_form_theorem1,
-    closed_form_theta_det,
-    closed_form_xi_det,
-    det_exact,
-    det_heilermann,
-    det_shifted_via_favard,
-    hankel_matrix,
     jfraction_expand,
     jfraction_for_eps,
     jfraction_for_theta,
     jfraction_for_xi,
 )
-from .orthopoly import (
-    ZPoly,
-    build_j_via_phi2,
-    build_jtilde_via_phi2,
-    build_p_via_phi2,
-)
-from .ratcore import PoleError, QPoly, RatFuncQ, serialize
+from .orthopoly import build_j_via_phi2, build_jtilde_via_phi2, build_p_via_phi2
+from .ratcore import PoleError, RatFuncQ, int_to_decimal, poly_text, serialize
 from .verification import available_checks, run_checks
 
 _FORMATS = ("json", "text", "latex")
+_VERIFY_FORMATS = ("json", "text")
+_ELL_IDS = ("theta", "xi")  # the sequences that take --ell
 
 _SEQ_SYMBOLS = {
     "qeuler": r"\varepsilon",
@@ -58,11 +47,11 @@ _SEQ_SYMBOLS = {
 }
 
 
-def _pick_format(fmt: Optional[str]) -> str:
+def _pick_format(fmt: Optional[str], allowed: Tuple[str, ...] = _FORMATS) -> str:
     if fmt is not None:
         return fmt
     env = os.environ.get("QHANKEL_FORMAT", "").strip().lower()
-    return env if env in _FORMATS else "text"
+    return env if env in allowed else "text"
 
 
 def _dumps(obj: object) -> str:
@@ -86,88 +75,60 @@ def _parse_at_q(raw: Optional[str]) -> Optional[Fraction]:
         raise click.UsageError(f"--at-q needs an exact rational, got {raw!r}")
 
 
-def _value_json(v: RatFuncQ) -> dict:
-    return json.loads(serialize(v))
+Scalar = Union[RatFuncQ, Fraction]  # a Fraction is a value at a rational q
 
 
-def _rational_str(f: Fraction) -> str:
-    return str(f)
+def _at(v: RatFuncQ, point: Optional[Fraction]) -> Scalar:
+    return v if point is None else v.eval_at(point)
 
 
-def _latex_qpoly(p: QPoly) -> str:
-    if p.is_zero:
-        return "0"
-    chunks = []
-    for i, c in enumerate(p.coeffs):
+def _json_value(v: Scalar) -> object:
+    return _render(v, False) if isinstance(v, Fraction) else json.loads(serialize(v))
+
+
+def _render(v: Scalar, latex: bool) -> str:
+    if isinstance(v, Fraction):
+        sign = "-" if v < 0 else ""
+        num, den = int_to_decimal(abs(v.numerator)), int_to_decimal(v.denominator)
+        if den == "1":
+            return sign + num
+        return rf"{sign}\frac{{{num}}}{{{den}}}" if latex else f"{sign}{num}/{den}"
+    if not latex:
+        return str(v)
+    num = poly_text(v.num, latex=True)
+    if v.den.coeffs == (1,):
+        return num
+    return rf"\frac{{{num}}}{{{poly_text(v.den, latex=True)}}}"
+
+
+def _render_zpoly(coeffs: Sequence[Scalar], latex: bool) -> str:
+    """sum_k coeffs[k] z^k, skipping zero terms."""
+    pieces = []
+    for k, c in enumerate(coeffs):
         if c == 0:
             continue
-        if i == 0:
-            body = str(abs(c))
-        else:
-            var = "q" if i == 1 else f"q^{{{i}}}"
-            body = var if abs(c) == 1 else f"{abs(c)}{var}"
-        chunks.append((c < 0, body))
-    neg, body = chunks[0]
-    text = ("-" if neg else "") + body
-    for neg, body in chunks[1:]:
-        text += (" - " if neg else " + ") + body
-    return text
-
-
-def _latex_ratfunc(v: RatFuncQ) -> str:
-    if v.den.coeffs == (1,):
-        return _latex_qpoly(v.num)
-    return rf"\frac{{{_latex_qpoly(v.num)}}}{{{_latex_qpoly(v.den)}}}"
-
-
-def _latex_fraction(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    sign = "-" if f < 0 else ""
-    return rf"{sign}\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
-
-
-def _zpoly_terms(p: ZPoly) -> List[tuple]:
-    return [(k, c) for k, c in enumerate(p.coeffs) if not c.is_zero]
-
-
-def _zpoly_text(p: ZPoly) -> str:
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for k, c in _zpoly_terms(p):
         if k == 0:
-            pieces.append(str(c))
-        else:
-            z = "z" if k == 1 else f"z^{k}"
-            pieces.append(z if c.is_one else f"({c})*{z}")
-    return " + ".join(pieces)
-
-
-def _latex_zpoly(p: ZPoly) -> str:
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for k, c in _zpoly_terms(p):
-        z = "" if k == 0 else ("z" if k == 1 else f"z^{{{k}}}")
-        if not z:
-            pieces.append(_latex_ratfunc(c))
-        elif c.is_one:
+            pieces.append(_render(c, latex))
+            continue
+        z = "z" if k == 1 else (f"z^{{{k}}}" if latex else f"z^{k}")
+        if c == 1:
             pieces.append(z)
+        elif latex:
+            pieces.append(rf"\left({_render(c, latex)}\right){z}")
         else:
-            pieces.append(rf"\left({_latex_ratfunc(c)}\right){z}")
-    return " + ".join(pieces)
+            pieces.append(f"({_render(c, latex)})*{z}")
+    return " + ".join(pieces) or "0"
 
 
-def _resolve_seq(seq_id: str, ell: Optional[int]) -> MomentSeq:
-    if seq_id in ("qeuler", "qbernoulli"):
-        if ell is not None:
-            raise click.UsageError(f"--ell does not apply to --id {seq_id}")
-        return q_euler_seq() if seq_id == "qeuler" else q_bernoulli_seq()
-    shift = 0 if ell is None else ell
-    if shift < 0:
+def _check_ell(seq_id: str, ell: Optional[int]) -> int:
+    """Validate --ell for ``seq_id``; the value the route table gets."""
+    if ell is None:
+        return 0
+    if seq_id not in _ELL_IDS:
+        raise click.UsageError(f"--ell does not apply to --id {seq_id}")
+    if ell < 0:
         raise click.UsageError("--ell must be >= 0")
-    return theta_moment_seq(shift) if seq_id == "theta" else xi_moment_seq(shift)
+    return ell
 
 
 _COMPUTE_ERRORS = (ValueError, ArithmeticError, OverflowError)
@@ -195,10 +156,9 @@ def cmd_seq(seq_id, ell, max_n, fmt, at_q, out) -> None:
     """Print sequence values 0..MAX_N."""
     fmt = _pick_format(fmt)
     point = _parse_at_q(at_q)
-    seq = _resolve_seq(seq_id, ell)
+    seq = ROUTES[(seq_id, 0)].seq(_check_ell(seq_id, ell))
     try:
-        values = seq.prefix(max_n)
-        at_point = None if point is None else [v.eval_at(point) for v in values]
+        values = [_at(v, point) for v in seq.prefix(max_n)]
     except PoleError as exc:
         raise click.ClickException(f"pole at q={point}: {exc}")
     except _COMPUTE_ERRORS as exc:
@@ -206,31 +166,21 @@ def cmd_seq(seq_id, ell, max_n, fmt, at_q, out) -> None:
 
     if fmt == "json":
         payload: Dict[str, object] = {"id": seq.id, "max_n": max_n}
-        if at_point is None:
-            payload["values"] = [_value_json(v) for v in values]
-        else:
+        if point is not None:
             payload["at_q"] = str(point)
-            payload["values"] = [_rational_str(f) for f in at_point]
+        payload["values"] = [_json_value(v) for v in values]
         _emit(_dumps(payload), out)
     elif fmt == "latex":
         sym = _SEQ_SYMBOLS[seq_id]
-        sup = "" if ell is None or seq_id in ("qeuler", "qbernoulli") else rf"^{{({ell})}}"
-        if at_point is None:
-            body = ",\\quad ".join(
-                rf"{sym}{sup}_{{{n}}} = {_latex_ratfunc(v)}" for n, v in enumerate(values)
-            )
-        else:
-            body = ",\\quad ".join(
-                rf"{sym}{sup}_{{{n}}} = {_latex_fraction(f)}"
-                for n, f in enumerate(at_point)
-            )
-        _emit(body, out)
+        sup = "" if ell is None else rf"^{{({ell})}}"
+        _emit(
+            ",\\quad ".join(
+                rf"{sym}{sup}_{{{n}}} = {_render(v, True)}" for n, v in enumerate(values)
+            ),
+            out,
+        )
     else:
-        lines = []
-        for n in range(max_n + 1):
-            shown = str(values[n]) if at_point is None else _rational_str(at_point[n])
-            lines.append(f"{seq.id}[{n}] = {shown}")
-        _emit("\n".join(lines), out)
+        _emit("\n".join(f"{seq.id}[{n}] = {_render(v, False)}" for n, v in enumerate(values)), out)
 
 
 @main.command("poly")
@@ -251,10 +201,7 @@ def cmd_poly(family, ell, n, fmt, at_q, out) -> None:
     point = _parse_at_q(at_q)
     builders = {"p": build_p_via_phi2, "monic": build_jtilde_via_phi2, "j": build_j_via_phi2}
     try:
-        p = builders[family](ell, n)
-        coeffs_at = (
-            None if point is None else [c.eval_at(point) for c in p.coeffs]
-        )
+        coeffs = [_at(c, point) for c in builders[family](ell, n).coeffs]
     except PoleError as exc:
         raise click.ClickException(f"pole at q={point}: {exc}")
     except _COMPUTE_ERRORS as exc:
@@ -262,85 +209,12 @@ def cmd_poly(family, ell, n, fmt, at_q, out) -> None:
 
     if fmt == "json":
         payload: Dict[str, object] = {"family": family, "ell": ell, "n": n}
-        if coeffs_at is None:
-            payload["coeffs"] = [_value_json(c) for c in p.coeffs]
-        else:
+        if point is not None:
             payload["at_q"] = str(point)
-            payload["coeffs"] = [_rational_str(f) for f in coeffs_at]
+        payload["coeffs"] = [_json_value(c) for c in coeffs]
         _emit(_dumps(payload), out)
-    elif fmt == "latex":
-        if coeffs_at is None:
-            _emit(_latex_zpoly(p), out)
-        else:
-            pieces = []
-            for k, f in enumerate(coeffs_at):
-                if f == 0:
-                    continue
-                z = "" if k == 0 else ("z" if k == 1 else f"z^{{{k}}}")
-                if not z:
-                    pieces.append(_latex_fraction(f))
-                elif f == 1:
-                    pieces.append(z)
-                else:
-                    pieces.append(rf"\left({_latex_fraction(f)}\right){z}")
-            _emit(" + ".join(pieces) if pieces else "0", out)
     else:
-        if coeffs_at is None:
-            _emit(_zpoly_text(p), out)
-        else:
-            pieces = []
-            for k, f in enumerate(coeffs_at):
-                if f == 0:
-                    continue
-                z = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
-                if not z:
-                    pieces.append(str(f))
-                elif f == 1:
-                    pieces.append(z)
-                else:
-                    pieces.append(f"({f})*{z}")
-            _emit(" + ".join(pieces) if pieces else "0", out)
-
-
-def _det_methods(
-    seq_id: str, ell: Optional[int], shift: int, n: int, wanted: str
-) -> Dict[str, RatFuncQ]:
-    """The requested determinant method(s), keyed by method name."""
-    pick = lambda m: wanted in ("all", m)  # noqa: E731
-    out: Dict[str, RatFuncQ] = {}
-    shift_ell = 0 if ell is None else ell
-    if seq_id == "qeuler":
-        if pick("bruteforce"):
-            out["bruteforce"] = det_exact(hankel_matrix(q_euler_seq(), shift, n))
-        if pick("closedform"):
-            out["closedform"] = closed_form_theorem1(shift, n)
-        if pick("heilermann"):
-            if shift == 0:
-                out["heilermann"] = det_heilermann(jfraction_for_eps(0), n)
-            elif shift == 1:
-                out["heilermann"] = det_shifted_via_favard(jfraction_for_eps(0), n)
-            else:
-                out["heilermann"] = det_shifted_via_favard(jfraction_for_eps(1), n)
-    elif seq_id == "qbernoulli":
-        if pick("bruteforce"):
-            out["bruteforce"] = det_exact(hankel_matrix(q_bernoulli_seq(), 0, n))
-        if pick("closedform"):
-            out["closedform"] = closed_form_chapoton_zeng(n)
-    elif seq_id == "theta":
-        if pick("bruteforce"):
-            out["bruteforce"] = det_exact(hankel_matrix(theta_moment_seq(shift_ell), 0, n))
-        if pick("closedform"):
-            out["closedform"] = closed_form_theta_det(shift_ell, n)
-        if pick("heilermann"):
-            out["heilermann"] = det_heilermann(jfraction_for_theta(shift_ell), n)
-    else:
-        if pick("bruteforce"):
-            out["bruteforce"] = det_exact(hankel_matrix(xi_moment_seq(shift_ell), 0, n))
-        if pick("closedform"):
-            out["closedform"] = closed_form_xi_det(shift_ell, n)
-        if pick("heilermann"):
-            out["heilermann"] = det_heilermann(jfraction_for_xi(shift_ell), n)
-    return out
+        _emit(_render_zpoly(coeffs, fmt == "latex"), out)
 
 
 @main.command("det")
@@ -365,67 +239,50 @@ def cmd_det(seq_id, ell, shift, n, method, fmt, at_q, out) -> None:
     """Hankel determinant of a moment sequence, by one or every method."""
     fmt = _pick_format(fmt)
     point = _parse_at_q(at_q)
-    if seq_id in ("qeuler", "qbernoulli") and ell is not None:
-        raise click.UsageError(f"--ell does not apply to --id {seq_id}")
-    if seq_id != "qeuler" and shift != 0:
-        raise click.UsageError(f"--shift applies only to --id qeuler (got {shift})")
-    if seq_id == "qbernoulli" and method == "heilermann":
-        raise click.UsageError("no recurrence route is wired up for qbernoulli")
-    if ell is not None and ell < 0:
-        raise click.UsageError("--ell must be >= 0")
+    ell_value = _check_ell(seq_id, ell)
+    row = ROUTES.get((seq_id, shift))
+    if row is None:
+        raise click.UsageError(f"--shift {shift} is not available for --id {seq_id}")
+    if method != "all" and method not in row.routes:
+        raise click.UsageError(f"no {method} route is wired up for --id {seq_id}")
+    wanted = row.routes if method == "all" else {method: row.routes[method]}
 
     try:
-        values = _det_methods(seq_id, ell, shift, n, method)
+        values = {m: fn(ell_value, n) for m, fn in sorted(wanted.items())}
     except _COMPUTE_ERRORS as exc:
         raise click.ClickException(str(exc))
-
-    label = seq_id if ell is None or seq_id in ("qeuler", "qbernoulli") else f"{seq_id}({ell})"
-    distinct = len({serialize(v) for v in values.values()})
-    agree = distinct == 1
-
-    def _shown(v: RatFuncQ):
-        if point is None:
-            return _value_json(v)
-        return _rational_str(v.eval_at(point))
-
     try:
-        if fmt == "json":
-            if method == "all":
-                payload: Dict[str, object] = {
-                    "seq": label,
-                    "shift": shift,
-                    "n": n,
-                    "results": {m: _shown(v) for m, v in sorted(values.items())},
-                    "equal": agree,
-                }
-                if point is not None:
-                    payload["at_q"] = str(point)
-                _emit(_dumps(payload), out)
-            else:
-                result = HankelResult(label, shift, n, method, next(iter(values.values())))
-                payload = result.to_json_dict()
-                if point is not None:
-                    payload["value"] = _rational_str(
-                        next(iter(values.values())).eval_at(point)
-                    )
-                    payload["at_q"] = str(point)
-                _emit(_dumps(payload), out)
-        elif fmt == "latex":
-            v = next(iter(values.values()))
-            body = (
-                _latex_ratfunc(v) if point is None else _latex_fraction(v.eval_at(point))
-            )
-            _emit(rf"\det H^{{({shift})}}_{{{n}}} = {body}", out)
-        else:
-            lines = []
-            for m, v in sorted(values.items()):
-                shown = str(v) if point is None else _rational_str(v.eval_at(point))
-                lines.append(f"{label} shift={shift} n={n} {m} = {shown}")
-            if method == "all":
-                lines.append("agree" if agree else "MISMATCH")
-            _emit("\n".join(lines), out)
+        shown = {m: _at(v, point) for m, v in values.items()}
     except PoleError as exc:
         raise click.ClickException(f"pole at q={point}: {exc}")
+
+    label = seq_id if ell is None else f"{seq_id}({ell})"
+    agree = len(set(values.values())) == 1
+    if fmt == "json":
+        if method == "all":
+            payload: Dict[str, object] = {
+                "seq": label,
+                "shift": shift,
+                "n": n,
+                "results": {m: _json_value(v) for m, v in shown.items()},
+                "equal": agree,
+            }
+        else:
+            payload = HankelResult(label, shift, n, method, values[method]).to_json_dict()
+            payload["value"] = _json_value(shown[method])
+        if point is not None:
+            payload["at_q"] = str(point)
+        _emit(_dumps(payload), out)
+    elif fmt == "latex":
+        body = _render(next(iter(shown.values())), True)
+        _emit(rf"\det H^{{({shift})}}_{{{n}}} = {body}", out)
+    else:
+        lines = [
+            f"{label} shift={shift} n={n} {m} = {_render(v, False)}" for m, v in shown.items()
+        ]
+        if method == "all":
+            lines.append("agree" if agree else "MISMATCH")
+        _emit("\n".join(lines), out)
 
     if method == "all" and not agree:
         click.echo("determinant methods disagree", err=True)
@@ -463,21 +320,19 @@ def cmd_jfrac(seq_id, ell, depth, order, fmt, out) -> None:
 
     label = f"{seq_id}({ell})"
     if fmt == "json":
-        payload: Dict[str, object] = {"id": label, "mu0": _value_json(jf.mu0)}
+        payload: Dict[str, object] = {"id": label, "mu0": _json_value(jf.mu0)}
         if depth is not None:
-            payload["a"] = [_value_json(v) for v in a_vals]
-            payload["b"] = [_value_json(v) for v in b_vals]
+            payload["a"] = [_json_value(v) for v in a_vals]
+            payload["b"] = [_json_value(v) for v in b_vals]
         if expansion is not None:
-            payload["expansion"] = [_value_json(v) for v in expansion]
+            payload["expansion"] = [_json_value(v) for v in expansion]
         _emit(_dumps(payload), out)
     elif fmt == "latex":
-        parts = [rf"\mu_0 = {_latex_ratfunc(jf.mu0)}"]
-        parts += [rf"a_{{{k}}} = {_latex_ratfunc(v)}" for k, v in enumerate(a_vals)]
-        parts += [rf"b_{{{k + 1}}} = {_latex_ratfunc(v)}" for k, v in enumerate(b_vals)]
+        parts = [rf"\mu_0 = {_render(jf.mu0, True)}"]
+        parts += [rf"a_{{{k}}} = {_render(v, True)}" for k, v in enumerate(a_vals)]
+        parts += [rf"b_{{{k + 1}}} = {_render(v, True)}" for k, v in enumerate(b_vals)]
         if expansion is not None:
-            parts += [
-                rf"\mu_{{{k}}} = {_latex_ratfunc(v)}" for k, v in enumerate(expansion)
-            ]
+            parts += [rf"\mu_{{{k}}} = {_render(v, True)}" for k, v in enumerate(expansion)]
         _emit(",\\quad ".join(parts), out)
     else:
         lines = [f"{label} mu0 = {jf.mu0}"]
@@ -491,11 +346,11 @@ def cmd_jfrac(seq_id, ell, depth, order, fmt, out) -> None:
 @main.command("verify")
 @click.option("--max-n", "max_n", type=click.IntRange(min=0), default=5)
 @click.option("--only", default=None, help="Run only checks whose name starts with this prefix.")
-@click.option("--format", "-f", "fmt", type=click.Choice(_FORMATS), default=None)
+@click.option("--format", "-f", "fmt", type=click.Choice(_VERIFY_FORMATS), default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_verify(max_n, only, fmt, out) -> None:
     """Run the named identity checks and report pass/fail per check."""
-    fmt = _pick_format(fmt)
+    fmt = _pick_format(fmt, _VERIFY_FORMATS)
     if only is not None and not any(n.startswith(only) for n in available_checks()):
         raise click.UsageError(
             f"--only {only!r} matches no checks; known: {', '.join(available_checks())}"

@@ -11,16 +11,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, List, Sequence, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .carlitz import MomentSeq, q_euler_recursive
+from .carlitz import MomentSeq, q_bernoulli_seq, q_euler_seq
+from .functionals import theta_moment_seq, xi_moment_seq
 from .qkit import parity_sign, poch, q_factorial
 from .orthopoly import (
-    DegenerateRecurrenceError,
-    FavardData,
+    JFraction,
     ZPoly,
-    coeffs_monic,
-    coeffs_p,
+    jfraction_for_eps,
+    jfraction_for_theta,
+    jfraction_for_xi,
     three_term_build,
 )
 from .ratcore import (
@@ -45,38 +46,6 @@ class NotQuasiDefiniteError(ValueError):
     def __init__(self, depth: int) -> None:
         self.depth = depth
         super().__init__(f"Hankel determinant of order {depth} vanishes")
-
-
-@dataclass
-class JFraction:
-    """mu0 / (1 + a(0) x - b(1) x^2 / (1 + a(1) x - ...))."""
-
-    mu0: RatFuncQ
-    a: Callable[[int], RatFuncQ]
-    b: Callable[[int], RatFuncQ]
-
-    @classmethod
-    def from_lists(cls, mu0: RatFuncQ, a_list: Sequence[RatFuncQ], b_list: Sequence[RatFuncQ]) -> "JFraction":
-        """Finite prefix; b_list[0] corresponds to b(1)."""
-        a_vals = list(a_list)
-        b_vals = list(b_list)
-
-        def a_fn(n: int) -> RatFuncQ:
-            return a_vals[n]
-
-        def b_fn(n: int) -> RatFuncQ:
-            return b_vals[n - 1]
-
-        jf = cls(mu0, a_fn, b_fn)
-        jf.a_list = a_vals  # type: ignore[attr-defined]
-        jf.b_list = b_vals  # type: ignore[attr-defined]
-        return jf
-
-    def b_checked(self, n: int) -> RatFuncQ:
-        val = self.b(n)
-        if val.is_zero:
-            raise DegenerateRecurrenceError(n)
-        return val
 
 
 Matrix = List[List[RatFuncQ]]
@@ -187,41 +156,8 @@ def det_shifted_via_favard(jf: JFraction, n: int) -> RatFuncQ:
     """det of the shift-1 Hankel matrix: shift-0 value times (-1)^{n+1} p_{n+1}(0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    polys = three_term_build(FavardData(jf.a, jf.b, jf.mu0), n + 1)
+    polys = three_term_build(jf, n + 1)
     return det_heilermann(jf, n) * const(parity_sign(n + 1)) * polys[n + 1](Q_ZERO)
-
-
-def jfraction_for_eps(ell: int) -> JFraction:
-    """J-fraction generating sum_k eps_{k+ell} x^k, for ell in {0, 1}."""
-    if ell not in (0, 1):
-        raise ValueError("the eps J-fraction is stated for ell in {0, 1}")
-    return JFraction(
-        mu0=q_euler_recursive(ell),
-        a=lambda n: coeffs_p(ell, n)[0],
-        b=lambda n: coeffs_p(ell, n)[1],
-    )
-
-
-def jfraction_for_theta(ell: int) -> JFraction:
-    """J-fraction of the theta_ell moments (mu0 = 1, same a/b as the family)."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    return JFraction(
-        mu0=Q_ONE,
-        a=lambda n: coeffs_p(ell, n)[0],
-        b=lambda n: coeffs_p(ell, n)[1],
-    )
-
-
-def jfraction_for_xi(ell: int) -> JFraction:
-    """J-fraction of the xi_ell moments (mu0 = 1, monic-family a~/b~)."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    return JFraction(
-        mu0=Q_ONE,
-        a=lambda n: coeffs_monic(ell, n)[0],
-        b=lambda n: coeffs_monic(ell, n)[1],
-    )
 
 
 def jfraction_expand(jf: JFraction, order: int) -> List[RatFuncQ]:
@@ -330,11 +266,6 @@ def verify_exponent_integrality(upto: int = 50) -> bool:
     return True
 
 
-# Run the integrality check once at import; the closed forms below rely on it.
-if not verify_exponent_integrality(50):
-    raise ArithmeticError("quarter-binomial exponent check failed at import")
-
-
 def _even_poch_ratio(bases_num: Sequence[RatFuncQ], bases_den: Sequence[RatFuncQ], upto: int) -> RatFuncQ:
     """prod_{k=1}^{upto} prod(num;q^2)_k / prod(den;q^2)_k."""
     out = Q_ONE
@@ -436,6 +367,64 @@ def closed_form_xi_det(ell: int, n: int) -> RatFuncQ:
         n,
     )
     return head * prod
+
+
+Route = Callable[[int, int], RatFuncQ]
+
+
+class DetRoutes(NamedTuple):
+    """One row of :data:`ROUTES`: the moment sequence and its determinant routes."""
+
+    seq: Callable[[int], MomentSeq]  # ell -> sequence
+    routes: Dict[str, Route]  # route name -> fn(ell, n)
+
+
+def _row(seq: Callable[[int], MomentSeq], shift: int, closed: Route, recurrence: Optional[Route] = None) -> DetRoutes:
+    routes = {
+        "bruteforce": lambda ell, n: det_exact(hankel_matrix(seq(ell), shift, n)),
+        "closedform": closed,
+    }
+    if recurrence is not None:
+        routes["heilermann"] = recurrence
+    return DetRoutes(seq, routes)
+
+
+# (sequence id, shift) -> its independent determinant routes.  A new identity
+# or route is one entry here; ``det`` and ``verify`` both read this table.
+# Routes call the module-level functions by name at call time, so a wrapper
+# put in their place on this module (a tracer, a test double) is used.
+# Only theta and xi depend on ell; the other rows ignore it.
+ROUTES: Dict[Tuple[str, int], DetRoutes] = {
+    ("qeuler", 0): _row(
+        lambda ell: q_euler_seq(), 0,
+        lambda ell, n: closed_form_theorem1(0, n),
+        lambda ell, n: det_heilermann(jfraction_for_eps(0), n),
+    ),
+    ("qeuler", 1): _row(
+        lambda ell: q_euler_seq(), 1,
+        lambda ell, n: closed_form_theorem1(1, n),
+        lambda ell, n: det_shifted_via_favard(jfraction_for_eps(0), n),
+    ),
+    ("qeuler", 2): _row(
+        lambda ell: q_euler_seq(), 2,
+        lambda ell, n: closed_form_theorem1(2, n),
+        lambda ell, n: det_shifted_via_favard(jfraction_for_eps(1), n),
+    ),
+    ("qbernoulli", 0): _row(
+        lambda ell: q_bernoulli_seq(), 0,
+        lambda ell, n: closed_form_chapoton_zeng(n),
+    ),
+    ("theta", 0): _row(
+        theta_moment_seq, 0,
+        lambda ell, n: closed_form_theta_det(ell, n),
+        lambda ell, n: det_heilermann(jfraction_for_theta(ell), n),
+    ),
+    ("xi", 0): _row(
+        xi_moment_seq, 0,
+        lambda ell, n: closed_form_xi_det(ell, n),
+        lambda ell, n: det_heilermann(jfraction_for_xi(ell), n),
+    ),
+}
 
 
 @dataclass(frozen=True)

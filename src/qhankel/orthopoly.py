@@ -4,10 +4,11 @@ big q-Jacobi families (series route, recurrence route, affine route).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from .carlitz import q_euler_recursive
 from .qkit import parity_sign, poch
 from .ratcore import Q_ONE, Q_ZERO, RatFuncQ, const, qpow
 
@@ -141,13 +142,36 @@ _Z_ONE = ZPoly([Q_ONE])
 _Z_VAR = ZPoly([Q_ZERO, Q_ONE])
 
 
-@dataclass
-class FavardData:
-    """Monic three-term recurrence data p_{n+1} = (z + a(n)) p_n - b(n) p_{n-1}."""
+def _indexed(values: List[RatFuncQ], first: int) -> Callable[[int], RatFuncQ]:
+    def get(n: int) -> RatFuncQ:
+        if not first <= n < first + len(values):
+            raise IndexError(f"index {n} is outside the stored prefix")
+        return values[n - first]
 
+    return get
+
+
+@dataclass
+class JFraction:
+    """mu0 / (1 + a(0) x - b(1) x^2 / (1 + a(1) x - ...)).
+
+    The same data drives the monic recurrence
+    p_{n+1} = (z + a(n)) p_n - b(n) p_{n-1}.  A finite prefix built by
+    :meth:`from_lists` also keeps its values in ``a_list`` and ``b_list``.
+    """
+
+    mu0: RatFuncQ
     a: Callable[[int], RatFuncQ]
     b: Callable[[int], RatFuncQ]
-    mu0: RatFuncQ = field(default_factory=lambda: Q_ONE)
+    a_list: Optional[List[RatFuncQ]] = None
+    b_list: Optional[List[RatFuncQ]] = None
+
+    @classmethod
+    def from_lists(cls, mu0: RatFuncQ, a_list: Sequence[RatFuncQ], b_list: Sequence[RatFuncQ]) -> "JFraction":
+        """Finite prefix; b_list[0] corresponds to b(1)."""
+        a_vals = list(a_list)
+        b_vals = list(b_list)
+        return cls(mu0, _indexed(a_vals, 0), _indexed(b_vals, 1), a_vals, b_vals)
 
     def b_checked(self, n: int) -> RatFuncQ:
         val = self.b(n)
@@ -156,7 +180,7 @@ class FavardData:
         return val
 
 
-def three_term_build(data: FavardData, upto: int) -> List[ZPoly]:
+def three_term_build(data: JFraction, upto: int) -> List[ZPoly]:
     """Monic polynomials p_0 .. p_upto from the recurrence."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
@@ -256,13 +280,9 @@ def _series_family_sum(ell: int, n: int, w: ZPoly) -> ZPoly:
                 * qpow(1)
                 / ((Q_ONE - qpow(k)) * (Q_ONE - qpow(ell + 1) * qk1))
             )
-            poch_w = poch_w * (_Z_ONE - poch_w_factor(w, k - 1))
+            poch_w = poch_w * (_Z_ONE - w.scale(qpow(k - 1)))
         total = total + poch_w.scale(coef)
     return total
-
-
-def poch_w_factor(w: ZPoly, j: int) -> ZPoly:
-    return w.scale(qpow(j))
 
 
 @lru_cache(maxsize=None)
@@ -292,19 +312,36 @@ def build_p_via_phi2(ell: int, n: int) -> ZPoly:
     return _series_family_sum(ell, n, w).scale(pref)
 
 
-def favard_data_p(ell: int, mu0: RatFuncQ = None) -> FavardData:
-    return FavardData(
+def jfraction_for_eps(ell: int) -> JFraction:
+    """J-fraction generating sum_k eps_{k+ell} x^k, for ell in {0, 1}."""
+    if ell not in (0, 1):
+        raise ValueError("the eps J-fraction is stated for ell in {0, 1}")
+    return JFraction(
+        mu0=q_euler_recursive(ell),
         a=lambda n: coeffs_p(ell, n)[0],
         b=lambda n: coeffs_p(ell, n)[1],
-        mu0=Q_ONE if mu0 is None else mu0,
     )
 
 
-def favard_data_monic(ell: int, mu0: RatFuncQ = None) -> FavardData:
-    return FavardData(
+def jfraction_for_theta(ell: int) -> JFraction:
+    """J-fraction of the theta_ell moments (mu0 = 1, same a/b as the family)."""
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    return JFraction(
+        mu0=Q_ONE,
+        a=lambda n: coeffs_p(ell, n)[0],
+        b=lambda n: coeffs_p(ell, n)[1],
+    )
+
+
+def jfraction_for_xi(ell: int) -> JFraction:
+    """J-fraction of the xi_ell moments (mu0 = 1, monic-family a~/b~)."""
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    return JFraction(
+        mu0=Q_ONE,
         a=lambda n: coeffs_monic(ell, n)[0],
         b=lambda n: coeffs_monic(ell, n)[1],
-        mu0=Q_ONE if mu0 is None else mu0,
     )
 
 
@@ -357,7 +394,7 @@ class FamilyId:
 def family_polys(family: FamilyId, upto: int) -> List[ZPoly]:
     """p_0 .. p_upto of the requested family."""
     if family.kind == "p_family":
-        return three_term_build(favard_data_p(family.ell), upto)
+        return three_term_build(jfraction_for_theta(family.ell), upto)
     if family.kind == "monic_big_q_jacobi":
-        return three_term_build(favard_data_monic(family.ell), upto)
+        return three_term_build(jfraction_for_xi(family.ell), upto)
     return [build_j_via_phi2(family.ell, n) for n in range(upto + 1)]

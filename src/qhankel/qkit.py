@@ -6,7 +6,6 @@ mix these building blocks freely without worrying about normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
@@ -52,34 +51,17 @@ def q_binom(m: int, n: int) -> RatFuncQ:
     return q_factorial(m) / (q_factorial(n) * q_factorial(m - n))
 
 
-@dataclass(frozen=True)
-class PochSpec:
-    """Parameters of (base; q^step)_length = prod_{k<length} (1 - base*q^(step*k))."""
-
-    base: RatFuncQ
-    step: int = 1
-    length: int = 0
-
-    def __post_init__(self) -> None:
-        if self.step < 1:
-            raise ValueError("PochSpec.step must be >= 1")
-        if self.length < 0:
-            raise ValueError("PochSpec.length must be >= 0")
-
-
 @lru_cache(maxsize=None)
-def q_pochhammer(spec: PochSpec) -> RatFuncQ:
-    out = Q_ONE
-    for k in range(spec.length):
-        out = out * (Q_ONE - spec.base * qpow(spec.step * k))
-    return out
-
-
 def poch(base: Union[RatFuncQ, int], length: int, step: int = 1) -> RatFuncQ:
-    """Shorthand for :func:`q_pochhammer` with an int-coercible base."""
-    if isinstance(base, int):
-        base = const(base)
-    return q_pochhammer(PochSpec(base, step, length))
+    """(base; q^step)_length = prod_{k<length} (1 - base*q^(step*k))."""
+    if step < 1:
+        raise ValueError("poch step must be >= 1")
+    if length < 0:
+        raise ValueError("poch length must be >= 0")
+    out = Q_ONE
+    for k in range(length):
+        out = out * (Q_ONE - base * qpow(step * k))
+    return out
 
 
 def q_hyper_terminating(

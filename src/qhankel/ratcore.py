@@ -164,25 +164,8 @@ class QPoly:
             raise DivisionByZeroError("polynomial division by zero")
         if self.is_zero:
             return _P_ZERO
-        dq = self.degree - other.degree
-        if dq < 0:
-            raise ArithmeticError("inexact polynomial division")
-        rem = list(self.coeffs)
-        ocs = other.coeffs
-        on = len(ocs)
-        olc = ocs[-1]
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + on - 1]
-            if c == 0:
-                continue
-            qc, r = divmod(c, olc)
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            quot[k] = qc
-            for j in range(on):
-                rem[k + j] -= qc * ocs[j]
-        if any(rem[: on - 1]):
+        quot = _exact_quotient(self.coeffs, other.coeffs)
+        if quot is None:
             raise ArithmeticError("inexact polynomial division")
         return QPoly(quot)
 
@@ -209,8 +192,35 @@ _P_ZERO = QPoly()
 _P_ONE = QPoly((1,))
 
 
-def poly_text(p: QPoly, var: str = "q") -> str:
-    """Human-readable ascending-degree rendering, e.g. ``1 - q + 2q^3``."""
+# CPython refuses str(int) and int(str) past 4,300 digits by default (and the
+# limit can be set as low as 640), so longer numbers are split on powers of 10.
+_DEC_CHUNK = 600
+
+
+def int_to_decimal(n: int) -> str:
+    """Decimal text of n, however many digits it has."""
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    if n.bit_length() <= 3 * _DEC_CHUNK:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the decimal digits
+    hi, lo = divmod(n, 10 ** k)
+    return int_to_decimal(hi) + int_to_decimal(lo).zfill(k)
+
+
+def decimal_to_int(text: str) -> int:
+    """Inverse of :func:`int_to_decimal`; accepts an optional sign."""
+    if len(text) <= _DEC_CHUNK:
+        return int(text)
+    if text[0] in "+-":
+        value = decimal_to_int(text[1:])
+        return -value if text[0] == "-" else value
+    k = len(text) // 2
+    return decimal_to_int(text[:-k]) * 10 ** k + decimal_to_int(text[-k:])
+
+
+def poly_text(p: QPoly, latex: bool = False) -> str:
+    """Ascending-degree rendering, ``1 - q + 2q^3`` or ``1 - q + 2q^{3}``."""
     if p.is_zero:
         return "0"
     chunks = []
@@ -218,10 +228,10 @@ def poly_text(p: QPoly, var: str = "q") -> str:
         if c == 0:
             continue
         if i == 0:
-            body = str(abs(c))
+            body = int_to_decimal(abs(c))
         else:
-            v = var if i == 1 else f"{var}^{i}"
-            body = v if abs(c) == 1 else f"{abs(c)}{v}"
+            v = "q" if i == 1 else (f"q^{{{i}}}" if latex else f"q^{i}")
+            body = v if abs(c) == 1 else f"{int_to_decimal(abs(c))}{v}"
         chunks.append((c < 0, body))
     neg, body = chunks[0]
     out = ("-" if neg else "") + body
@@ -319,8 +329,9 @@ def _balanced_digits(value: int, base: int) -> list:
         v = (v - r) // base
     return digits
 
-def _div_exact_or_none(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
-    """Quotient of A by B over Z if the division is exact, else None."""
+
+def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
+    """Quotient of A by B over Z if B divides A exactly, else None."""
     if len(A) < len(B):
         return None
     rem = list(A)
@@ -372,9 +383,9 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
                 cand = [-c for c in cand]
             if len(cand) == 1:
                 return _ONE_TUPLE
-            qf = _div_exact_or_none(f_coeffs, cand)
+            qf = _exact_quotient(f_coeffs, cand)
             if qf is not None:
-                qg = _div_exact_or_none(g_coeffs, cand)
+                qg = _exact_quotient(g_coeffs, cand)
                 if qg is not None:
                     if len(qf) == 1 or len(qg) == 1:
                         return tuple(cand)
@@ -635,32 +646,11 @@ def qpow(m: int) -> RatFuncQ:
     return RatFuncQ._raw(_P_ONE, QPoly.q_power(-m))
 
 
-_ARITH_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-
-def ratfunc_arith(lhs: RatFuncQ, rhs: RatFuncQ, op: str) -> RatFuncQ:
-    """Named-op arithmetic surface; ``op`` is one of add/sub/mul/div."""
-    try:
-        fn = _ARITH_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}") from None
-    return fn(lhs, rhs)
-
-
-def eval_at(f: RatFuncQ, point: Union[int, Fraction]) -> Fraction:
-    return f.eval_at(point)
-
-
 def serialize(f: RatFuncQ) -> str:
     """Canonical JSON text for a RatFuncQ; byte-stable for equal values."""
     payload = {
-        "num": [str(c) for c in f.num.coeffs] or ["0"],
-        "den": [str(c) for c in f.den.coeffs],
+        "num": [int_to_decimal(c) for c in f.num.coeffs] or ["0"],
+        "den": [int_to_decimal(c) for c in f.den.coeffs],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -678,7 +668,7 @@ def _parse_coeff_list(obj: object, key: str) -> QPoly:
         body = item[1:] if item[0] in "+-" else item
         if not body or set(body) - _INT_CHARS:
             raise DeserializeError(f"bad integer literal {item!r}", f"{key}[{i}]")
-        coeffs.append(int(item))
+        coeffs.append(decimal_to_int(item))
     return QPoly(coeffs)
 
 

@@ -13,13 +13,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .carlitz import (
     limit_q1,
     q_bernoulli_explicit,
     q_bernoulli_recursive,
-    q_bernoulli_seq,
     q_euler_explicit,
     q_euler_recursive,
     q_euler_seq,
@@ -34,24 +33,14 @@ from .functionals import (
     phi_via_basis,
     qbinom_basis,
     theta_moment,
-    theta_moment_seq,
     to_diagonal_basis,
     verify_orthogonality,
     verify_phi_relation,
-    xi_moment_seq,
 )
 from .hankel import (
-    closed_form_chapoton_zeng,
-    closed_form_theorem1,
-    closed_form_theta_det,
-    closed_form_xi_det,
-    det_exact,
-    det_heilermann,
-    det_shifted_via_favard,
-    hankel_matrix,
+    ROUTES,
     jfraction_expand,
     jfraction_for_eps,
-    jfraction_for_theta,
     jfraction_for_xi,
     jfraction_from_moments,
     verify_exponent_integrality,
@@ -67,16 +56,15 @@ from .orthopoly import (
     coeffs_p,
     affine_transform,
     family_polys,
-    favard_data_p,
+    jfraction_for_theta,
     p1_at_zero_closed,
     three_term_build,
 )
 from .qkit import (
-    PochSpec,
     parity_sign,
+    poch,
     q_binom,
     q_int,
-    q_pochhammer,
     verify_q_chu_vandermonde,
 )
 from .ratcore import (
@@ -197,8 +185,7 @@ def _check_q_pascal(max_n: int) -> CheckResult:
     a = -qpow(2)
     for length in range(max_n + 1):
         cases += 1
-        step = q_pochhammer(PochSpec(a, 1, length + 1))
-        if step != q_pochhammer(PochSpec(a, 1, length)) * (Q_ONE - a * qpow(length)):
+        if poch(a, length + 1) != poch(a, length) * (Q_ONE - a * qpow(length)):
             failures.append(f"Pochhammer one-step broke at length {length}")
     return _done("q-pascal", cases, failures)
 
@@ -283,7 +270,7 @@ def _check_cross_route(max_n: int) -> CheckResult:
     v = qpow(1)
     for ell in range(4):
         series = [build_p_via_phi2(ell, n) for n in range(max_n + 1)]
-        recur = three_term_build(favard_data_p(ell), max_n)
+        recur = three_term_build(jfraction_for_theta(ell), max_n)
         jtilde = [build_jtilde_via_phi2(ell, n) for n in range(max_n + 1)]
         affine = affine_transform(jtilde, u, v)
         for n in range(max_n + 1):
@@ -428,105 +415,45 @@ def _check_intertwining(max_n: int) -> CheckResult:
     return _done("intertwining", cases, failures)
 
 
-@_register("theorem1-shift0")
-def _check_theorem1_shift0(max_n: int) -> CheckResult:
-    failures: List[str] = []
-    eps = q_euler_seq()
-    jf = jfraction_for_eps(0)
-    for n in range(max_n + 1):
-        brute = det_exact(hankel_matrix(eps, 0, n))
-        closed = closed_form_theorem1(0, n)
-        heil = det_heilermann(jf, n)
-        if not (brute == closed == heil):
-            failures.append(f"three-way disagreement at n={n}: brute={brute}")
-    return _done("theorem1-shift0", max_n + 1, failures)
+def _register_routes(name: str, key: Tuple[str, int], ells: Sequence[int]) -> None:
+    """Register a check that every route of ``ROUTES[key]`` agrees for n <= max_n."""
+
+    def check(max_n: int) -> CheckResult:
+        routes = ROUTES[key].routes
+        failures: List[str] = []
+        cases = 0
+        for ell in ells:
+            for n in range(max_n + 1):
+                cases += 1
+                values = {route: fn(ell, n) for route, fn in routes.items()}
+                if len(set(values.values())) > 1:
+                    where = f"n={n}" if len(ells) == 1 else f"ell={ell}, n={n}"
+                    failures.append(f"routes disagree at {where}")
+        return _done(name, cases, failures)
+
+    CHECKS[name] = check
 
 
-@_register("theorem1-shift1")
-def _check_theorem1_shift1(max_n: int) -> CheckResult:
-    failures: List[str] = []
-    eps = q_euler_seq()
-    jf = jfraction_for_eps(0)
-    for n in range(max_n + 1):
-        brute = det_exact(hankel_matrix(eps, 1, n))
-        closed = closed_form_theorem1(1, n)
-        favard = det_shifted_via_favard(jf, n)
-        if not (brute == closed == favard):
-            failures.append(f"three-way disagreement at n={n}: brute={brute}")
-    return _done("theorem1-shift1", max_n + 1, failures)
-
-
-@_register("theorem1-shift2")
-def _check_theorem1_shift2(max_n: int) -> CheckResult:
-    failures: List[str] = []
-    eps = q_euler_seq()
-    jf = jfraction_for_eps(1)
-    for n in range(max_n + 1):
-        brute = det_exact(hankel_matrix(eps, 2, n))
-        closed = closed_form_theorem1(2, n)
-        favard = det_shifted_via_favard(jf, n)
-        if not (brute == closed == favard):
-            failures.append(f"three-way disagreement at n={n}: brute={brute}")
-    return _done("theorem1-shift2", max_n + 1, failures)
+_register_routes("theorem1-shift0", ("qeuler", 0), [0])
+_register_routes("theorem1-shift1", ("qeuler", 1), [0])
+_register_routes("theorem1-shift2", ("qeuler", 2), [0])
+_register_routes("chapoton-zeng", ("qbernoulli", 0), [0])
+_register_routes("theta-det", ("theta", 0), range(4))
+_register_routes("xi-det", ("xi", 0), range(4))
 
 
 @_register("theorem1-q1-limit")
 def _check_theorem1_q1(max_n: int) -> CheckResult:
     failures: List[str] = []
+    closed = ROUTES[("qeuler", 0)].routes["closedform"]
     for n in range(max_n + 1):
-        got = closed_form_theorem1(0, n).eval_at(Fraction(1))
+        got = closed(0, n).eval_at(Fraction(1))
         want = Fraction(-1, 4) ** ((n + 1) * n // 2)
         for k in range(1, n + 1):
             want *= Fraction(math.factorial(k)) ** 2
         if got != want:
             failures.append(f"limit at n={n}: got {got}, want {want}")
     return _done("theorem1-q1-limit", max_n + 1, failures)
-
-
-@_register("chapoton-zeng")
-def _check_chapoton_zeng(max_n: int) -> CheckResult:
-    failures: List[str] = []
-    beta = q_bernoulli_seq()
-    for n in range(max_n + 1):
-        brute = det_exact(hankel_matrix(beta, 0, n))
-        closed = closed_form_chapoton_zeng(n)
-        if brute != closed:
-            failures.append(f"disagreement at n={n}: brute={brute}")
-    return _done("chapoton-zeng", max_n + 1, failures)
-
-
-@_register("theta-det")
-def _check_theta_det(max_n: int) -> CheckResult:
-    failures: List[str] = []
-    cases = 0
-    for ell in range(4):
-        seq = theta_moment_seq(ell)
-        jf = jfraction_for_theta(ell)
-        for n in range(max_n + 1):
-            cases += 1
-            brute = det_exact(hankel_matrix(seq, 0, n))
-            closed = closed_form_theta_det(ell, n)
-            heil = det_heilermann(jf, n)
-            if not (brute == closed == heil):
-                failures.append(f"disagreement at ell={ell}, n={n}")
-    return _done("theta-det", cases, failures)
-
-
-@_register("xi-det")
-def _check_xi_det(max_n: int) -> CheckResult:
-    failures: List[str] = []
-    cases = 0
-    for ell in range(4):
-        seq = xi_moment_seq(ell)
-        jf = jfraction_for_xi(ell)
-        for n in range(max_n + 1):
-            cases += 1
-            brute = det_exact(hankel_matrix(seq, 0, n))
-            closed = closed_form_xi_det(ell, n)
-            heil = det_heilermann(jf, n)
-            if not (brute == closed == heil):
-                failures.append(f"disagreement at ell={ell}, n={n}")
-    return _done("xi-det", cases, failures)
 
 
 @_register("jfraction-eps")
@@ -592,10 +519,17 @@ def run_checks(max_n: int, only: Optional[str] = None) -> List[CheckResult]:
     """Run all registered checks (or those whose name starts with ``only``).
 
     Results come back sorted by name so reports do not depend on registration
-    or execution order.
+    or execution order.  A check that raises is reported as failed with zero
+    cases and the exception in its detail.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    names = [n for n in CHECKS if only is None or n.startswith(only)]
-    results = [CHECKS[name](max_n) for name in names]
+    results = []
+    for name in CHECKS:
+        if only is not None and not name.startswith(only):
+            continue
+        try:
+            results.append(CHECKS[name](max_n))
+        except Exception as exc:  # report the broken check; the others still run
+            results.append(CheckResult(name, False, 0, f"raised {type(exc).__name__}: {exc}"))
     return sorted(results, key=lambda r: r.name)

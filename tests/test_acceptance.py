@@ -53,7 +53,7 @@ from qhankel.orthopoly import (
     build_p_via_phi2,
     coeffs_ab,
     coeffs_p,
-    favard_data_p,
+    jfraction_for_theta,
     three_term_build,
 )
 from qhankel.ratcore import Q_ONE, QPoly, RatFuncQ, const, qpow
@@ -224,7 +224,7 @@ def test_criterion_12_cross_route_polynomials():
     v = qpow(1)
     for ell in range(4):
         series = [build_p_via_phi2(ell, n) for n in range(9)]
-        recur = three_term_build(favard_data_p(ell), 8)
+        recur = three_term_build(jfraction_for_theta(ell), 8)
         jtilde = [build_jtilde_via_phi2(ell, n) for n in range(9)]
         affine = affine_transform(jtilde, u, v)
         for n in range(9):

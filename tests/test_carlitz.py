@@ -1,9 +1,12 @@
 """Carlitz q-Euler and q-Bernoulli sequences."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from qhankel import carlitz
 from qhankel.carlitz import (
     MomentSeq,
     limit_q1,
@@ -121,3 +124,32 @@ class TestMomentSeq:
 def test_limit_q1_rejects_unknown_id():
     with pytest.raises(ValueError):
         limit_q1("fibonacci", 3)
+
+
+def test_recursive_caches_survive_concurrent_extension():
+    # Fill each cache from empty in four threads at once, switching threads
+    # as often as the interpreter allows; a lost update shows up as a wrong
+    # or misplaced entry.
+    top = 25
+    carlitz._EULER_CACHE.clear()
+    carlitz._BERNOULLI_CACHE.clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=fn, args=(top,))
+            for fn in (q_euler_recursive, q_bernoulli_recursive)
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(carlitz._EULER_CACHE) == top + 1
+    assert len(carlitz._BERNOULLI_CACHE) == top + 1
+    for n in range(top + 1):
+        assert carlitz._EULER_CACHE[n] == q_euler_explicit(n)
+        assert carlitz._BERNOULLI_CACHE[n] == q_bernoulli_explicit(n)

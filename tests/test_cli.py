@@ -1,11 +1,13 @@
 """Command line interface: formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from qhankel.cli import main
+from qhankel.cli import _json_value, _render, main
+from qhankel.ratcore import int_to_decimal
 
 runner = CliRunner()
 
@@ -254,6 +256,18 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--only", "nosuchcheck"])
         assert result.exit_code == 2
 
+    def test_latex_rejected(self):
+        result = runner.invoke(main, ["verify", "--only", "exponent", "-f", "latex"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
+    def test_env_latex_falls_back_to_text(self):
+        result = runner.invoke(
+            main, ["verify", "--only", "exponent"], env={"QHANKEL_FORMAT": "latex"}
+        )
+        assert result.exit_code == 0
+        assert result.output.startswith("PASS exponent-integrality")
+
 
 class TestOutputPlumbing:
     def test_json_bytes_deterministic(self):
@@ -302,6 +316,14 @@ class TestOutputPlumbing:
         assert result.output == ""
         payload = json.loads(target.read_text())
         assert payload["max_n"] == 1
+
+    def test_huge_value_at_q(self):
+        # past CPython's 4,300-digit limit on str(int)
+        big = 3 ** 10000
+        digits = int_to_decimal(big)
+        assert _render(Fraction(-big, 7), False) == f"-{digits}/7"
+        assert _render(Fraction(-big, 7), True) == rf"-\frac{{{digits}}}{{7}}"
+        assert _json_value(Fraction(big)) == digits
 
     def test_latex_braces_balanced(self):
         for args in (

@@ -121,6 +121,13 @@ class TestJFraction:
         assert jf.b(1) == const(7)
         assert jf.b_checked(1) == const(7)
 
+    def test_from_lists_rejects_indices_outside_the_prefix(self):
+        jf = JFraction.from_lists(Q_ONE, [Q_ONE, qpow(1)], [qpow(2), qpow(3)])
+        assert jf.b(2) == qpow(3)
+        for bad in (lambda: jf.b(0), lambda: jf.b(3), lambda: jf.a(-1), lambda: jf.a(2)):
+            with pytest.raises(IndexError):
+                bad()
+
     def test_b_checked_zero(self):
         jf = JFraction.from_lists(Q_ONE, [Q_ZERO, Q_ZERO], [Q_ZERO])
         with pytest.raises(DegenerateRecurrenceError) as e:

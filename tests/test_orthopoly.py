@@ -5,7 +5,7 @@ import pytest
 from qhankel.orthopoly import (
     DegenerateRecurrenceError,
     FamilyId,
-    FavardData,
+    JFraction,
     ZPoly,
     affine_transform,
     build_j_via_phi2,
@@ -15,8 +15,8 @@ from qhankel.orthopoly import (
     coeffs_monic,
     coeffs_p,
     family_polys,
-    favard_data_monic,
-    favard_data_p,
+    jfraction_for_theta,
+    jfraction_for_xi,
     p1_at_zero_closed,
     three_term_build,
 )
@@ -73,7 +73,7 @@ class TestZPoly:
 class TestThreeTermBuild:
     def test_constant_coefficient_toy(self):
         # a == 0, b == 1 gives p2 = z^2 - 1, p3 = z^3 - 2z
-        data = FavardData(a=lambda n: Q_ZERO, b=lambda n: Q_ONE)
+        data = JFraction(Q_ONE, a=lambda n: Q_ZERO, b=lambda n: Q_ONE)
         polys = three_term_build(data, 3)
         assert polys[0] == ZPoly.one()
         assert polys[1] == ZPoly.z()
@@ -81,13 +81,13 @@ class TestThreeTermBuild:
         assert polys[3] == ZPoly([Q_ZERO, const(-2), Q_ZERO, Q_ONE])
 
     def test_upto_zero(self):
-        data = FavardData(a=lambda n: Q_ZERO, b=lambda n: Q_ONE)
+        data = JFraction(Q_ONE, a=lambda n: Q_ZERO, b=lambda n: Q_ONE)
         assert three_term_build(data, 0) == [ZPoly.one()]
         with pytest.raises(ValueError):
             three_term_build(data, -1)
 
     def test_degenerate_b_detected(self):
-        data = FavardData(a=lambda n: Q_ZERO, b=lambda n: Q_ZERO)
+        data = JFraction(Q_ONE, a=lambda n: Q_ZERO, b=lambda n: Q_ZERO)
         with pytest.raises(DegenerateRecurrenceError) as e:
             three_term_build(data, 2)
         assert e.value.n == 1
@@ -135,14 +135,14 @@ class TestFamilies:
         v = qpow(1)
         for ell in range(3):
             series = [build_p_via_phi2(ell, n) for n in range(6)]
-            recur = three_term_build(favard_data_p(ell), 5)
+            recur = three_term_build(jfraction_for_theta(ell), 5)
             jtilde = [build_jtilde_via_phi2(ell, n) for n in range(6)]
             assert series == recur
             assert series == affine_transform(jtilde, u, v)
 
     def test_monic_route_matches_series(self):
         for ell in range(3):
-            built = three_term_build(favard_data_monic(ell), 5)
+            built = three_term_build(jfraction_for_xi(ell), 5)
             for n in range(6):
                 assert built[n] == build_jtilde_via_phi2(ell, n)
 
@@ -173,11 +173,11 @@ class TestFamilies:
 
 class TestAffineTransform:
     def test_identity(self):
-        polys = three_term_build(favard_data_p(0), 4)
+        polys = three_term_build(jfraction_for_theta(0), 4)
         assert affine_transform(polys, Q_ONE, Q_ZERO) == polys
 
     def test_preserves_monic(self):
-        polys = three_term_build(favard_data_monic(1), 4)
+        polys = three_term_build(jfraction_for_xi(1), 4)
         for p in affine_transform(polys, qpow(2), -qpow(1)):
             assert p.is_monic
 
@@ -187,7 +187,7 @@ class TestAffineTransform:
 
     def test_inverse_composition(self):
         u, v = qpow(1), const(3)
-        polys = three_term_build(favard_data_p(2), 3)
+        polys = three_term_build(jfraction_for_theta(2), 3)
         there = affine_transform(polys, u, v)
         back = affine_transform(there, Q_ONE / u, -v / u)
         assert back == polys
@@ -196,7 +196,7 @@ class TestAffineTransform:
 class TestFamilyId:
     def test_dispatch(self):
         assert family_polys(FamilyId("p_family", 0), 3) == three_term_build(
-            favard_data_p(0), 3
+            jfraction_for_theta(0), 3
         )
         assert family_polys(FamilyId("monic_big_q_jacobi", 1), 2) == [
             build_jtilde_via_phi2(1, n) for n in range(3)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhankel.qkit import (
-    PochSpec,
     VanishingPochhammerError,
     parity_sign,
     poch,
@@ -12,7 +11,6 @@ from qhankel.qkit import (
     q_factorial,
     q_hyper_terminating,
     q_int,
-    q_pochhammer,
     verify_q_chu_vandermonde,
 )
 from qhankel.ratcore import Q, Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow
@@ -97,20 +95,18 @@ class TestPochhammer:
 
     def test_one_step_extension(self):
         for length in range(5):
-            spec = PochSpec(base=Q, step=1, length=length)
-            a = q_pochhammer(spec)
+            a = poch(Q, length)
             assert poch(Q, length + 1) == a * (Q_ONE - qpow(1 + length))
 
     def test_spec_is_cached_key(self):
-        s = PochSpec(base=Q, step=1, length=3)
-        assert q_pochhammer(s) == poch(Q, 3)
-        assert hash(s) == hash(PochSpec(base=Q, step=1, length=3))
+        assert poch(Q, 3) is poch(Q, 3)
+        assert poch(Q, 3) == (Q_ONE - Q) * (Q_ONE - qpow(2)) * (Q_ONE - qpow(3))
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
-            PochSpec(base=Q, step=0, length=1)
+            poch(Q, 1, step=0)
         with pytest.raises(ValueError):
-            PochSpec(base=Q, step=1, length=-1)
+            poch(Q, -1)
 
 
 def test_parity_sign():

@@ -1,6 +1,7 @@
 """Exact polynomial and rational-function arithmetic."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,12 @@ from qhankel.ratcore import (
     _subresultant_gcd,
     _primitive_positive,
     const,
+    decimal_to_int,
     deserialize,
+    int_to_decimal,
     poly_gcd,
     poly_text,
     qpow,
-    ratfunc_arith,
     serialize,
 )
 
@@ -79,6 +81,46 @@ class TestPolyText:
         assert poly_text(P(0, 1)) == "q"
         assert poly_text(P(-1)) == "-1"
         assert poly_text(QPoly()) == "0"
+
+    def test_latex(self):
+        assert poly_text(P(1, -1, 0, 2), latex=True) == "1 - q + 2q^{3}"
+        assert poly_text(P(0, 0, -1), latex=True) == "-q^{2}"
+
+
+class TestHugeCoefficients:
+    """Coefficients past CPython's 4,300-digit int/str conversion limit."""
+
+    BIG = 3 ** 10000
+
+    @staticmethod
+    def _decimal(n):
+        # test-side oracle: lift the interpreter's limit around one str()
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_serialize_roundtrip(self):
+        v = RatFuncQ(P(-self.BIG, 1), P(7, 0, 1))
+        blob = serialize(v)
+        assert json.loads(blob)["num"][0] == "-" + self._decimal(self.BIG)
+        assert deserialize(blob) == v
+        assert serialize(deserialize(blob)) == blob
+
+    def test_text_and_latex(self):
+        digits = self._decimal(self.BIG)
+        v = RatFuncQ(P(0, self.BIG, 0, -self.BIG))
+        assert str(v) == f"{digits}q - {digits}q^3"
+        assert poly_text(v.num, latex=True) == f"{digits}q - {digits}q^{{3}}"
+
+    def test_decimal_pair(self):
+        for n in (0, 7, -10 ** 599, 10 ** 2000, -(3 ** 10000) - 1, 2 ** 40000 + 12345):
+            text = int_to_decimal(n)
+            assert text == self._decimal(n)
+            assert decimal_to_int(text) == n
+        assert decimal_to_int("+" + self._decimal(self.BIG)) == self.BIG
 
 
 # Multiplication is dispatched between two implementations; they must agree.
@@ -196,9 +238,9 @@ class TestRatFuncQ:
         assert 1 - Q == RatFuncQ(P(1, -1))
 
     def test_named_arith(self):
-        assert ratfunc_arith(Q, Q, "mul") == qpow(2)
-        with pytest.raises(ValueError):
-            ratfunc_arith(Q, Q, "modulo")
+        assert Q * Q == qpow(2)
+        with pytest.raises(TypeError):
+            Q % Q
 
     def test_hashable(self):
         assert len({Q, qpow(1), Q + Q_ZERO}) == 1

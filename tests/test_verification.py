@@ -2,6 +2,7 @@
 
 import pytest
 
+from qhankel import verification
 from qhankel.verification import CheckResult, available_checks, run_checks
 
 
@@ -53,3 +54,15 @@ def test_failure_detail_formatting():
 def test_negative_bound_rejected():
     with pytest.raises(ValueError):
         run_checks(-1)
+
+
+def test_raising_check_is_reported_and_others_still_run(monkeypatch):
+    def broken(max_n):
+        raise RuntimeError("probe failure")
+
+    monkeypatch.setitem(verification.CHECKS, "exponent-broken", broken)
+    results = {r.name: r for r in run_checks(1, only="exponent")}
+    assert results["exponent-broken"] == CheckResult(
+        "exponent-broken", False, 0, "raised RuntimeError: probe failure"
+    )
+    assert results["exponent-integrality"].passed
