@@ -22,12 +22,16 @@ class MomentSeq:
         self.id = seq_id
         self._fn = fn
         self._values: List[RatFuncQ] = []
+        # Extension reads the length, computes, then appends; callers sharing
+        # one sequence across threads must not interleave those steps.
+        self._lock = threading.Lock()
 
     def value(self, n: int) -> RatFuncQ:
         if n < 0:
             raise ValueError("sequence index must be >= 0")
-        while len(self._values) <= n:
-            self._values.append(self._fn(len(self._values)))
+        with self._lock:
+            while len(self._values) <= n:
+                self._values.append(self._fn(len(self._values)))
         return self._values[n]
 
     def prefix(self, n: int) -> List[RatFuncQ]:

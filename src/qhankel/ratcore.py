@@ -354,14 +354,25 @@ def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
 
 
 def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
-    """Heuristic gcd of primitive polynomials with positive leading term.
+    """Heuristic gcd (GCDHEU) of primitive polynomials with positive leading term.
 
-    Evaluates both at a large integer, takes the integer gcd, and reads a
-    candidate divisor back off the balanced digit expansion.  A candidate is
-    accepted only after exact trial division by both inputs, and the
-    cofactors are then reduced recursively, so whatever comes back really is
-    the gcd; only the search itself is heuristic.  Raises _HeuristicFailed
-    when a few evaluation points in a row produce nothing usable.
+    Evaluates both at a large integer x, takes the integer gcd, and reads a
+    candidate divisor h back off its balanced base-x digits.  Raises
+    _HeuristicFailed when a few evaluation points in a row produce nothing
+    that divides both inputs.
+
+    Theorem (Char, Geddes & Gonnet, 1989): for primitive f, g and
+    x >= 2 * min(|f|_inf, |g|_inf) + 2, the primitive part of h is gcd(f, g)
+    if and only if it divides both f and g.  Proof: if it divides both, then
+    G = gcd(f, g) = pp(h) * k for some k in Z[q].  G(x) divides
+    gcd(f(x), g(x)) = h(x) = cont(h) * pp(h)(x), so k(x) divides cont(h),
+    which divides a nonzero digit and so |k(x)| <= x/2.  Every root a of k is
+    a root of the input of smaller norm, so |a| < 1 + min(|f|, |g|) <= x/2
+    (Cauchy), and |k(x)| = |lc k| * prod |x - a| > (x/2)^deg k.  Hence k is a
+    constant, and +-1 since G and pp(h) are primitive.  The same bound shows
+    that an integer gcd of 1, or a constant h, means gcd(f, g) = 1.  The first
+    x below meets the bound and each retry only enlarges it, so a candidate
+    that passes trial division into both inputs is returned as it stands.
     """
     nf = max(abs(c) for c in f_coeffs)
     ng = max(abs(c) for c in g_coeffs)
@@ -383,22 +394,80 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
                 cand = [-c for c in cand]
             if len(cand) == 1:
                 return _ONE_TUPLE
-            qf = _exact_quotient(f_coeffs, cand)
-            if qf is not None:
-                qg = _exact_quotient(g_coeffs, cand)
-                if qg is not None:
-                    if len(qf) == 1 or len(qg) == 1:
-                        return tuple(cand)
-                    deeper = _heu_gcd(tuple(qf), tuple(qg))
-                    if len(deeper) == 1:
-                        return tuple(cand)
-                    return (QPoly(cand) * QPoly(deeper)).coeffs
+            if (_exact_quotient(f_coeffs, cand) is not None
+                    and _exact_quotient(g_coeffs, cand) is not None):
+                return tuple(cand)
         x = 2 * x + 29
     raise _HeuristicFailed
 
 
+# Primes just below 2**63 for the modular gcd: sixteen of them lift a
+# scaled gcd whose coefficients have up to about 1,000 bits.
+_GCD_PRIMES = tuple(2 ** 63 - d for d in (
+    25, 165, 259, 301, 375, 387, 391, 409, 457, 471, 517, 529, 549, 627, 649, 669))
+
+
+def _gcd_mod(a: list, b: list, p: int) -> list:
+    """Monic gcd over GF(p), by Euclid, of two polynomials whose leading
+    coefficients are nonzero mod p; a is consumed."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        db = len(b) - 1
+        low = b[:-1]
+        while len(a) > db:
+            t = a.pop()
+            if t:
+                s = len(a) - db
+                a[s:] = [(x - t * y) % p for x, y in zip(a[s:], low)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return a
+
+
+def _modular_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> Optional[tuple]:
+    """Gcd of primitive polynomials with positive leading term, by images
+    mod the primes of _GCD_PRIMES (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 6); None when the primes run out.
+
+    For a prime p dividing neither leading coefficient, the gcd mod p has
+    degree at least that of G = gcd(f, g), with equality for all but finitely
+    many p.  So an image of degree 0 proves G = 1, and only the images of the
+    smallest degree seen are combined.  Scaled to leading coefficient
+    b = gcd(lc f, lc g), they are the residues of (b / lc G) * G, which the
+    Chinese remainder theorem lifts once the modulus exceeds twice its
+    coefficients.  A lifted primitive part that divides both inputs divides
+    G and has at least its degree, so it is G.
+    """
+    b = math.gcd(f_coeffs[-1], g_coeffs[-1])
+    residues, modulus = None, 1  # CRT image of the lowest degree seen so far
+    for p in _GCD_PRIMES:
+        if f_coeffs[-1] % p == 0 or g_coeffs[-1] % p == 0:
+            continue
+        image = _gcd_mod([c % p for c in f_coeffs], [c % p for c in g_coeffs], p)
+        if len(image) == 1:
+            return _ONE_TUPLE
+        image = [c * b % p for c in image]
+        if residues is None or len(image) < len(residues):
+            residues, modulus = image, p
+        elif len(image) > len(residues):
+            continue
+        else:
+            m_inv = pow(modulus, -1, p)
+            residues = [r + modulus * ((c - r) * m_inv % p) for r, c in zip(residues, image)]
+            modulus *= p
+        half = modulus // 2
+        cand = _primitive_positive([r - modulus if r > half else r for r in residues]).coeffs
+        if (_exact_quotient(f_coeffs, cand) is not None
+                and _exact_quotient(g_coeffs, cand) is not None):
+            return cand
+    return None
+
+
 def _primitive_gcd(f: QPoly, g: QPoly) -> QPoly:
-    """Gcd of two nonzero primitive polynomials, heuristic first."""
+    """Gcd of two nonzero primitive polynomials: heuristic, then modular,
+    then the subresultant chain; each certifies what it returns."""
     if f.degree < g.degree:
         f, g = g, f
     if g.degree == 0:
@@ -406,7 +475,11 @@ def _primitive_gcd(f: QPoly, g: QPoly) -> QPoly:
     try:
         return QPoly(_heu_gcd(f.coeffs, g.coeffs))
     except _HeuristicFailed:
-        return _subresultant_gcd(f, g)
+        pass
+    found = _modular_gcd(f.coeffs, g.coeffs)
+    if found is not None:
+        return QPoly(found)
+    return _subresultant_gcd(f, g)
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:

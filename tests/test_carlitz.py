@@ -2,11 +2,12 @@
 
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 
-from qhankel import carlitz
+from qhankel import carlitz, ratcore
 from qhankel.carlitz import (
     MomentSeq,
     limit_q1,
@@ -17,7 +18,7 @@ from qhankel.carlitz import (
     q_euler_recursive,
     q_euler_seq,
 )
-from qhankel.ratcore import Q_ONE, QPoly, RatFuncQ
+from qhankel.ratcore import Q_ONE, QPoly, RatFuncQ, const
 
 
 def P(*coeffs):
@@ -153,3 +154,39 @@ def test_recursive_caches_survive_concurrent_extension():
     for n in range(top + 1):
         assert carlitz._EULER_CACHE[n] == q_euler_explicit(n)
         assert carlitz._BERNOULLI_CACHE[n] == q_bernoulli_explicit(n)
+
+
+def test_moment_seq_survives_concurrent_extension():
+    # A slow fn leaves a wide gap between reading the length and appending,
+    # so unsynchronized threads would append the same index more than once.
+    def slow(n):
+        time.sleep(0.001)
+        return const(n)
+
+    top = 20
+    seq = MomentSeq("probe", slow)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=seq.value, args=(top,)) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert seq.prefix(top + 5) == [const(n) for n in range(top + 6)]
+    assert len(seq._values) == top + 6
+
+
+def test_beta_37_needs_no_subresultant_fallback(monkeypatch):
+    # beta_37 once fell back to the subresultant chain (25-33 s) because the
+    # heuristic gcd threw away a correct candidate; now the heuristic or the
+    # modular gcd must answer every gcd on the way.
+    def refuse(f, g):
+        raise AssertionError("subresultant gcd reached")
+
+    monkeypatch.setattr(carlitz, "_BERNOULLI_CACHE", [])
+    monkeypatch.setattr(ratcore, "_subresultant_gcd", refuse)
+    assert q_bernoulli_recursive(37) == q_bernoulli_explicit(37)

@@ -3,10 +3,12 @@
 import json
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhankel import ratcore
 from qhankel.ratcore import (
     DeserializeError,
     DivisionByZeroError,
@@ -157,13 +159,7 @@ class TestPolyGcd:
         assert g.content() == 1
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-)
-def test_heuristic_gcd_matches_subresultant(a, b, c):
+def _check_gcd_against_subresultant(a, b, c):
     pa, pb, pc = QPoly(a), QPoly(b), QPoly(c)
     if pa.is_zero or pb.is_zero or pc.is_zero:
         return
@@ -177,6 +173,73 @@ def test_heuristic_gcd_matches_subresultant(a, b, c):
     assert got == want
     # and the common factor must survive into the gcd
     assert got.exact_div(poly_gcd(got, _primitive_positive(pc.coeffs)))
+
+
+_gcd_inputs = given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@_gcd_inputs
+def test_heuristic_gcd_matches_subresultant(a, b, c):
+    _check_gcd_against_subresultant(a, b, c)
+
+
+@settings(max_examples=150, deadline=None)
+@_gcd_inputs
+def test_modular_gcd_matches_subresultant(a, b, c):
+    # The heuristic always fails and the library's own subresultant fallback
+    # refuses, so every gcd here comes from the modular route; the oracle is
+    # the subresultant chain imported above, which the patch does not touch.
+    with mock.patch.object(ratcore, "_heu_gcd", side_effect=ratcore._HeuristicFailed), \
+            mock.patch.object(ratcore, "_subresultant_gcd", side_effect=AssertionError):
+        _check_gcd_against_subresultant(a, b, c)
+
+
+class TestModularGcd:
+    P0 = ratcore._GCD_PRIMES[0]
+    # Coefficients of about 143 bits: the lift needs three of the primes.
+    BIG = P(5 ** 50, -(2 ** 130 + 1), 3 ** 90)
+
+    def _primes_used(self, f, g):
+        with mock.patch.object(ratcore, "_gcd_mod", wraps=ratcore._gcd_mod) as spy:
+            got = ratcore._modular_gcd(f.coeffs, g.coeffs)
+        return got, [call.args[2] for call in spy.call_args_list]
+
+    def test_prime_dividing_a_leading_coefficient_is_skipped(self):
+        f = P(1, 1) * P(1, 3 * self.P0)
+        g = P(1, 1) * P(2, 1)
+        got, primes = self._primes_used(f, g)
+        assert got == (1, 1)
+        assert primes == [ratcore._GCD_PRIMES[1]]
+
+    def test_unlucky_prime_gives_way_to_a_lower_degree(self):
+        # mod P0 the two inputs coincide, so that image has degree 2
+        f = P(2, 1) * P(1, 1)
+        g = P(2, 1) * P(1 + self.P0, 1)
+        got, primes = self._primes_used(f, g)
+        assert got == (2, 1)
+        assert primes == list(ratcore._GCD_PRIMES[:2])
+
+    def test_large_gcd_lifts_over_several_primes(self):
+        f, g = self.BIG * P(7, 0, 0, 1), self.BIG * P(9, 2)
+        got, primes = self._primes_used(f, g)
+        assert got == self.BIG.coeffs
+        assert len(primes) == 3
+        assert got == _subresultant_gcd(f, g).coeffs
+
+    def test_exhausted_primes_fall_back_to_subresultant(self):
+        f, g = self.BIG * P(7, 0, 0, 1), self.BIG * P(9, 2)
+        with mock.patch.object(ratcore, "_GCD_PRIMES", ratcore._GCD_PRIMES[:2]):
+            assert ratcore._modular_gcd(f.coeffs, g.coeffs) is None
+            with mock.patch.object(ratcore, "_heu_gcd", side_effect=ratcore._HeuristicFailed), \
+                    mock.patch.object(ratcore, "_subresultant_gcd",
+                                      wraps=ratcore._subresultant_gcd) as oracle:
+                assert poly_gcd(f, g) == self.BIG
+        assert oracle.call_count == 1
 
 
 class TestRatFuncQ:
