@@ -6,41 +6,13 @@ purpose: agreement between them is one of the library's standing checks.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import cache
 from math import comb
-from typing import Callable, List
+from typing import Callable
 
 from .qkit import parity_sign, q_int
 from .ratcore import Q_ONE, RatFuncQ, const, qpow
-
-
-class MomentSeq:
-    """Lazily extended sequence of exact values; computed entries never change."""
-
-    def __init__(self, seq_id: str, fn: Callable[[int], RatFuncQ]) -> None:
-        self.id = seq_id
-        self._fn = fn
-        self._values: List[RatFuncQ] = []
-        # Extension reads the length, computes, then appends; callers sharing
-        # one sequence across threads must not interleave those steps.
-        self._lock = threading.Lock()
-
-    def value(self, n: int) -> RatFuncQ:
-        if n < 0:
-            raise ValueError("sequence index must be >= 0")
-        with self._lock:
-            while len(self._values) <= n:
-                self._values.append(self._fn(len(self._values)))
-        return self._values[n]
-
-    def prefix(self, n: int) -> List[RatFuncQ]:
-        """Values 0..n inclusive."""
-        self.value(n)
-        return list(self._values[: n + 1])
-
-    def __repr__(self) -> str:
-        return f"MomentSeq({self.id!r}, {len(self._values)} cached)"
 
 
 def q_euler_explicit(n: int) -> RatFuncQ:
@@ -68,54 +40,35 @@ def q_bernoulli_explicit(n: int) -> RatFuncQ:
     return total / (Q_ONE - qpow(1)) ** n
 
 
-_EULER_CACHE: List[RatFuncQ] = []
-_BERNOULLI_CACHE: List[RatFuncQ] = []
-# Extending a cache reads its length and then appends; two threads doing that
-# at once would store entries at the wrong index.
-_CACHE_LOCK = threading.Lock()
+def _binomial_tail(x: Callable[[int], RatFuncQ], n: int) -> RatFuncQ:
+    """sum_{k<n} C(n,k) q^{k+1} x(k), asking for x(k) with k ascending."""
+    acc = const(0)
+    for k in range(n):
+        acc = acc + const(comb(n, k)) * qpow(k + 1) * x(k)
+    return acc
 
 
+# Both recursions ask for entries 0..n-1 in ascending order, so each entry
+# they need is already in the memo: a cold call recurses one level deep.
+@cache
 def q_euler_recursive(n: int) -> RatFuncQ:
     """epsilon_n by solving sum_k C(n,k) q^{k+1} eps_k + eps_n = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    with _CACHE_LOCK:
-        while len(_EULER_CACHE) <= n:
-            m = len(_EULER_CACHE)
-            if m == 0:
-                _EULER_CACHE.append(Q_ONE)
-                continue
-            acc = const(0)
-            for k in range(m):
-                acc = acc + const(comb(m, k)) * qpow(k + 1) * _EULER_CACHE[k]
-            _EULER_CACHE.append(-acc / (Q_ONE + qpow(m + 1)))
-    return _EULER_CACHE[n]
+    if n == 0:
+        return Q_ONE
+    return -_binomial_tail(q_euler_recursive, n) / (Q_ONE + qpow(n + 1))
 
 
+@cache
 def q_bernoulli_recursive(n: int) -> RatFuncQ:
     """beta_n by solving sum_k C(n,k) q^{k+1} beta_k - beta_n = [n == 1]."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    with _CACHE_LOCK:
-        while len(_BERNOULLI_CACHE) <= n:
-            m = len(_BERNOULLI_CACHE)
-            if m == 0:
-                _BERNOULLI_CACHE.append(Q_ONE)
-                continue
-            rhs = Q_ONE if m == 1 else const(0)
-            acc = const(0)
-            for k in range(m):
-                acc = acc + const(comb(m, k)) * qpow(k + 1) * _BERNOULLI_CACHE[k]
-            _BERNOULLI_CACHE.append((rhs - acc) / (qpow(m + 1) - Q_ONE))
-    return _BERNOULLI_CACHE[n]
-
-
-def q_euler_seq() -> MomentSeq:
-    return MomentSeq("qeuler", q_euler_recursive)
-
-
-def q_bernoulli_seq() -> MomentSeq:
-    return MomentSeq("qbernoulli", q_bernoulli_recursive)
+    if n == 0:
+        return Q_ONE
+    rhs = Q_ONE if n == 1 else const(0)
+    return (rhs - _binomial_tail(q_bernoulli_recursive, n)) / (qpow(n + 1) - Q_ONE)
 
 
 _LIMIT_FNS = {

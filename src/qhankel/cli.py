@@ -156,16 +156,18 @@ def cmd_seq(seq_id, ell, max_n, fmt, at_q, out) -> None:
     """Print sequence values 0..MAX_N."""
     fmt = _pick_format(fmt)
     point = _parse_at_q(at_q)
-    seq = ROUTES[(seq_id, 0)].seq(_check_ell(seq_id, ell))
+    ell_value = _check_ell(seq_id, ell)
+    moment = ROUTES[(seq_id, 0)].moments(ell_value)
+    label = f"{seq_id}_ell({ell_value})" if seq_id in _ELL_IDS else seq_id
     try:
-        values = [_at(v, point) for v in seq.prefix(max_n)]
+        values = [_at(moment(n), point) for n in range(max_n + 1)]
     except PoleError as exc:
         raise click.ClickException(f"pole at q={point}: {exc}")
     except _COMPUTE_ERRORS as exc:
         raise click.ClickException(str(exc))
 
     if fmt == "json":
-        payload: Dict[str, object] = {"id": seq.id, "max_n": max_n}
+        payload: Dict[str, object] = {"id": label, "max_n": max_n}
         if point is not None:
             payload["at_q"] = str(point)
         payload["values"] = [_json_value(v) for v in values]
@@ -180,7 +182,7 @@ def cmd_seq(seq_id, ell, max_n, fmt, at_q, out) -> None:
             out,
         )
     else:
-        _emit("\n".join(f"{seq.id}[{n}] = {_render(v, False)}" for n, v in enumerate(values)), out)
+        _emit("\n".join(f"{label}[{n}] = {_render(v, False)}" for n, v in enumerate(values)), out)
 
 
 @main.command("poly")

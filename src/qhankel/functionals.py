@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Tuple
 
-from .carlitz import MomentSeq, q_euler_recursive
+from .carlitz import q_euler_recursive
 from .qkit import parity_sign, poch, q_factorial, q_int
 from .ratcore import Q_ONE, Q_ZERO, RatFuncQ, const, qpow, serialize
 from .orthopoly import FamilyId, ZPoly, family_polys
@@ -110,11 +110,7 @@ def phi_closed_n1_n(n: int) -> RatFuncQ:
 
 def phi(p: ZPoly) -> RatFuncQ:
     """phi through monomial moments phi(z^k) = epsilon_k."""
-    out = Q_ZERO
-    for k, c in enumerate(p.coeffs):
-        if not c.is_zero:
-            out = out + c * q_euler_recursive(k)
-    return out
+    return apply_functional(FunctionalId("phi"), p)
 
 
 def phi_via_basis(p: ZPoly) -> RatFuncQ:
@@ -163,14 +159,6 @@ def xi_moment(ell: int, n: int) -> RatFuncQ:
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
     return qpow((ell + 1) * n) * poch(-qpow(1), n) / poch(-qpow(ell + 2), n)
-
-
-def theta_moment_seq(ell: int) -> MomentSeq:
-    return MomentSeq(f"theta_ell({ell})", lambda n: theta_moment(ell, n))
-
-
-def xi_moment_seq(ell: int) -> MomentSeq:
-    return MomentSeq(f"xi_ell({ell})", lambda n: xi_moment(ell, n))
 
 
 def moments_for(functional: FunctionalId) -> Callable[[int], RatFuncQ]:

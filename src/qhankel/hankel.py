@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .carlitz import MomentSeq, q_bernoulli_seq, q_euler_seq
-from .functionals import theta_moment_seq, xi_moment_seq
+from .carlitz import q_bernoulli_recursive, q_euler_recursive
+from .functionals import theta_moment, xi_moment
 from .qkit import parity_sign, poch, q_factorial
 from .orthopoly import (
     JFraction,
@@ -49,17 +49,19 @@ class NotQuasiDefiniteError(ValueError):
 
 
 Matrix = List[List[RatFuncQ]]
+Moments = Callable[[int], RatFuncQ]  # n -> mu_n
 
 
-def hankel_matrix(seq: Union[MomentSeq, Sequence[RatFuncQ]], shift: int, n: int) -> Matrix:
-    """(n+1) x (n+1) matrix with entry [i][j] = seq[i + j + shift]."""
+def hankel_matrix(seq: Union[Moments, Sequence[RatFuncQ]], shift: int, n: int) -> Matrix:
+    """(n+1) x (n+1) matrix with entry [i][j] = mu_{i + j + shift}, where
+    ``seq`` is a moment function n -> mu_n or a list of moments."""
     if shift < 0:
         raise ValueError("shift must be >= 0")
     if n < 0:
         raise ValueError("n must be >= 0")
     top = 2 * n + shift
-    if isinstance(seq, MomentSeq):
-        values = seq.prefix(top)
+    if callable(seq):
+        values = [seq(k) for k in range(top + 1)]
     else:
         if len(seq) <= top:
             raise InsufficientMomentsError(
@@ -373,20 +375,20 @@ Route = Callable[[int, int], RatFuncQ]
 
 
 class DetRoutes(NamedTuple):
-    """One row of :data:`ROUTES`: the moment sequence and its determinant routes."""
+    """One row of :data:`ROUTES`: the moments and their determinant routes."""
 
-    seq: Callable[[int], MomentSeq]  # ell -> sequence
+    moments: Callable[[int], Moments]  # ell -> (n -> mu_n)
     routes: Dict[str, Route]  # route name -> fn(ell, n)
 
 
-def _row(seq: Callable[[int], MomentSeq], shift: int, closed: Route, recurrence: Optional[Route] = None) -> DetRoutes:
+def _row(moments: Callable[[int], Moments], shift: int, closed: Route, recurrence: Optional[Route] = None) -> DetRoutes:
     routes = {
-        "bruteforce": lambda ell, n: det_exact(hankel_matrix(seq(ell), shift, n)),
+        "bruteforce": lambda ell, n: det_exact(hankel_matrix(moments(ell), shift, n)),
         "closedform": closed,
     }
     if recurrence is not None:
         routes["heilermann"] = recurrence
-    return DetRoutes(seq, routes)
+    return DetRoutes(moments, routes)
 
 
 # (sequence id, shift) -> its independent determinant routes.  A new identity
@@ -396,31 +398,31 @@ def _row(seq: Callable[[int], MomentSeq], shift: int, closed: Route, recurrence:
 # Only theta and xi depend on ell; the other rows ignore it.
 ROUTES: Dict[Tuple[str, int], DetRoutes] = {
     ("qeuler", 0): _row(
-        lambda ell: q_euler_seq(), 0,
+        lambda ell: q_euler_recursive, 0,
         lambda ell, n: closed_form_theorem1(0, n),
         lambda ell, n: det_heilermann(jfraction_for_eps(0), n),
     ),
     ("qeuler", 1): _row(
-        lambda ell: q_euler_seq(), 1,
+        lambda ell: q_euler_recursive, 1,
         lambda ell, n: closed_form_theorem1(1, n),
         lambda ell, n: det_shifted_via_favard(jfraction_for_eps(0), n),
     ),
     ("qeuler", 2): _row(
-        lambda ell: q_euler_seq(), 2,
+        lambda ell: q_euler_recursive, 2,
         lambda ell, n: closed_form_theorem1(2, n),
         lambda ell, n: det_shifted_via_favard(jfraction_for_eps(1), n),
     ),
     ("qbernoulli", 0): _row(
-        lambda ell: q_bernoulli_seq(), 0,
+        lambda ell: q_bernoulli_recursive, 0,
         lambda ell, n: closed_form_chapoton_zeng(n),
     ),
     ("theta", 0): _row(
-        theta_moment_seq, 0,
+        lambda ell: lambda n: theta_moment(ell, n), 0,
         lambda ell, n: closed_form_theta_det(ell, n),
         lambda ell, n: det_heilermann(jfraction_for_theta(ell), n),
     ),
     ("xi", 0): _row(
-        xi_moment_seq, 0,
+        lambda ell: lambda n: xi_moment(ell, n), 0,
         lambda ell, n: closed_form_xi_det(ell, n),
         lambda ell, n: det_heilermann(jfraction_for_xi(ell), n),
     ),

@@ -683,7 +683,12 @@ class RatFuncQ:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.num.coeffs, self.den.coeffs))
+            num, den = self.num.coeffs, self.den.coeffs
+            if len(num) <= 1 and len(den) == 1:
+                # a constant equals the int or Fraction it coerces from
+                h = hash(Fraction(num[0] if num else 0, den[0]))
+            else:
+                h = hash((num, den))
             self._hash = h
         return h
 

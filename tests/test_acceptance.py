@@ -7,16 +7,15 @@ rational functions; there are no tolerances anywhere.
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 from qhankel.carlitz import (
     limit_q1,
     q_bernoulli_explicit,
     q_bernoulli_recursive,
-    q_bernoulli_seq,
     q_euler_explicit,
     q_euler_recursive,
-    q_euler_seq,
 )
 from qhankel.functionals import (
     FunctionalId,
@@ -26,9 +25,8 @@ from qhankel.functionals import (
     phi_via_basis,
     qbinom_basis,
     theta_moment,
-    theta_moment_seq,
     verify_phi_relation,
-    xi_moment_seq,
+    xi_moment,
 )
 from qhankel.hankel import (
     closed_form_chapoton_zeng,
@@ -66,7 +64,7 @@ def _line(num: int, desc: str, bad: list) -> None:
 
 
 def test_criterion_01_shift0_three_ways():
-    eps = q_euler_seq()
+    eps = q_euler_recursive
     jf = jfraction_for_eps(0)
     bad = []
     for n in range(7):
@@ -79,7 +77,7 @@ def test_criterion_01_shift0_three_ways():
 
 
 def test_criterion_02_shift1_three_ways():
-    eps = q_euler_seq()
+    eps = q_euler_recursive
     jf = jfraction_for_eps(0)
     bad = []
     for n in range(7):
@@ -92,7 +90,7 @@ def test_criterion_02_shift1_three_ways():
 
 
 def test_criterion_03_shift2_three_ways():
-    eps = q_euler_seq()
+    eps = q_euler_recursive
     jf_tail = jfraction_for_eps(1)
     bad = []
     for n in range(6):
@@ -133,7 +131,7 @@ def test_criterion_05_two_definitions_agree():
 
 
 def test_criterion_06_bernoulli_determinants():
-    beta = q_bernoulli_seq()
+    beta = q_bernoulli_recursive
     bad = []
     for n in range(6):
         if det_exact(hankel_matrix(beta, 0, n)) != closed_form_chapoton_zeng(n):
@@ -202,11 +200,11 @@ def test_criterion_10_basis_closed_forms():
 def test_criterion_11_theta_xi_determinants():
     bad = []
     for ell in range(4):
-        xi_seq = xi_moment_seq(ell)
+        xi_seq = partial(xi_moment, ell)
         for n in range(6):
             if det_exact(hankel_matrix(xi_seq, 0, n)) != closed_form_xi_det(ell, n):
                 bad.append(f"xi ell={ell}, n={n}")
-        th_seq = theta_moment_seq(ell)
+        th_seq = partial(theta_moment, ell)
         for n in range(5):
             if det_exact(hankel_matrix(th_seq, 0, n)) != closed_form_theta_det(ell, n):
                 bad.append(f"theta ell={ell}, n={n}")

@@ -1,24 +1,26 @@
 """Carlitz q-Euler and q-Bernoulli sequences."""
 
+import json
 import sys
 import threading
-import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from click.testing import CliRunner
 
-from qhankel import carlitz, ratcore
+from qhankel import ratcore
 from qhankel.carlitz import (
-    MomentSeq,
     limit_q1,
     q_bernoulli_explicit,
     q_bernoulli_recursive,
-    q_bernoulli_seq,
     q_euler_explicit,
     q_euler_recursive,
-    q_euler_seq,
 )
-from qhankel.ratcore import Q_ONE, QPoly, RatFuncQ, const
+from qhankel.cli import main
+from qhankel.functionals import theta_moment
+from qhankel.hankel import hankel_matrix
+from qhankel.ratcore import Q_ONE, QPoly, RatFuncQ, serialize
 
 
 def P(*coeffs):
@@ -87,39 +89,35 @@ class TestQBernoulli:
             assert limit_q1("qbernoulli", n) == b
 
 
+def _seq_json(seq_id, max_n):
+    result = CliRunner().invoke(main, ["seq", "--id", seq_id, "--max-n", str(max_n), "-f", "json"])
+    assert result.exit_code == 0
+    return json.loads(result.output)
+
+
 class TestMomentSeq:
+    """The recursive moments are memoized functions n -> mu_n."""
+
     def test_prefix_is_inclusive(self):
-        seq = q_euler_seq()
-        vals = seq.prefix(3)
+        vals = _seq_json("qeuler", 3)["values"]
         assert len(vals) == 4
-        assert vals[0] == Q_ONE
-        assert vals[2] == q_euler_recursive(2)
+        assert vals[0] == json.loads(serialize(Q_ONE))
+        assert vals[2] == json.loads(serialize(q_euler_recursive(2)))
 
     def test_value_is_stable(self):
-        seq = q_bernoulli_seq()
-        first = seq.value(5)
-        assert seq.value(5) == first
-        assert seq.prefix(5)[5] == first
+        first = q_bernoulli_recursive(5)
+        assert q_bernoulli_recursive(5) is first
+        assert hankel_matrix(q_bernoulli_recursive, 1, 2)[2][2] is first
 
     def test_ids(self):
-        assert q_euler_seq().id == "qeuler"
-        assert q_bernoulli_seq().id == "qbernoulli"
+        assert _seq_json("qeuler", 1)["id"] == "qeuler"
+        assert _seq_json("qbernoulli", 1)["id"] == "qbernoulli"
 
     def test_negative_index(self):
         with pytest.raises(ValueError):
-            q_euler_seq().value(-1)
-
-    def test_custom_sequence(self):
-        calls = []
-
-        def fn(n):
-            calls.append(n)
-            return Q_ONE
-
-        seq = MomentSeq("probe", fn)
-        seq.value(2)
-        seq.value(1)
-        assert calls == [0, 1, 2]
+            q_euler_recursive(-1)
+        with pytest.raises(ValueError):
+            q_bernoulli_recursive(-1)
 
 
 def test_limit_q1_rejects_unknown_id():
@@ -127,57 +125,74 @@ def test_limit_q1_rejects_unknown_id():
         limit_q1("fibonacci", 3)
 
 
-def test_recursive_caches_survive_concurrent_extension():
-    # Fill each cache from empty in four threads at once, switching threads
-    # as often as the interpreter allows; a lost update shows up as a wrong
-    # or misplaced entry.
-    top = 25
-    carlitz._EULER_CACHE.clear()
-    carlitz._BERNOULLI_CACHE.clear()
+def _in_threads(fns, timeout):
+    """Run each fn in its own thread, switching threads as often as the
+    interpreter allows; return the threads after joining them."""
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [
-            threading.Thread(target=fn, args=(top,))
-            for fn in (q_euler_recursive, q_bernoulli_recursive)
-            for _ in range(2)
-        ]
+        threads = [threading.Thread(target=fn) for fn in fns]
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=120)
+            t.join(timeout=timeout)
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert len(carlitz._EULER_CACHE) == top + 1
-    assert len(carlitz._BERNOULLI_CACHE) == top + 1
+    return threads
+
+
+def test_recursive_caches_survive_concurrent_extension():
+    # Fill each memo from empty in four threads at once; a lost or misplaced
+    # update shows up as a wrong value or a wrong entry count.
+    top = 25
+    q_euler_recursive.cache_clear()
+    q_bernoulli_recursive.cache_clear()
+    _in_threads(
+        [partial(fn, top) for fn in (q_euler_recursive, q_bernoulli_recursive) for _ in range(2)],
+        timeout=120,
+    )
+    assert q_euler_recursive.cache_info().currsize == top + 1
+    assert q_bernoulli_recursive.cache_info().currsize == top + 1
     for n in range(top + 1):
-        assert carlitz._EULER_CACHE[n] == q_euler_explicit(n)
-        assert carlitz._BERNOULLI_CACHE[n] == q_bernoulli_explicit(n)
+        assert q_euler_recursive(n) == q_euler_explicit(n)
+        assert q_bernoulli_recursive(n) == q_bernoulli_explicit(n)
 
 
 def test_moment_seq_survives_concurrent_extension():
-    # A slow fn leaves a wide gap between reading the length and appending,
-    # so unsynchronized threads would append the same index more than once.
-    def slow(n):
-        time.sleep(0.001)
-        return const(n)
+    # Four threads build the same theta Hankel matrix from an empty memo.
+    ell, n = 1, 4
+    moments = partial(theta_moment, ell)
+    want = hankel_matrix(moments, 0, n)
+    theta_moment.cache_clear()
+    got = [None] * 4
 
-    top = 20
-    seq = MomentSeq("probe", slow)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    def build(i):
+        got[i] = hankel_matrix(moments, 0, n)
+
+    _in_threads([partial(build, i) for i in range(4)], timeout=120)
+    assert got == [want] * 4
+
+
+def test_cold_recursion_stays_shallow():
+    # Entry n asks for entries 0..n-1 in ascending order, so each is already
+    # memoized: a cold call needs a few frames, not n.
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    q_euler_recursive.cache_clear()
+    q_bernoulli_recursive.cache_clear()
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
     try:
-        threads = [threading.Thread(target=seq.value, args=(top,)) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        eps = q_euler_recursive(45)
+        beta = q_bernoulli_recursive(45)
     finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert seq.prefix(top + 5) == [const(n) for n in range(top + 6)]
-    assert len(seq._values) == top + 6
+        sys.setrecursionlimit(old)
+    assert eps == q_euler_explicit(45)
+    assert beta == q_bernoulli_explicit(45)
 
 
 def test_beta_37_needs_no_subresultant_fallback(monkeypatch):
@@ -187,6 +202,6 @@ def test_beta_37_needs_no_subresultant_fallback(monkeypatch):
     def refuse(f, g):
         raise AssertionError("subresultant gcd reached")
 
-    monkeypatch.setattr(carlitz, "_BERNOULLI_CACHE", [])
+    q_bernoulli_recursive.cache_clear()
     monkeypatch.setattr(ratcore, "_subresultant_gcd", refuse)
     assert q_bernoulli_recursive(37) == q_bernoulli_explicit(37)

@@ -1,10 +1,13 @@
 """Moment functionals, the q-binomial diagonal basis, and orthogonality checks."""
 
+import json
 import random
 
 import pytest
+from click.testing import CliRunner
 
 from qhankel.carlitz import q_euler_recursive
+from qhankel.cli import main
 from qhankel.functionals import (
     FunctionalId,
     OrthogonalityReport,
@@ -19,17 +22,15 @@ from qhankel.functionals import (
     phi_via_basis,
     qbinom_basis,
     theta_moment,
-    theta_moment_seq,
     theta_on_basis,
     to_diagonal_basis,
     verify_orthogonality,
     verify_phi_relation,
     xi_moment,
-    xi_moment_seq,
 )
 from qhankel.orthopoly import FamilyId, ZPoly, build_p_via_phi2
 from qhankel.qkit import poch
-from qhankel.ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow
+from qhankel.ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow, serialize
 
 
 def P(*coeffs):
@@ -169,9 +170,15 @@ class TestThetaAndXi:
                 prod = prod * ZPoly([Q_ONE, -qpow(n)])
 
     def test_moment_seq_ids(self):
-        assert theta_moment_seq(2).id == "theta_ell(2)"
-        assert xi_moment_seq(0).id == "xi_ell(0)"
-        assert theta_moment_seq(1).value(3) == theta_moment(1, 3)
+        def seq_json(*argv):
+            result = CliRunner().invoke(main, ["seq", *argv, "--max-n", "3", "-f", "json"])
+            assert result.exit_code == 0
+            return json.loads(result.output)
+
+        assert seq_json("--id", "theta", "--ell", "2")["id"] == "theta_ell(2)"
+        assert seq_json("--id", "xi")["id"] == "xi_ell(0)"
+        got = seq_json("--id", "theta", "--ell", "1")["values"][3]
+        assert got == json.loads(serialize(theta_moment(1, 3)))
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

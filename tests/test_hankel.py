@@ -2,16 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 import pytest
 
-from qhankel.carlitz import (
-    q_bernoulli_seq,
-    q_euler_recursive,
-    q_euler_seq,
-)
-from qhankel.functionals import theta_moment_seq, xi_moment_seq
+from qhankel.carlitz import q_bernoulli_recursive, q_euler_recursive
+from qhankel.functionals import theta_moment, xi_moment
 from qhankel.hankel import (
     HankelResult,
     InsufficientMomentsError,
@@ -54,7 +51,7 @@ class TestHankelMatrix:
         assert m == [[const(1), const(2)], [const(2), const(3)]]
 
     def test_accepts_moment_seq(self):
-        m = hankel_matrix(q_euler_seq(), 0, 1)
+        m = hankel_matrix(q_euler_recursive, 0, 1)
         assert m[0][0] == Q_ONE
         assert m[0][1] == m[1][0] == q_euler_recursive(1)
         assert m[1][1] == q_euler_recursive(2)
@@ -110,7 +107,7 @@ class TestDeterminants:
         want = RatFuncQ(
             P(0, -1) * P(1, 1), P(1, 0, 1) * P(1, 0, 1) * P(1, 0, 0, 1)
         )
-        assert det_exact(hankel_matrix(q_euler_seq(), 0, 1)) == want
+        assert det_exact(hankel_matrix(q_euler_recursive, 0, 1)) == want
 
 
 class TestJFraction:
@@ -164,10 +161,9 @@ class TestJFractionExpansion:
 
     def test_generates_theta_and_xi_moments(self):
         got = jfraction_expand(jfraction_for_theta(2), 8)
-        seq = theta_moment_seq(2)
-        assert got == seq.prefix(8)
+        assert got == [theta_moment(2, k) for k in range(9)]
         got = jfraction_expand(jfraction_for_xi(1), 8)
-        assert got == xi_moment_seq(1).prefix(8)
+        assert got == [xi_moment(1, k) for k in range(9)]
 
     def test_negative_order(self):
         with pytest.raises(ValueError):
@@ -208,7 +204,7 @@ class TestJFractionFromMoments:
             assert b == coeffs_p(0, k)[1]
 
     def test_roundtrip_xi(self):
-        moments = xi_moment_seq(2).prefix(10)
+        moments = [xi_moment(2, k) for k in range(11)]
         jf = jfraction_from_moments(moments)
         for n, a in enumerate(jf.a_list):
             assert a == coeffs_monic(2, n)[0]
@@ -226,7 +222,7 @@ class TestHeilermann:
         assert det_heilermann(jf, 1) == jf.mu0 ** 2 * jf.b(1)
 
     def test_matches_bruteforce(self):
-        eps = q_euler_seq()
+        eps = q_euler_recursive
         jf = jfraction_for_eps(0)
         for n in range(5):
             assert det_heilermann(jf, n) == det_exact(hankel_matrix(eps, 0, n))
@@ -237,7 +233,7 @@ class TestHeilermann:
         assert got == q_euler_recursive(1)
 
     def test_shifted_matches_bruteforce(self):
-        eps = q_euler_seq()
+        eps = q_euler_recursive
         jf = jfraction_for_eps(0)
         for n in range(4):
             assert det_shifted_via_favard(jf, n) == det_exact(
@@ -246,7 +242,7 @@ class TestHeilermann:
 
     def test_double_shift_through_tail_sequence(self):
         # shift-2 determinants are shift-1 determinants of the tail moments
-        eps = q_euler_seq()
+        eps = q_euler_recursive
         jf1 = jfraction_for_eps(1)
         for n in range(4):
             assert det_shifted_via_favard(jf1, n) == det_exact(
@@ -262,17 +258,17 @@ class TestHeilermann:
 
 class TestClosedForms:
     def test_shift0(self):
-        eps = q_euler_seq()
+        eps = q_euler_recursive
         for n in range(5):
             assert closed_form_theorem1(0, n) == det_exact(hankel_matrix(eps, 0, n))
 
     def test_shift1(self):
-        eps = q_euler_seq()
+        eps = q_euler_recursive
         for n in range(4):
             assert closed_form_theorem1(1, n) == det_exact(hankel_matrix(eps, 1, n))
 
     def test_shift2(self):
-        eps = q_euler_seq()
+        eps = q_euler_recursive
         for n in range(4):
             assert closed_form_theorem1(2, n) == det_exact(hankel_matrix(eps, 2, n))
 
@@ -284,7 +280,7 @@ class TestClosedForms:
 
     def test_value_at_one(self):
         # the determinant itself has no pole at q = 1
-        eps = q_euler_seq()
+        eps = q_euler_recursive
         for n in range(4):
             det = det_exact(hankel_matrix(eps, 0, n))
             want = Fraction(-1, 4) ** comb(n + 1, 2)
@@ -297,7 +293,7 @@ class TestClosedForms:
         assert closed_form_chapoton_zeng(1) == want
 
     def test_chapoton_zeng_matches_bruteforce(self):
-        beta = q_bernoulli_seq()
+        beta = q_bernoulli_recursive
         for n in range(5):
             assert closed_form_chapoton_zeng(n) == det_exact(
                 hankel_matrix(beta, 0, n)
@@ -305,7 +301,7 @@ class TestClosedForms:
 
     def test_theta_det_three_ways(self):
         for ell in range(3):
-            seq = theta_moment_seq(ell)
+            seq = partial(theta_moment, ell)
             jf = jfraction_for_theta(ell)
             for n in range(4):
                 want = closed_form_theta_det(ell, n)
@@ -314,7 +310,7 @@ class TestClosedForms:
 
     def test_xi_det_three_ways(self):
         for ell in range(3):
-            seq = xi_moment_seq(ell)
+            seq = partial(xi_moment, ell)
             jf = jfraction_for_xi(ell)
             for n in range(4):
                 want = closed_form_xi_det(ell, n)

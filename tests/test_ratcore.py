@@ -308,6 +308,17 @@ class TestRatFuncQ:
     def test_hashable(self):
         assert len({Q, qpow(1), Q + Q_ZERO}) == 1
 
+    def test_constants_hash_like_the_numbers_they_equal(self):
+        # a == b must imply hash(a) == hash(b), also across int and Fraction
+        half = RatFuncQ.from_fraction(Fraction(1, 2))
+        for value, number in [(const(3), 3), (Q_ZERO, 0), (const(-7), -7), (half, Fraction(1, 2)),
+                              (RatFuncQ(P(-2), P(6)), Fraction(-1, 3))]:
+            assert value == number
+            assert hash(value) == hash(number)
+        assert len({Q_ZERO, 0}) == 1
+        assert len({half, Fraction(1, 2), Fraction(2, 4)}) == 1
+        assert {const(2): "a"}[2] == "a"
+
 
 def ratfuncs(max_deg=4, coeff=6):
     polys = st.lists(st.integers(-coeff, coeff), min_size=1, max_size=max_deg + 1)
