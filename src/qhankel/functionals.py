@@ -9,7 +9,6 @@ available as an independent cross-check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Tuple
 
@@ -17,28 +16,27 @@ from .carlitz import q_euler_recursive
 from .qkit import parity_sign, poch, q_factorial, q_int
 from .ratcore import Q_ONE, Q_ZERO, RatFuncQ, const, qpow, serialize
 from .orthopoly import FamilyId, ZPoly, family_polys
+from .record import FrozenRecord, Record
 
 
 class PairingError(ValueError):
     """Functional and family do not belong together."""
 
 
-@dataclass(frozen=True)
-class FunctionalId:
+class FunctionalId(FrozenRecord):
     """Which functional: plain phi, shifted phi, theta, or xi."""
 
-    kind: str  # "phi" | "phi_ell" | "theta_ell" | "xi_ell"
-    ell: int = 0
-
+    __slots__ = ("kind", "ell")
     _KINDS = ("phi", "phi_ell", "theta_ell", "xi_ell")
 
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.ell < 0:
+    def __init__(self, kind: str, ell: int = 0) -> None:
+        if kind not in self._KINDS:
+            raise ValueError(f"unknown functional kind {kind!r}")
+        if ell < 0:
             raise ValueError("ell must be >= 0")
-        if self.kind == "phi_ell" and self.ell not in (0, 1):
+        if kind == "phi_ell" and ell not in (0, 1):
             raise ValueError("phi_ell is only defined for ell in {0, 1}")
+        self._init(kind, ell)
 
     def __str__(self) -> str:
         if self.kind == "phi":
@@ -183,12 +181,12 @@ def apply_functional(functional: FunctionalId, p: ZPoly) -> RatFuncQ:
     return out
 
 
-@dataclass
-class OrthogonalityReport:
-    functional: FunctionalId
-    family: FamilyId
-    upto: int
-    failures: List[Tuple[int, int, RatFuncQ]]
+class OrthogonalityReport(Record):
+    __slots__ = ("functional", "family", "upto", "failures")
+
+    def __init__(self, functional: FunctionalId, family: FamilyId, upto: int,
+                 failures: List[Tuple[int, int, RatFuncQ]]) -> None:
+        self._init(functional, family, upto, failures)
 
     @property
     def passed(self) -> bool:

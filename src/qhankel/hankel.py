@@ -9,7 +9,6 @@ as an independent oracle for dimensions up to three.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -34,6 +33,7 @@ from .ratcore import (
     qpow,
     serialize,
 )
+from .record import FrozenRecord
 
 
 class InsufficientMomentsError(ValueError):
@@ -74,8 +74,7 @@ def hankel_matrix(seq: Union[Moments, Sequence[RatFuncQ]], shift: int, n: int) -
 def _row_lcm(dens: Sequence[QPoly]) -> QPoly:
     out = dens[0]
     for d in dens[1:]:
-        g = _gcd_full(out, d)
-        out = out * d.exact_div(g)
+        out = out * _gcd_full(out, d)[2]
     return out
 
 
@@ -429,15 +428,14 @@ ROUTES: Dict[Tuple[str, int], DetRoutes] = {
 }
 
 
-@dataclass(frozen=True)
-class HankelResult:
-    """One computed determinant, tagged with how it was obtained."""
+class HankelResult(FrozenRecord):
+    """One computed determinant, tagged with how it was obtained: method is
+    "bruteforce", "heilermann" or "closedform"."""
 
-    seq_id: str
-    shift: int
-    n: int
-    method: str  # "bruteforce" | "heilermann" | "closedform"
-    value: RatFuncQ
+    __slots__ = ("seq_id", "shift", "n", "method", "value")
+
+    def __init__(self, seq_id: str, shift: int, n: int, method: str, value: RatFuncQ) -> None:
+        self._init(seq_id, shift, n, method, value)
 
     def to_json_dict(self) -> dict:
         return {

@@ -4,13 +4,13 @@ big q-Jacobi families (series route, recurrence route, affine route).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .carlitz import q_euler_recursive
 from .qkit import parity_sign, poch
 from .ratcore import Q_ONE, Q_ZERO, RatFuncQ, const, qpow
+from .record import FrozenRecord, Record
 
 
 class DegenerateRecurrenceError(ValueError):
@@ -151,8 +151,7 @@ def _indexed(values: List[RatFuncQ], first: int) -> Callable[[int], RatFuncQ]:
     return get
 
 
-@dataclass
-class JFraction:
+class JFraction(Record):
     """mu0 / (1 + a(0) x - b(1) x^2 / (1 + a(1) x - ...)).
 
     The same data drives the monic recurrence
@@ -160,11 +159,12 @@ class JFraction:
     :meth:`from_lists` also keeps its values in ``a_list`` and ``b_list``.
     """
 
-    mu0: RatFuncQ
-    a: Callable[[int], RatFuncQ]
-    b: Callable[[int], RatFuncQ]
-    a_list: Optional[List[RatFuncQ]] = None
-    b_list: Optional[List[RatFuncQ]] = None
+    __slots__ = ("mu0", "a", "b", "a_list", "b_list")
+
+    def __init__(self, mu0: RatFuncQ, a: Callable[[int], RatFuncQ], b: Callable[[int], RatFuncQ],
+                 a_list: Optional[List[RatFuncQ]] = None,
+                 b_list: Optional[List[RatFuncQ]] = None) -> None:
+        self._init(mu0, a, b, a_list, b_list)
 
     @classmethod
     def from_lists(cls, mu0: RatFuncQ, a_list: Sequence[RatFuncQ], b_list: Sequence[RatFuncQ]) -> "JFraction":
@@ -372,20 +372,18 @@ def p1_at_zero_closed(n: int) -> RatFuncQ:
     return pref * tail
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class FamilyId(FrozenRecord):
     """Which polynomial family: series kind, monic kind, or affine-shifted."""
 
-    kind: str  # "big_q_jacobi" | "monic_big_q_jacobi" | "p_family"
-    ell: int = 0
-
+    __slots__ = ("kind", "ell")
     _KINDS = ("big_q_jacobi", "monic_big_q_jacobi", "p_family")
 
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.ell < 0:
+    def __init__(self, kind: str, ell: int = 0) -> None:
+        if kind not in self._KINDS:
+            raise ValueError(f"unknown family kind {kind!r}")
+        if ell < 0:
             raise ValueError("ell must be >= 0")
+        self._init(kind, ell)
 
     def __str__(self) -> str:
         return f"{self.kind}({self.ell})"

@@ -270,13 +270,12 @@ def _exact_int_div(a: int, b: int) -> int:
     return qt
 
 
-def _primitive_positive(coeffs: Sequence[int]) -> QPoly:
-    p = QPoly(coeffs)
-    cont = p.content()
-    cs = [c // cont for c in p.coeffs]
-    if cs[-1] < 0:
-        cs = [-c for c in cs]
-    return QPoly(cs)
+def _split_content(coeffs: Sequence[int]) -> tuple:
+    """(u, p) for nonzero coeffs = u * p, p primitive with positive leading term."""
+    u = math.gcd(*coeffs)
+    if coeffs[-1] < 0:
+        u = -u
+    return u, (coeffs if u == 1 else [c // u for c in coeffs])
 
 
 def _subresultant_gcd(f: QPoly, g: QPoly) -> QPoly:
@@ -303,7 +302,7 @@ def _subresultant_gcd(f: QPoly, g: QPoly) -> QPoly:
             h = gg
         elif d > 1:
             h = _exact_int_div(gg ** d, h ** (d - 1))
-    return _primitive_positive(B)
+    return QPoly(_split_content(B)[1])
 
 
 class _HeuristicFailed(Exception):
@@ -317,8 +316,12 @@ def _int_eval(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def _balanced_digits(value: int, base: int) -> list:
-    """Digits of value in base `base`, each shifted into (-base/2, base/2]."""
+# Up to about this many base-x digits, _balanced_digits peels one digit at a
+# time; longer values are split in halves first, so the work is not quadratic.
+_DIGITS_CUTOFF = 48
+
+
+def _balanced_loop(value: int, base: int) -> list:
     digits = []
     v = value
     while v:
@@ -327,6 +330,44 @@ def _balanced_digits(value: int, base: int) -> list:
             r -= base
         digits.append(r)
         v = (v - r) // base
+    return digits
+
+
+def _balanced_halves(value: int, base: int, blocks: list, level: int) -> list:
+    """Exactly _DIGITS_CUTOFF * 2**level balanced digits of value, which lies
+    in the range that many digits can write; blocks[i] holds base**m and the
+    lowest value m digits write, for m = _DIGITS_CUTOFF * 2**i."""
+    if level == 0:
+        digits = _balanced_loop(value, base)
+        return digits + [0] * (_DIGITS_CUTOFF - len(digits))
+    pw, low = blocks[level - 1]
+    lo = value % pw
+    if lo >= low + pw:
+        lo -= pw
+    return (_balanced_halves(lo, base, blocks, level - 1)
+            + _balanced_halves((value - lo) // pw, base, blocks, level - 1))
+
+
+def _balanced_digits(value: int, base: int) -> list:
+    """Digits of value in base `base`, lowest first, each in
+    [-(base // 2), base - base // 2), with no zero on top.
+
+    The base must be >= 3: in base 2 the digits are -1 and 0, which cannot
+    write 1.  Every representation is unique, so the divide-and-conquer split
+    gives the same digits as peeling them one at a time.
+    """
+    if abs(value).bit_length() <= _DIGITS_CUTOFF * (base.bit_length() - 1):
+        return _balanced_loop(value, base)
+    blocks = []
+    pw = base ** _DIGITS_CUTOFF
+    low = -(base // 2) * ((pw - 1) // (base - 1))
+    while not low <= value < low + pw:
+        blocks.append((pw, low))
+        low += low * pw
+        pw *= pw
+    digits = _balanced_halves(value, base, blocks, len(blocks))
+    while digits[-1] == 0:
+        digits.pop()
     return digits
 
 
@@ -353,11 +394,20 @@ def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
     return out
 
 
+def _cofactors(f: Sequence[int], g: Sequence[int], h: Sequence[int]) -> Optional[tuple]:
+    """(h, f / h, g / h) if h divides both f and g over Z, else None."""
+    qf = _exact_quotient(f, h)
+    qg = None if qf is None else _exact_quotient(g, h)
+    return None if qg is None else (h, qf, qg)
+
+
 def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
-    """Heuristic gcd (GCDHEU) of primitive polynomials with positive leading term.
+    """Heuristic gcd (GCDHEU) of primitive polynomials with positive leading
+    term, returned as (gcd, f / gcd, g / gcd).
 
     Evaluates both at a large integer x, takes the integer gcd, and reads a
-    candidate divisor h back off its balanced base-x digits.  Raises
+    candidate divisor h back off its balanced base-x digits.  The trial
+    divisions that test h also give the two cofactors.  Raises
     _HeuristicFailed when a few evaluation points in a row produce nothing
     that divides both inputs.
 
@@ -374,8 +424,8 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
     x below meets the bound and each retry only enlarges it, so a candidate
     that passes trial division into both inputs is returned as it stands.
     """
-    nf = max(abs(c) for c in f_coeffs)
-    ng = max(abs(c) for c in g_coeffs)
+    nf = max(max(f_coeffs), -min(f_coeffs))
+    ng = max(max(g_coeffs), -min(g_coeffs))
     x = 2 * min(nf, ng) + 29
     for _ in range(6):
         fv = _int_eval(f_coeffs, x)
@@ -383,20 +433,13 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
         if fv and gv:
             h = math.gcd(fv, gv)
             if h == 1:
-                return _ONE_TUPLE
-            cand = _balanced_digits(h, x)
-            cont = 0
-            for c in cand:
-                cont = math.gcd(cont, c)
-            if cont > 1:
-                cand = [c // cont for c in cand]
-            if cand[-1] < 0:
-                cand = [-c for c in cand]
+                return _ONE_TUPLE, f_coeffs, g_coeffs
+            cand = _split_content(_balanced_digits(h, x))[1]
             if len(cand) == 1:
-                return _ONE_TUPLE
-            if (_exact_quotient(f_coeffs, cand) is not None
-                    and _exact_quotient(g_coeffs, cand) is not None):
-                return tuple(cand)
+                return _ONE_TUPLE, f_coeffs, g_coeffs
+            found = _cofactors(f_coeffs, g_coeffs, cand)
+            if found is not None:
+                return found
         x = 2 * x + 29
     raise _HeuristicFailed
 
@@ -429,7 +472,8 @@ def _gcd_mod(a: list, b: list, p: int) -> list:
 def _modular_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> Optional[tuple]:
     """Gcd of primitive polynomials with positive leading term, by images
     mod the primes of _GCD_PRIMES (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, ch. 6); None when the primes run out.
+    Algebra*, ch. 6), returned as (gcd, f / gcd, g / gcd); None when the
+    primes run out.
 
     For a prime p dividing neither leading coefficient, the gcd mod p has
     degree at least that of G = gcd(f, g), with equality for all but finitely
@@ -447,7 +491,7 @@ def _modular_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> Optional[t
             continue
         image = _gcd_mod([c % p for c in f_coeffs], [c % p for c in g_coeffs], p)
         if len(image) == 1:
-            return _ONE_TUPLE
+            return _ONE_TUPLE, f_coeffs, g_coeffs
         image = [c * b % p for c in image]
         if residues is None or len(image) < len(residues):
             residues, modulus = image, p
@@ -458,28 +502,28 @@ def _modular_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> Optional[t
             residues = [r + modulus * ((c - r) * m_inv % p) for r, c in zip(residues, image)]
             modulus *= p
         half = modulus // 2
-        cand = _primitive_positive([r - modulus if r > half else r for r in residues]).coeffs
-        if (_exact_quotient(f_coeffs, cand) is not None
-                and _exact_quotient(g_coeffs, cand) is not None):
-            return cand
+        found = _cofactors(f_coeffs, g_coeffs,
+                           _split_content([r - modulus if r > half else r for r in residues])[1])
+        if found is not None:
+            return found
     return None
 
 
-def _primitive_gcd(f: QPoly, g: QPoly) -> QPoly:
-    """Gcd of two nonzero primitive polynomials: heuristic, then modular,
-    then the subresultant chain; each certifies what it returns."""
-    if f.degree < g.degree:
-        f, g = g, f
-    if g.degree == 0:
-        return _P_ONE
+def _primitive_gcd(f: Sequence[int], g: Sequence[int]) -> tuple:
+    """(G, f / G, g / G) for nonzero primitive f, g with positive leading
+    terms and G = gcd(f, g): heuristic, then modular, then the subresultant
+    chain; each certifies what it returns."""
+    if len(f) == 1 or len(g) == 1:
+        return _ONE_TUPLE, f, g
     try:
-        return QPoly(_heu_gcd(f.coeffs, g.coeffs))
+        return _heu_gcd(f, g)
     except _HeuristicFailed:
         pass
-    found = _modular_gcd(f.coeffs, g.coeffs)
+    found = _modular_gcd(f, g)
     if found is not None:
-        return QPoly(found)
-    return _subresultant_gcd(f, g)
+        return found
+    big, small = (f, g) if len(f) >= len(g) else (g, f)
+    return _cofactors(f, g, _subresultant_gcd(QPoly(big), QPoly(small)).coeffs)
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
@@ -487,23 +531,25 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
     if a.is_zero and b.is_zero:
         return _P_ZERO
     if a.is_zero:
-        return _primitive_positive(b.coeffs)
+        return QPoly(_split_content(b.coeffs)[1])
     if b.is_zero:
-        return _primitive_positive(a.coeffs)
-    return _primitive_gcd(_primitive_positive(a.coeffs), _primitive_positive(b.coeffs))
+        return QPoly(_split_content(a.coeffs)[1])
+    return QPoly(_primitive_gcd(_split_content(a.coeffs)[1], _split_content(b.coeffs)[1])[0])
 
 
-def _gcd_full(a: QPoly, b: QPoly) -> QPoly:
-    """Gcd in Z[q] including integer content, positive leading coefficient."""
-    if a.is_zero and b.is_zero:
-        return _P_ZERO
-    if a.is_zero:
-        return b if b.leading > 0 else -b
-    if b.is_zero:
-        return a if a.leading > 0 else -a
-    c = math.gcd(a.content(), b.content())
-    pg = _primitive_gcd(_primitive_positive(a.coeffs), _primitive_positive(b.coeffs))
-    return pg.scale(c)
+def _gcd_full(a: QPoly, b: QPoly) -> tuple:
+    """(g, a / g, b / g) for nonzero a, b and their gcd g in Z[q], integer
+    content included and leading coefficient positive."""
+    ua, fa = _split_content(a.coeffs)
+    ub, fb = _split_content(b.coeffs)
+    c = math.gcd(ua, ub)
+    G, qa, qb = _primitive_gcd(fa, fb)
+    if c == 1 and len(G) == 1:
+        return _P_ONE, a, b
+    ka, kb = ua // c, ub // c
+    return (QPoly(G).scale(c),
+            QPoly(qa if ka == 1 else [x * ka for x in qa]),
+            QPoly(qb if kb == 1 else [x * kb for x in qb]))
 
 
 _ONE_TUPLE = (1,)
@@ -532,10 +578,7 @@ class RatFuncQ:
         if num.is_zero:
             self.num, self.den = _P_ZERO, _P_ONE
         else:
-            g = _gcd_full(num, den)
-            if g.coeffs != _ONE_TUPLE:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+            _, num, den = _gcd_full(num, den)
             if den.leading < 0:
                 num, den = -num, -den
             self.num, self.den = num, den
@@ -582,21 +625,15 @@ class RatFuncQ:
             return self
         na, da, nb, db = self.num, self.den, o.num, o.den
         # Fraction-style reduced addition: only gcds of structured pieces.
-        g = _gcd_full(da, db)
-        if g.coeffs == _ONE_TUPLE:
-            num = na * db + nb * da
-            if num.is_zero:
-                return Q_ZERO
-            return RatFuncQ._raw(num, da * db)
-        sa = da.exact_div(g)
-        sb = db.exact_div(g)
+        g, sa, sb = _gcd_full(da, db)
         t = na * sb + nb * sa
         if t.is_zero:
             return Q_ZERO
-        g2 = _gcd_full(t, g)
-        if g2.coeffs == _ONE_TUPLE:
-            return RatFuncQ._raw(t, sa * db)
-        return RatFuncQ._raw(t.exact_div(g2), sa * db.exact_div(g2))
+        if g.coeffs == _ONE_TUPLE:
+            return RatFuncQ._raw(t, da * db)
+        g2, t, gq = _gcd_full(t, g)
+        # db / g2 = sb * (g / g2)
+        return RatFuncQ._raw(t, sa * (db if g2.coeffs == _ONE_TUPLE else sb * gq))
 
     __radd__ = __add__
 
@@ -623,15 +660,8 @@ class RatFuncQ:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return Q_ZERO
-        na, da, nb, db = self.num, self.den, o.num, o.den
-        g1 = _gcd_full(na, db)
-        if g1.coeffs != _ONE_TUPLE:
-            na = na.exact_div(g1)
-            db = db.exact_div(g1)
-        g2 = _gcd_full(nb, da)
-        if g2.coeffs != _ONE_TUPLE:
-            nb = nb.exact_div(g2)
-            da = da.exact_div(g2)
+        _, na, db = _gcd_full(self.num, o.den)
+        _, nb, da = _gcd_full(o.num, self.den)
         return RatFuncQ._raw(na * nb, da * db)
 
     __rmul__ = __mul__

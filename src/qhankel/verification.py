@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -77,16 +76,16 @@ from .ratcore import (
     qpow,
     serialize,
 )
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(FrozenRecord):
     """Outcome of one named check: pass/fail, case count, failure detail."""
 
-    name: str
-    passed: bool
-    cases: int
-    detail: str = ""
+    __slots__ = ("name", "passed", "cases", "detail")
+
+    def __init__(self, name: str, passed: bool, cases: int, detail: str = "") -> None:
+        self._init(name, passed, cases, detail)
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,6 +1,10 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import contextlib
+import gc
 import json
+import math
+import random
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -18,10 +22,12 @@ from qhankel.ratcore import (
     Q_ZERO,
     QPoly,
     RatFuncQ,
+    _balanced_digits,
+    _gcd_full,
     _mul_kronecker,
     _mul_schoolbook,
     _subresultant_gcd,
-    _primitive_positive,
+    _split_content,
     const,
     decimal_to_int,
     deserialize,
@@ -165,14 +171,14 @@ def _check_gcd_against_subresultant(a, b, c):
         return
     f, g = pa * pc, pb * pc
     got = poly_gcd(f, g)
-    fa = _primitive_positive(f.coeffs)
-    fb = _primitive_positive(g.coeffs)
+    fa = QPoly(_split_content(f.coeffs)[1])
+    fb = QPoly(_split_content(g.coeffs)[1])
     if fa.degree < fb.degree:
         fa, fb = fb, fa
     want = P(1) if fb.degree == 0 else _subresultant_gcd(fa, fb)
     assert got == want
     # and the common factor must survive into the gcd
-    assert got.exact_div(poly_gcd(got, _primitive_positive(pc.coeffs)))
+    assert got.exact_div(poly_gcd(got, QPoly(_split_content(pc.coeffs)[1])))
 
 
 _gcd_inputs = given(
@@ -199,6 +205,74 @@ def test_modular_gcd_matches_subresultant(a, b, c):
         _check_gcd_against_subresultant(a, b, c)
 
 
+# Patches that force each gcd route: the heuristic fails, then the modular
+# gcd runs out of primes as well.
+_GCD_ROUTES = {
+    "heuristic": (),
+    "modular": (("_heu_gcd", {"side_effect": ratcore._HeuristicFailed}),),
+    "subresultant": (("_heu_gcd", {"side_effect": ratcore._HeuristicFailed}),
+                     ("_modular_gcd", {"return_value": None})),
+}
+
+
+def _reduced(num, den):
+    """num/den reduced by poly_gcd, the content gcd and exact_div."""
+    g = poly_gcd(num, den).scale(math.gcd(num.content(), den.content()))
+    num, den = num.exact_div(g), den.exact_div(g)
+    return (num, den) if den.leading > 0 else (-num, -den)
+
+
+@pytest.mark.parametrize("route", sorted(_GCD_ROUTES))
+@settings(max_examples=100, deadline=None)
+@_gcd_inputs
+def test_gcd_cofactors_through_each_route(route, a, b, c):
+    pa, pb, pc = QPoly(a), QPoly(b), QPoly(c)
+    if pa.is_zero or pb.is_zero or pc.is_zero:
+        return
+    with contextlib.ExitStack() as stack:
+        for name, kwargs in _GCD_ROUTES[route]:
+            stack.enter_context(mock.patch.object(ratcore, name, **kwargs))
+        for f, h in ((pa * pc, pb * pc), ((pa * pc).scale(6), (pb * pc).scale(-4))):
+            g, qf, qh = _gcd_full(f, h)
+            assert g * qf == f and g * qh == h
+            assert g == poly_gcd(f, h).scale(math.gcd(f.content(), h.content()))
+        u, v = RatFuncQ(pa * pc, pb), RatFuncQ(pc.scale(3), pa * pb)
+        assert (u.num, u.den) == _reduced(pa * pc, pb)
+        assert ((u + v).num, (u + v).den) == _reduced(u.num * v.den + v.num * u.den, u.den * v.den)
+        assert ((u * v).num, (u * v).den) == _reduced(u.num * v.num, u.den * v.den)
+
+
+def _balanced_reference(value, base):
+    digits = []
+    while value:
+        r = value % base
+        if 2 * r >= base:
+            r -= base
+        digits.append(r)
+        value = (value - r) // base
+    return digits
+
+
+def test_balanced_digits_match_the_digit_loop():
+    rng = random.Random(7)
+    for _ in range(300):
+        value = rng.randrange(10 ** rng.randrange(3001)) * rng.choice((1, -1))
+        base = rng.choice((29, 30, 2 ** 64 + 13, rng.randrange(29, 10 ** rng.randrange(2, 40))))
+        assert _balanced_digits(value, base) == _balanced_reference(value, base)
+
+
+def test_balanced_digits_leave_no_cyclic_garbage():
+    value = random.Random(8).randrange(10 ** 3000)
+    gc.collect()
+    gc.disable()
+    try:
+        for base in range(29, 60):
+            _balanced_digits(value, base)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestModularGcd:
     P0 = ratcore._GCD_PRIMES[0]
     # Coefficients of about 143 bits: the lift needs three of the primes.
@@ -206,8 +280,9 @@ class TestModularGcd:
 
     def _primes_used(self, f, g):
         with mock.patch.object(ratcore, "_gcd_mod", wraps=ratcore._gcd_mod) as spy:
-            got = ratcore._modular_gcd(f.coeffs, g.coeffs)
-        return got, [call.args[2] for call in spy.call_args_list]
+            got, qf, qg = ratcore._modular_gcd(f.coeffs, g.coeffs)
+        assert P(*got) * P(*qf) == f and P(*got) * P(*qg) == g
+        return tuple(got), [call.args[2] for call in spy.call_args_list]
 
     def test_prime_dividing_a_leading_coefficient_is_skipped(self):
         f = P(1, 1) * P(1, 3 * self.P0)
