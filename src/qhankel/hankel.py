@@ -4,6 +4,10 @@ The determinant kernel clears each row of a rational-function matrix to a
 common polynomial denominator, runs fraction-free Bareiss elimination over
 Z[q], then divides the cleared factors back out.  Cofactor expansion is kept
 as an independent oracle for dimensions up to three.
+
+The J-fraction functions run the three-term recurrence on scalars only:
+Chebyshev's table recovers a(n), b(n) from moments, the Jacobi-operator table
+expands them back, and the shifted determinant needs only p_{n+1}(0).
 """
 
 from __future__ import annotations
@@ -17,11 +21,9 @@ from .functionals import theta_moment, xi_moment
 from .qkit import parity_sign, poch, q_factorial
 from .orthopoly import (
     JFraction,
-    ZPoly,
     jfraction_for_eps,
     jfraction_for_theta,
     jfraction_for_xi,
-    three_term_build,
 )
 from .ratcore import (
     Q_ONE,
@@ -154,87 +156,72 @@ def det_heilermann(jf: JFraction, n: int) -> RatFuncQ:
 
 
 def det_shifted_via_favard(jf: JFraction, n: int) -> RatFuncQ:
-    """det of the shift-1 Hankel matrix: shift-0 value times (-1)^{n+1} p_{n+1}(0)."""
+    """det of the shift-1 Hankel matrix: shift-0 value times (-1)^{n+1} p_{n+1}(0),
+    with the recurrence run at z = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    polys = three_term_build(jf, n + 1)
-    return det_heilermann(jf, n) * const(parity_sign(n + 1)) * polys[n + 1](Q_ZERO)
+    prev, cur = Q_ONE, jf.a(0)  # p_0(0), p_1(0)
+    for k in range(1, n + 1):
+        prev, cur = cur, jf.a(k) * cur - jf.b_checked(k) * prev
+    return det_heilermann(jf, n) * const(parity_sign(n + 1)) * cur
 
 
 def jfraction_expand(jf: JFraction, order: int) -> List[RatFuncQ]:
-    """Power-series coefficients 0..order of the J-fraction.
+    """Power-series coefficients mu_0..mu_order of the J-fraction.
 
-    The finite continued fraction is assembled bottom-up as a ratio of
-    polynomials in x; truncation depth ceil(order/2) + 1 leaves every
-    coefficient up to ``order`` untouched because each deeper level enters
-    through an extra factor of x^2.
+    Row m of the Jacobi-operator table holds z^m in the basis p_k, by
+    z p_k = p_{k+1} - a(k) p_k + b(k) p_{k-1}; the functional kills every p_k
+    but p_0, so mu_m = mu0 times the row's p_0 entry.  Row m keeps only the
+    heights k <= order - m that can still return to 0, so the expansion
+    reads a(0..(order-1)//2) and b(1..order//2) and nothing deeper.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    depth = (order + 1) // 2 + 1
-    num = ZPoly([Q_ONE, jf.a(depth - 1)])  # deepest tail: 1 + a(depth-1) x
-    den = ZPoly.one()
-    for k in range(depth - 2, -1, -1):
-        head = ZPoly([Q_ONE, jf.a(k)])
-        num, den = head * num - den.scale(jf.b_checked(k + 1)).shift_up(2), num
-    # series of mu0 * den / num; num has constant term 1
-    n_coeffs = [num.coeff(i) for i in range(order + 1)]
-    d_coeffs = [den.coeff(i) for i in range(order + 1)]
-    out: List[RatFuncQ] = []
-    for m in range(order + 1):
-        val = jf.mu0 * d_coeffs[m]
-        for j in range(1, m + 1):
-            if not n_coeffs[j].is_zero:
-                val = val - n_coeffs[j] * out[m - j]
-        out.append(val)
+    row = [Q_ONE]  # z^0 = p_0
+    out = [jf.mu0]
+    for m in range(1, order + 1):
+        top = len(row) - 1
+        row = [
+            (row[k - 1] if k else Q_ZERO)
+            - (jf.a(k) * row[k] if k <= top else Q_ZERO)
+            + (jf.b_checked(k + 1) * row[k + 1] if k < top else Q_ZERO)
+            for k in range(min(m, order - m) + 1)
+        ]
+        out.append(jf.mu0 * row[0])
     return out
 
 
 def jfraction_from_moments(moments: Sequence[RatFuncQ]) -> JFraction:
-    """Recover the J-fraction prefix from moments 0..len-1.
+    """Recover the J-fraction prefix from moments 0..len-1 (Chebyshev's algorithm).
 
-    Builds the monic orthogonal polynomials by Gram-Schmidt against the
-    moment functional and reads (a_n, b_n) off the recurrence.  With 2d+1
-    moments the result holds a(0..d-1) and b(1..d-1).  A vanishing
-    squared norm means some leading Hankel determinant is zero and raises
-    :class:`NotQuasiDefiniteError` with the failing depth.
+    sigma_k(l) = L(p_k z^l) starts from sigma_0(l) = mu_l and obeys
+    sigma_{k+1}(l) = sigma_k(l+1) + a(k) sigma_k(l) - b(k) sigma_{k-1}(l);
+    orthogonality gives b(k) = sigma_k(k) / sigma_{k-1}(k-1) and
+    a(k) = (b(k) sigma_{k-1}(k) - sigma_k(k+1)) / sigma_k(k).  With 2d+1
+    moments the result holds a(0..d-1) and b(1..d-1).  A zero sigma_k(k) =
+    L(p_k^2) means the Hankel determinant of order k vanishes and raises
+    :class:`NotQuasiDefiniteError` with that depth.
     """
     if not moments:
         raise InsufficientMomentsError("need at least one moment")
-    vals = list(moments)
-
-    def pair(p: ZPoly) -> RatFuncQ:
-        if p.degree >= len(vals):
-            raise InsufficientMomentsError(
-                f"need moment index {p.degree}, got only {len(vals) - 1}"
-            )
-        out = Q_ZERO
-        for k, c in enumerate(p.coeffs):
-            if not c.is_zero:
-                out = out + c * vals[k]
-        return out
-
-    mu0 = vals[0]
-    d = (len(vals) - 1) // 2
+    d = (len(moments) - 1) // 2
     a_list: List[RatFuncQ] = []
     b_list: List[RatFuncQ] = []
-    p_prev: ZPoly = ZPoly.zero()
-    p_cur: ZPoly = ZPoly.one()
-    norm_prev: RatFuncQ = Q_ONE
-    norm_cur = pair(p_cur * p_cur)
-    for m in range(d):
-        if norm_cur.is_zero:
-            raise NotQuasiDefiniteError(m)
-        a_m = -pair(p_cur.shift_up(1) * p_cur) / norm_cur
-        a_list.append(a_m)
-        if m:
-            b_list.append(norm_cur / norm_prev)
-        head = ZPoly([a_m, Q_ONE])
-        p_next = head * p_cur - (p_prev.scale(b_list[-1]) if m else ZPoly.zero())
-        p_prev, p_cur = p_cur, p_next
-        if m + 1 < d:
-            norm_prev, norm_cur = norm_cur, pair(p_cur * p_cur)
-    return JFraction.from_lists(mu0, a_list, b_list)
+    prev = [Q_ZERO] * (2 * d)  # sigma_{-1} = 0
+    sigma = list(moments[: 2 * d])  # sigma_k(l) at index l, for k <= l < 2d - k
+    for k in range(d):
+        norm = sigma[k]
+        if norm.is_zero:
+            raise NotQuasiDefiniteError(k)
+        b = norm / prev[k - 1] if k else Q_ZERO
+        a = (b * prev[k] - sigma[k + 1]) / norm
+        a_list.append(a)
+        b_list.append(b)
+        prev, sigma = sigma, [
+            sigma[l + 1] + a * sigma[l] - b * prev[l] if l > k else Q_ZERO
+            for l in range(2 * d - k - 1)
+        ]
+    return JFraction.from_lists(moments[0], a_list, b_list[1:])
 
 
 def _sum_of_first_squares(n: int) -> int:
@@ -279,32 +266,18 @@ def _even_poch_ratio(bases_num: Sequence[RatFuncQ], bases_den: Sequence[RatFuncQ
 
 
 def closed_form_theorem1(shift: int, n: int) -> RatFuncQ:
-    """Closed form of det(eps_{i+j+shift})_{0..n} for shift in {0, 1, 2}."""
+    """Closed form of det(eps_{i+j+shift})_{0..n} for shift in {0, 1, 2}.
+
+    Shifts 0 and 1 are theta determinants: eps_n = theta_0(z^n), and
+    eps_{n+1} = eps_1 theta_1(z^n) with eps_1 = -q/(1+q^2).
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    one_minus_q = Q_ONE - qpow(1)
     if shift == 0:
-        sign = parity_sign(comb(n + 1, 2))
-        head = const(sign) * qpow(shift0_exponent(n)) / one_minus_q ** (n * (n + 1))
-        prod = _even_poch_ratio(
-            [qpow(2), qpow(2)],
-            [-qpow(1), -qpow(2), -qpow(2), -qpow(3)],
-            n,
-        )
-        return head * prod
+        return closed_form_theta_det(0, n)
     if shift == 1:
-        sign = parity_sign(comb(n + 2, 2))
-        head = (
-            const(sign)
-            * qpow(shift12_exponent(n))
-            / (one_minus_q ** (n * (n + 1)) * (Q_ONE + qpow(2)) ** (n + 1))
-        )
-        prod = _even_poch_ratio(
-            [qpow(2), qpow(4)],
-            [-qpow(2), -qpow(3), -qpow(3), -qpow(4)],
-            n,
-        )
-        return head * prod
+        eps1 = -qpow(1) / (Q_ONE + qpow(2))
+        return eps1 ** (n + 1) * closed_form_theta_det(1, n)
     if shift == 2:
         sign = parity_sign(comb(n + 2, 2))
         head = (
@@ -313,7 +286,7 @@ def closed_form_theorem1(shift: int, n: int) -> RatFuncQ:
             * (Q_ONE + qpow(1)) ** n
             * (Q_ONE - const(parity_sign(n)) * qpow((n + 2) ** 2))
             / (
-                one_minus_q ** (n * (n + 1))
+                (Q_ONE - qpow(1)) ** (n * (n + 1))
                 * (Q_ONE + qpow(2)) ** (2 * (n + 1))
                 * (Q_ONE + qpow(3)) ** (n + 1)
             )
@@ -357,17 +330,13 @@ def closed_form_theta_det(ell: int, n: int) -> RatFuncQ:
 
 
 def closed_form_xi_det(ell: int, n: int) -> RatFuncQ:
-    """Closed form of det(xi_{ell, i+j})_{0..n}."""
-    if ell < 0 or n < 0:
-        raise ValueError("ell and n must be >= 0")
-    e = 2 * comb(n + 2, 3) + (2 * ell + 1) * comb(n + 1, 2)
-    head = const(parity_sign(comb(n + 1, 2))) * qpow(e)
-    prod = _even_poch_ratio(
-        [qpow(2), qpow(2 * ell + 2)],
-        [-qpow(ell + 1), -qpow(ell + 2), -qpow(ell + 2), -qpow(ell + 3)],
-        n,
-    )
-    return head * prod
+    """Closed form of det(xi_{ell, i+j})_{0..n}.
+
+    The theta_ell family is p_n(z) = u^{-n} p~_n(u z + q) for the xi_ell
+    family p~ and u = q^2 - q, so each xi b(k) is u^2 times the theta one and
+    Heilermann's product gathers u^{n(n+1)}.
+    """
+    return (qpow(1) - qpow(2)) ** (n * (n + 1)) * closed_form_theta_det(ell, n)
 
 
 Route = Callable[[int, int], RatFuncQ]

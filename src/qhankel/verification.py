@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .carlitz import (
@@ -370,34 +371,27 @@ def _check_phi_orthogonality(max_n: int) -> CheckResult:
     return _done("phi-orthogonality", cases, failures)
 
 
-@_register("theta-orthogonality")
-def _check_theta_orthogonality(max_n: int) -> CheckResult:
-    failures: List[str] = []
-    cases = 0
-    for ell in range(4):
-        report = verify_orthogonality(
-            FunctionalId("theta_ell", ell), FamilyId("p_family", ell), max_n + 1
-        )
-        cases += (max_n + 1) * (max_n + 2) // 2 + 1
-        for m, n, value in report.failures:
-            failures.append(f"ell={ell}: pairing ({m},{n}) gave {value}")
-    return _done("theta-orthogonality", cases, failures)
+def _register_orthogonality(name: str, functional: str, kind: str) -> None:
+    """Register a check that the ``kind`` family of each ell in 0..3 is
+    orthogonal for the ``functional`` of the same ell, up to degree max_n + 1."""
+
+    def check(max_n: int) -> CheckResult:
+        failures: List[str] = []
+        cases = 0
+        for ell in range(4):
+            report = verify_orthogonality(
+                FunctionalId(functional, ell), FamilyId(kind, ell), max_n + 1
+            )
+            cases += (max_n + 1) * (max_n + 2) // 2 + 1
+            for m, n, value in report.failures:
+                failures.append(f"ell={ell}: pairing ({m},{n}) gave {value}")
+        return _done(name, cases, failures)
+
+    CHECKS[name] = check
 
 
-@_register("xi-orthogonality")
-def _check_xi_orthogonality(max_n: int) -> CheckResult:
-    failures: List[str] = []
-    cases = 0
-    for ell in range(4):
-        report = verify_orthogonality(
-            FunctionalId("xi_ell", ell),
-            FamilyId("monic_big_q_jacobi", ell),
-            max_n + 1,
-        )
-        cases += (max_n + 1) * (max_n + 2) // 2 + 1
-        for m, n, value in report.failures:
-            failures.append(f"ell={ell}: pairing ({m},{n}) gave {value}")
-    return _done("xi-orthogonality", cases, failures)
+_register_orthogonality("theta-orthogonality", "theta_ell", "p_family")
+_register_orthogonality("xi-orthogonality", "xi_ell", "monic_big_q_jacobi")
 
 
 @_register("intertwining")
@@ -472,27 +466,22 @@ def _check_jfraction_eps(max_n: int) -> CheckResult:
 def _check_jfraction_roundtrip(max_n: int) -> CheckResult:
     failures: List[str] = []
     cases = 0
-    moments = [q_euler_recursive(k) for k in range(2 * max_n + 3)]
-    back = jfraction_from_moments(moments)
-    for i, a in enumerate(back.a_list):
-        cases += 1
-        if a != coeffs_p(0, i)[0]:
-            failures.append(f"eps a[{i}] came back wrong")
-    for i, b in enumerate(back.b_list):
-        cases += 1
-        if b != coeffs_p(0, i + 1)[1]:
-            failures.append(f"eps b[{i + 1}] came back wrong")
-    for ell in range(4):
-        xi_moments = jfraction_expand(jfraction_for_xi(ell), 2 * max_n + 2)
-        back = jfraction_from_moments(xi_moments)
+    runs = [("eps", [q_euler_recursive(k) for k in range(2 * max_n + 3)], partial(coeffs_p, 0))]
+    runs += [
+        (f"xi(ell={ell})", jfraction_expand(jfraction_for_xi(ell), 2 * max_n + 2),
+         partial(coeffs_monic, ell))
+        for ell in range(4)
+    ]
+    for label, moments, coeffs in runs:
+        back = jfraction_from_moments(moments)
         for i, a in enumerate(back.a_list):
             cases += 1
-            if a != coeffs_monic(ell, i)[0]:
-                failures.append(f"xi(ell={ell}) a[{i}] came back wrong")
-        for i, b in enumerate(back.b_list):
+            if a != coeffs(i)[0]:
+                failures.append(f"{label} a[{i}] came back wrong")
+        for i, b in enumerate(back.b_list, start=1):
             cases += 1
-            if b != coeffs_monic(ell, i + 1)[1]:
-                failures.append(f"xi(ell={ell}) b[{i + 1}] came back wrong")
+            if b != coeffs(i)[1]:
+                failures.append(f"{label} b[{i}] came back wrong")
     return _done("jfraction-roundtrip", cases, failures)
 
 

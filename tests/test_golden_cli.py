@@ -49,6 +49,15 @@ def _cases():
         for fmt in FORMATS:
             cases.append(["jfrac", "--id", seq_id, "--ell", "1", "--depth", "3",
                           "--expand", "4", "-f", fmt])
+    for seq_id, ell in (("qeuler", "0"), ("theta", "2"), ("xi", "0")):
+        cases.append(["jfrac", "--id", seq_id, "--ell", ell, "--depth", "6",
+                      "--expand", "13", "-f", "json"])
+    closed = [["--id", "qeuler", "--shift", "0"], ["--id", "qeuler", "--shift", "1"]]
+    closed += [["--id", "xi", "--ell", str(ell)] for ell in range(4)]
+    for spec in closed:
+        cases.append(["det", *spec, "--n", "6", "--method", "closedform", "-f", "json"])
+    cases.append(["det", "--id", "qeuler", "--shift", "2", "--n", "5",
+                  "--method", "heilermann", "-f", "json"])
     for fmt in ("json", "text"):
         cases.append(["verify", "--max-n", "2", "-f", fmt])
     cases.append(["det", "--id", "qbernoulli", "--n", "2", "--method", "heilermann"])

@@ -32,7 +32,14 @@ from qhankel.hankel import (
     shift12_exponent,
     verify_exponent_integrality,
 )
-from qhankel.orthopoly import DegenerateRecurrenceError, coeffs_monic, coeffs_p
+from qhankel.orthopoly import (
+    DegenerateRecurrenceError,
+    ZPoly,
+    coeffs_monic,
+    coeffs_p,
+    three_term_build,
+)
+from qhankel.qkit import parity_sign
 from qhankel.ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow
 
 
@@ -212,6 +219,153 @@ class TestJFractionFromMoments:
             assert b == coeffs_monic(2, k)[1]
 
 
+# The polynomial routes that served J-fraction recovery and expansion before
+# the scalar tables, kept as oracles: Gram-Schmidt over ZPoly, and the series
+# of the convergent read to depth ceil(order/2) + 1.
+def _gram_schmidt_jfraction(moments):
+    vals = list(moments)
+
+    def pair(p):
+        out = Q_ZERO
+        for k, c in enumerate(p.coeffs):
+            out = out + c * vals[k]
+        return out
+
+    d = (len(vals) - 1) // 2
+    a_list, b_list = [], []
+    p_prev, p_cur = ZPoly.zero(), ZPoly.one()
+    norm_prev, norm_cur = Q_ONE, pair(p_cur * p_cur)
+    for m in range(d):
+        if norm_cur.is_zero:
+            raise NotQuasiDefiniteError(m)
+        a_m = -pair(p_cur.shift_up(1) * p_cur) / norm_cur
+        a_list.append(a_m)
+        if m:
+            b_list.append(norm_cur / norm_prev)
+        p_next = ZPoly([a_m, Q_ONE]) * p_cur
+        if m:
+            p_next = p_next - p_prev.scale(b_list[-1])
+        p_prev, p_cur = p_cur, p_next
+        if m + 1 < d:
+            norm_prev, norm_cur = norm_cur, pair(p_cur * p_cur)
+    return JFraction.from_lists(vals[0], a_list, b_list)
+
+
+def _convergent_expand(jf, order):
+    depth = (order + 1) // 2 + 1
+    num = ZPoly([Q_ONE, jf.a(depth - 1)])
+    den = ZPoly.one()
+    for k in range(depth - 2, -1, -1):
+        num, den = ZPoly([Q_ONE, jf.a(k)]) * num - den.scale(jf.b(k + 1)).shift_up(2), num
+    out = []
+    for m in range(order + 1):
+        val = jf.mu0 * den.coeff(m)
+        for j in range(1, m + 1):
+            val = val - num.coeff(j) * out[m - j]
+        out.append(val)
+    return out
+
+
+def _recovery(recover, moments):
+    """(a_list, b_list) of a recovery, or the depth it reports as failing."""
+    try:
+        jf = recover(moments)
+    except NotQuasiDefiniteError as exc:
+        return exc.depth
+    return jf.a_list, jf.b_list
+
+
+def _rational(rng, span):
+    return const(rng.randint(-span, span)) / const(rng.randint(1, span))
+
+
+def _random_prefix(rng, d):
+    """A J-fraction prefix of rational constants with every b nonzero."""
+    a = [_rational(rng, 4) for _ in range(d)]
+    b = [_rational(rng, 4) for _ in range(d)]
+    b = [v if not v.is_zero else Q_ONE for v in b]
+    return JFraction.from_lists(_rational(rng, 3) or Q_ONE, a, b)
+
+
+FAMILIES = [("eps", 0)] + [(kind, ell) for kind in ("theta", "xi") for ell in range(4)]
+
+
+def _family_moments(kind, ell):
+    if kind == "eps":
+        return [q_euler_recursive(k) for k in range(15)]
+    moment = theta_moment if kind == "theta" else xi_moment
+    return [moment(ell, k) for k in range(11)]
+
+
+class TestJFractionTables:
+    def test_recovery_matches_gram_schmidt_on_random_prefixes(self):
+        rng = random.Random(0xC4E8)
+        for _ in range(40):
+            d = rng.randint(1, 6)
+            jf = _random_prefix(rng, d + 1)
+            moments = _convergent_expand(jf, 2 * d)
+            got = jfraction_from_moments(moments)
+            assert (got.a_list, got.b_list) == _recovery(_gram_schmidt_jfraction, moments)
+            assert got.a_list == jf.a_list[:d]
+            assert got.b_list == jf.b_list[: d - 1]
+
+    def test_failing_depth_matches_gram_schmidt_on_random_constants(self):
+        # b(k) = 0 makes the Hankel determinant of order k vanish
+        rng = random.Random(0x5161)
+        outcomes = set()
+        for _ in range(60):
+            d = rng.randint(1, 6)
+            jf = _random_prefix(rng, d + 1)
+            jf.b_list[rng.randrange(d)] = Q_ZERO
+            cases = [_convergent_expand(jf, 2 * d)]
+            cases.append([const(rng.randint(-1, 1)) for _ in range(rng.randint(1, 11))])
+            for moments in cases:
+                want = _recovery(_gram_schmidt_jfraction, moments)
+                assert _recovery(jfraction_from_moments, moments) == want
+                outcomes.add(want if isinstance(want, int) else "ok")
+        assert {"ok", 0, 1, 2, 3, 4, 5} <= outcomes
+
+    @pytest.mark.parametrize("kind, ell", FAMILIES)
+    def test_recovery_matches_gram_schmidt_on_family_moments(self, kind, ell):
+        moments = _family_moments(kind, ell)
+        assert _recovery(jfraction_from_moments, moments) == _recovery(
+            _gram_schmidt_jfraction, moments
+        )
+
+    def test_expansion_matches_convergents(self):
+        rng = random.Random(0xE4A)
+        fractions = [jfraction_for_eps(0), jfraction_for_eps(1)]
+        fractions += [jfraction_for_theta(ell) for ell in range(4)]
+        fractions += [jfraction_for_xi(ell) for ell in range(4)]
+        fractions += [_random_prefix(rng, 8) for _ in range(10)]
+        for jf in fractions:
+            assert jfraction_expand(jf, 13) == _convergent_expand(jf, 13)
+
+    @pytest.mark.parametrize("kind, ell", FAMILIES)
+    def test_b_is_a_ratio_of_hankel_determinants(self, kind, ell):
+        moments = _family_moments(kind, ell)
+        jf = jfraction_from_moments(moments)
+        dets = [Q_ONE] + [
+            det_exact(hankel_matrix(moments, 0, k)) for k in range(len(jf.a_list))
+        ]  # dets[k + 1] = Delta_k, dets[0] = Delta_{-1} = 1
+        for k, b in enumerate(jf.b_list, start=1):
+            assert b == dets[k + 1] * dets[k - 1] / dets[k] ** 2
+
+    def test_prefix_expands_back_to_its_moments(self):
+        # 2d + 1 moments give a(0..d-1), b(1..d-1): exactly what mu_0..mu_{2d-1} need
+        mu = [q_euler_recursive(k) for k in range(13)]
+        for d in range(1, 7):
+            jf = jfraction_from_moments(mu[: 2 * d + 1])
+            assert jfraction_expand(jf, 2 * d - 1) == mu[: 2 * d]
+
+    def test_favard_matches_the_polynomial_at_zero(self):
+        for jf in (jfraction_for_eps(0), jfraction_for_eps(1), jfraction_for_theta(2)):
+            polys = three_term_build(jf, 9)
+            for n in range(9):
+                want = const(parity_sign(n + 1)) * polys[n + 1](Q_ZERO) * det_heilermann(jf, n)
+                assert det_shifted_via_favard(jf, n) == want
+
+
 class TestHeilermann:
     def test_depth_zero_is_mu0(self):
         jf = jfraction_for_eps(1)
@@ -316,6 +470,15 @@ class TestClosedForms:
                 want = closed_form_xi_det(ell, n)
                 assert det_exact(hankel_matrix(seq, 0, n)) == want
                 assert det_heilermann(jf, n) == want
+
+    def test_theta_closed_forms_match_recurrence_routes(self):
+        # theorem 1 shifts 0 and 1 and every xi closed form go through theta's
+        eps0 = jfraction_for_eps(0)
+        for n in range(9):
+            assert closed_form_theorem1(0, n) == det_heilermann(eps0, n)
+            assert closed_form_theorem1(1, n) == det_shifted_via_favard(eps0, n)
+            for ell in range(4):
+                assert closed_form_xi_det(ell, n) == det_heilermann(jfraction_for_xi(ell), n)
 
     def test_theta_det_at_ell_zero_collapses(self):
         for n in range(5):
