@@ -311,22 +311,22 @@ def closed_form_chapoton_zeng(n: int) -> RatFuncQ:
     return out
 
 
-def closed_form_theta_det(ell: int, n: int) -> RatFuncQ:
-    """Closed form of det(theta_ell(z^{i+j}))_{0..n}."""
+def _theta_det_times_one_minus_q_power(ell: int, n: int) -> RatFuncQ:
+    """(1-q)^{n(n+1)} det(theta_ell(z^{i+j}))_{0..n}; the xi form never divides."""
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
     e = 2 * comb(n + 2, 3) + (2 * ell - 1) * comb(n + 1, 2)
-    head = (
-        const(parity_sign(comb(n + 1, 2)))
-        * qpow(e)
-        / (Q_ONE - qpow(1)) ** (n * (n + 1))
-    )
     prod = _even_poch_ratio(
         [qpow(2), qpow(2 * ell + 2)],
         [-qpow(ell + 1), -qpow(ell + 2), -qpow(ell + 2), -qpow(ell + 3)],
         n,
     )
-    return head * prod
+    return const(parity_sign(comb(n + 1, 2))) * qpow(e) * prod
+
+
+def closed_form_theta_det(ell: int, n: int) -> RatFuncQ:
+    """Closed form of det(theta_ell(z^{i+j}))_{0..n}."""
+    return _theta_det_times_one_minus_q_power(ell, n) / (Q_ONE - qpow(1)) ** (n * (n + 1))
 
 
 def closed_form_xi_det(ell: int, n: int) -> RatFuncQ:
@@ -334,9 +334,9 @@ def closed_form_xi_det(ell: int, n: int) -> RatFuncQ:
 
     The theta_ell family is p_n(z) = u^{-n} p~_n(u z + q) for the xi_ell
     family p~ and u = q^2 - q, so each xi b(k) is u^2 times the theta one and
-    Heilermann's product gathers u^{n(n+1)}.
+    Heilermann's product gathers u^{n(n+1)} = q^{n(n+1)} (1-q)^{n(n+1)}.
     """
-    return (qpow(1) - qpow(2)) ** (n * (n + 1)) * closed_form_theta_det(ell, n)
+    return qpow(n * (n + 1)) * _theta_det_times_one_minus_q_power(ell, n)
 
 
 Route = Callable[[int, int], RatFuncQ]

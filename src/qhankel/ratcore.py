@@ -43,36 +43,34 @@ def _mul_schoolbook(a: Sequence[int], b: Sequence[int]) -> list:
     return out
 
 
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """Sum of c_i * 256**(width * i), for |c_i| < 256**width."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(value: int, width: int, count: int) -> list:
+    """The `count` digits of value in base B = 256**width, lowest first, each
+    in [-B/2, B/2).  Adding B/2 at every digit place turns them into the
+    plain base-B digits of a nonnegative integer, which to_bytes slices out
+    in one linear pass."""
+    half = 1 << (8 * width - 1)
+    shifted = value + int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = shifted.to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * count, width)]
+
+
 def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list:
-    # Pack each polynomial into one big integer with signed blocks; CPython
-    # multiplies huge ints subquadratically, which beats pure-Python
-    # convolution by a wide margin at these sizes.
-    ma = max(abs(c) for c in a)
-    mb = max(abs(c) for c in b)
-    bound = ma * mb * min(len(a), len(b))
-    bbits = bound.bit_length() + 2
-    xa = 0
-    for c in reversed(a):
-        xa = (xa << bbits) + c
-    xb = 0
-    for c in reversed(b):
-        xb = (xb << bbits) + c
-    prod = xa * xb
-    mask = (1 << bbits) - 1
-    half = 1 << (bbits - 1)
-    full = 1 << bbits
-    out = []
-    carry = 0
-    for _ in range(len(a) + len(b) - 1):
-        limb = (prod & mask) + carry
-        prod >>= bbits
-        if limb >= half:
-            limb -= full
-            carry = 1
-        else:
-            carry = 0
-        out.append(limb)
-    return out
+    # Pack each polynomial into one big integer with signed byte-aligned
+    # blocks; CPython multiplies huge ints subquadratically, which beats
+    # pure-Python convolution by a wide margin at these sizes.
+    ma = max(max(a), -min(a))
+    mb = max(max(b), -min(b))
+    width = (ma * mb * min(len(a), len(b))).bit_length() // 8 + 1
+    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
 class QPoly:
@@ -316,61 +314,6 @@ def _int_eval(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-# Up to about this many base-x digits, _balanced_digits peels one digit at a
-# time; longer values are split in halves first, so the work is not quadratic.
-_DIGITS_CUTOFF = 48
-
-
-def _balanced_loop(value: int, base: int) -> list:
-    digits = []
-    v = value
-    while v:
-        r = v % base
-        if 2 * r >= base:
-            r -= base
-        digits.append(r)
-        v = (v - r) // base
-    return digits
-
-
-def _balanced_halves(value: int, base: int, blocks: list, level: int) -> list:
-    """Exactly _DIGITS_CUTOFF * 2**level balanced digits of value, which lies
-    in the range that many digits can write; blocks[i] holds base**m and the
-    lowest value m digits write, for m = _DIGITS_CUTOFF * 2**i."""
-    if level == 0:
-        digits = _balanced_loop(value, base)
-        return digits + [0] * (_DIGITS_CUTOFF - len(digits))
-    pw, low = blocks[level - 1]
-    lo = value % pw
-    if lo >= low + pw:
-        lo -= pw
-    return (_balanced_halves(lo, base, blocks, level - 1)
-            + _balanced_halves((value - lo) // pw, base, blocks, level - 1))
-
-
-def _balanced_digits(value: int, base: int) -> list:
-    """Digits of value in base `base`, lowest first, each in
-    [-(base // 2), base - base // 2), with no zero on top.
-
-    The base must be >= 3: in base 2 the digits are -1 and 0, which cannot
-    write 1.  Every representation is unique, so the divide-and-conquer split
-    gives the same digits as peeling them one at a time.
-    """
-    if abs(value).bit_length() <= _DIGITS_CUTOFF * (base.bit_length() - 1):
-        return _balanced_loop(value, base)
-    blocks = []
-    pw = base ** _DIGITS_CUTOFF
-    low = -(base // 2) * ((pw - 1) // (base - 1))
-    while not low <= value < low + pw:
-        blocks.append((pw, low))
-        low += low * pw
-        pw *= pw
-    digits = _balanced_halves(value, base, blocks, len(blocks))
-    while digits[-1] == 0:
-        digits.pop()
-    return digits
-
-
 def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
     """Quotient of A by B over Z if B divides A exactly, else None."""
     if len(A) < len(B):
@@ -405,11 +348,11 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
     """Heuristic gcd (GCDHEU) of primitive polynomials with positive leading
     term, returned as (gcd, f / gcd, g / gcd).
 
-    Evaluates both at a large integer x, takes the integer gcd, and reads a
-    candidate divisor h back off its balanced base-x digits.  The trial
-    divisions that test h also give the two cofactors.  Raises
-    _HeuristicFailed when a few evaluation points in a row produce nothing
-    that divides both inputs.
+    Evaluates both at x = 256**w, takes the integer gcd, and reads a
+    candidate divisor h back off its balanced base-x digits with _unpack.
+    The trial divisions that test h also give the two cofactors.  Each retry
+    multiplies x by 256; raises _HeuristicFailed when a few evaluation points
+    in a row produce nothing that divides both inputs.
 
     Theorem (Char, Geddes & Gonnet, 1989): for primitive f, g and
     x >= 2 * min(|f|_inf, |g|_inf) + 2, the primitive part of h is gcd(f, g)
@@ -426,21 +369,25 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
     """
     nf = max(max(f_coeffs), -min(f_coeffs))
     ng = max(max(g_coeffs), -min(g_coeffs))
-    x = 2 * min(nf, ng) + 29
+    width = (2 * min(nf, ng) + 29).bit_length() // 8 + 1
     for _ in range(6):
+        x = 1 << (8 * width)
         fv = _int_eval(f_coeffs, x)
         gv = _int_eval(g_coeffs, x)
         if fv and gv:
             h = math.gcd(fv, gv)
             if h == 1:
                 return _ONE_TUPLE, f_coeffs, g_coeffs
-            cand = _split_content(_balanced_digits(h, x))[1]
+            digits = _unpack(h, width, h.bit_length() // (8 * width) + 2)
+            while not digits[-1]:
+                digits.pop()
+            cand = _split_content(digits)[1]
             if len(cand) == 1:
                 return _ONE_TUPLE, f_coeffs, g_coeffs
             found = _cofactors(f_coeffs, g_coeffs, cand)
             if found is not None:
                 return found
-        x = 2 * x + 29
+        width += 1
     raise _HeuristicFailed
 
 

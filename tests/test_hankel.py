@@ -482,7 +482,9 @@ class TestClosedForms:
 
     def test_theta_det_at_ell_zero_collapses(self):
         for n in range(5):
-            assert closed_form_theta_det(0, n) == closed_form_theorem1(0, n)
+            assert closed_form_theta_det(0, n) == det_exact(
+                hankel_matrix(partial(theta_moment, 0), 0, n)
+            )
 
     def test_shift1_factors_through_theta(self):
         # shift-1 determinants of eps = eps_1^{n+1} times the theta_1 determinant

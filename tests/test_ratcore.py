@@ -1,7 +1,6 @@
 """Exact polynomial and rational-function arithmetic."""
 
 import contextlib
-import gc
 import json
 import math
 import random
@@ -22,10 +21,11 @@ from qhankel.ratcore import (
     Q_ZERO,
     QPoly,
     RatFuncQ,
-    _balanced_digits,
     _gcd_full,
     _mul_kronecker,
     _mul_schoolbook,
+    _pack,
+    _unpack,
     _subresultant_gcd,
     _split_content,
     const,
@@ -147,6 +147,36 @@ def test_kronecker_matches_schoolbook(a, b):
     )
 
 
+def test_kronecker_matches_schoolbook_on_big_operands():
+    # Both operands past the cutoff, coefficients up to 2**400 in size.
+    rng = random.Random(11)
+    for _ in range(40):
+        bits = rng.randrange(1, 401)
+        a, b = ([rng.randrange(-2 ** bits, 2 ** bits + 1) for _ in range(rng.randrange(24, 121))]
+                for _ in range(2))
+        a[-1] = a[-1] or 1
+        b[-1] = b[-1] or 1
+        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_kronecker_at_the_coefficient_bound(sign):
+    # [M]*L times [+-M]*L has middle coefficient +-M*M*L, the bound itself.
+    # M = 2**j - 1 and L = 2**m put the bound just below 2**t: for t = 8w - 1
+    # it is the top of the width w it selects, and for t = 8w it needs the
+    # sign bit that the next width adds.
+    for t in (7, 8, 15, 16, 71, 72, 399, 400):
+        for m in (m for m in (t % 2, t % 2 + 2, t % 2 + 6) if t - m >= 4):
+            big, length = 2 ** ((t - m) // 2) - 1, 2 ** m
+            assert (big * big * length).bit_length() == t
+            a, b = [big] * length, [sign * big] * length
+            assert _mul_kronecker(a, b)[length - 1] == sign * big * big * length
+            assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+    for big, length in ((1, 1), (2 ** 400, 120), (3 ** 250, 97), (255, 24)):
+        a, b = [big] * length, [sign * big] * length
+        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+
+
 class TestPolyGcd:
     def test_difference_of_powers(self):
         # gcd(1 - q^2, 1 - q^3); normalized to positive leading coefficient
@@ -257,20 +287,31 @@ def test_balanced_digits_match_the_digit_loop():
     rng = random.Random(7)
     for _ in range(300):
         value = rng.randrange(10 ** rng.randrange(3001)) * rng.choice((1, -1))
-        base = rng.choice((29, 30, 2 ** 64 + 13, rng.randrange(29, 10 ** rng.randrange(2, 40))))
-        assert _balanced_digits(value, base) == _balanced_reference(value, base)
+        width = rng.randrange(1, 41)
+        want = _balanced_reference(value, 256 ** width)
+        count = len(want) + rng.randrange(3)
+        got = _unpack(value, width, count)
+        assert got == want + [0] * (count - len(want))
+        assert _pack(got, width) == value
 
 
-def test_balanced_digits_leave_no_cyclic_garbage():
-    value = random.Random(8).randrange(10 ** 3000)
-    gc.collect()
-    gc.disable()
-    try:
-        for base in range(29, 60):
-            _balanced_digits(value, base)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+def test_heuristic_gcd_answers_a_coprime_pair_it_used_to_give_up_on():
+    # A coprime pair met while building eps_n and beta_n, n <= 40.  Its values
+    # share small primes at many points (gcd 364 at 97, 30940 at 223), each a
+    # non-dividing candidate; the heuristic must still answer without raising.
+    f = (
+        0, -1, 3, 11, 94, 344, 799, 658, -2813, -15569, -70736, -54831, -80605, 189384,
+        338026, 540480, 310710, 144108, -414445, -662163, -920252, -488637, -202741, 278990,
+        313523, 431948, 161942, 53911, -119977, -16445, -34320, 11440
+    )
+    g = (
+        1, -3, 6, -9, 13, -17, 22, -26, 30, -32, 34, -34, 34, -32, 30, -26, 22, -17, 13, -9,
+        6, -3, 1
+    )
+    got = tuple(map(tuple, ratcore._heu_gcd(f, g)))
+    want = _subresultant_gcd(QPoly(f), QPoly(g))
+    assert got == (want.coeffs, tuple(QPoly(f).exact_div(want).coeffs),
+                   tuple(QPoly(g).exact_div(want).coeffs))
 
 
 class TestModularGcd:
