@@ -43,6 +43,10 @@ def _mul_schoolbook(a: Sequence[int], b: Sequence[int]) -> list:
     return out
 
 
+def _norm(coeffs: Sequence[int]) -> int:
+    return max(max(coeffs), -min(coeffs))
+
+
 def _pack(coeffs: Sequence[int], width: int) -> int:
     """Sum of c_i * 256**(width * i), for |c_i| < 256**width."""
     zero = bytes(width)
@@ -67,9 +71,7 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list:
     # Pack each polynomial into one big integer with signed byte-aligned
     # blocks; CPython multiplies huge ints subquadratically, which beats
     # pure-Python convolution by a wide margin at these sizes.
-    ma = max(max(a), -min(a))
-    mb = max(max(b), -min(b))
-    width = (ma * mb * min(len(a), len(b))).bit_length() // 8 + 1
+    width = (_norm(a) * _norm(b) * min(len(a), len(b))).bit_length() // 8 + 1
     return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
@@ -157,7 +159,11 @@ class QPoly:
         return result
 
     def exact_div(self, other: "QPoly") -> "QPoly":
-        """Quotient self/other when other divides self exactly over Z[q]."""
+        """Quotient self/other when other divides self exactly over Z[q].
+
+        Small operands run the schoolbook loop; above the Kronecker cutoff
+        both are packed into integers and divided once, and a norm bound
+        certifies the unpacked quotient (see _exact_quotient)."""
         if other.is_zero:
             raise DivisionByZeroError("polynomial division by zero")
         if self.is_zero:
@@ -315,6 +321,51 @@ def _int_eval(coeffs: Sequence[int], x: int) -> int:
 
 
 def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
+    """Quotient of A by B over Z if B divides A exactly, else None.
+
+    Above the Kronecker cutoff both are packed at x = 256**w and divided as
+    integers.  A nonzero remainder proves that B does not divide A, since
+    A = B * C in Z[q] gives A(x) = B(x) * C(x).  Otherwise the
+    n = len A - len B + 1 balanced digits of the integer quotient are the
+    candidate C, and C is returned only under a norm certificate.
+
+    Theorem: if A(x) = B(x) * C(x) and
+    |A|_inf + |B|_inf * |C|_inf * min(len B, len C) < x/2, then A = B * C.
+    Proof: D = A - B * C has integer coefficients of absolute value below
+    x/2 and D(x) = 0.  If D were nonzero, with lowest nonzero coefficient
+    d_k, then x^k * d_k = -(sum over i > k of d_i * x^i) is a multiple of
+    x^(k+1), so x divides d_k, which is impossible for 0 < |d_k| < x/2.
+
+    A candidate that fails the bound, or a quotient that does not fit in n
+    digits, is tried once more at the width the bound asks for; if that also
+    fails, the schoolbook loop decides.
+    """
+    n = len(A) - len(B) + 1
+    if min(len(B), n) < _KRONECKER_CUTOFF:
+        return _exact_quotient_schoolbook(A, B)
+    if A[-1] % B[-1]:
+        return None
+    na, nb = _norm(A), _norm(B)
+    terms = min(len(B), n)
+    width = (max(na, nb) * len(A)).bit_length() // 8 + 1
+    for _ in range(2):
+        qv, r = divmod(_pack(A, width), _pack(B, width))
+        if r:
+            return None
+        try:
+            cand = _unpack(qv, width, n)
+        except OverflowError:
+            cand, nc = None, 1 << (8 * width - 1)
+        else:
+            nc = _norm(cand)
+        bound = 2 * (na + nb * nc * terms)
+        if cand is not None and bound < 1 << (8 * width):
+            return cand
+        width = bound.bit_length() // 8 + 1
+    return _exact_quotient_schoolbook(A, B)
+
+
+def _exact_quotient_schoolbook(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
     """Quotient of A by B over Z if B divides A exactly, else None."""
     if len(A) < len(B):
         return None
@@ -367,9 +418,7 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
     x below meets the bound and each retry only enlarges it, so a candidate
     that passes trial division into both inputs is returned as it stands.
     """
-    nf = max(max(f_coeffs), -min(f_coeffs))
-    ng = max(max(g_coeffs), -min(g_coeffs))
-    width = (2 * min(nf, ng) + 29).bit_length() // 8 + 1
+    width = (2 * min(_norm(f_coeffs), _norm(g_coeffs)) + 29).bit_length() // 8 + 1
     for _ in range(6):
         x = 1 << (8 * width)
         fv = _int_eval(f_coeffs, x)

@@ -21,6 +21,8 @@ from qhankel.ratcore import (
     Q_ZERO,
     QPoly,
     RatFuncQ,
+    _exact_quotient,
+    _exact_quotient_schoolbook,
     _gcd_full,
     _mul_kronecker,
     _mul_schoolbook,
@@ -175,6 +177,76 @@ def test_kronecker_at_the_coefficient_bound(sign):
     for big, length in ((1, 1), (2 ** 400, 120), (3 ** 250, 97), (255, 24)):
         a, b = [big] * length, [sign * big] * length
         assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+
+
+def test_packed_division_matches_schoolbook():
+    # Divisor and quotient past the cutoff, coefficients up to 2**400 in size.
+    rng = random.Random(23)
+    for _ in range(40):
+        bits = rng.randrange(1, 401)
+        b, c = ([rng.randrange(-2 ** bits, 2 ** bits + 1) for _ in range(rng.randrange(24, 121))]
+                for _ in range(2))
+        b[-1] = b[-1] or 1
+        c[-1] = c[-1] or 1
+        a = _mul_schoolbook(b, c)
+        assert _exact_quotient(a, b) == _exact_quotient_schoolbook(a, b) == c
+        i = rng.randrange(len(a))
+        a[i] += rng.choice((1, -1))
+        a = QPoly(a).coeffs
+        assert _exact_quotient(a, b) is None
+        assert _exact_quotient_schoolbook(a, b) is None
+
+
+def test_packed_division_by_a_divisor_of_larger_norm():
+    # (1 + q)**40 / (1 + q) * (1 + q**25): the dividend's norm is about half
+    # the divisor's.
+    b = (P(1, 1) ** 40).coeffs
+    c = [(-1) ** i for i in range(25)]
+    a = _mul_schoolbook(b, c)
+    assert max(map(abs, a)) < max(b)
+    assert _exact_quotient(a, b) == c
+    assert _exact_quotient(_mul_schoolbook(a, [1, 1]), b) == _mul_schoolbook(c, [1, 1])
+
+
+def test_packed_division_by_a_divisor_with_zero_constant_term():
+    rng = random.Random(29)
+    b = [rng.randrange(-2 ** 60, 2 ** 60) for _ in range(40)] + [3]
+    c = [rng.randrange(-2 ** 60, 2 ** 60) for _ in range(50)] + [-5]
+    for k in (1, 7):
+        shifted = [0] * k + b
+        a = _mul_schoolbook(shifted, c)
+        assert _exact_quotient(a, shifted) == c
+        assert _exact_quotient(a[:k - 1] + [1] + a[k:], shifted) is None
+
+
+def test_packed_division_certifies_a_quotient_larger_than_its_dividend():
+    # A has 28-bit coefficients and the quotient 142-bit ones, so the packed
+    # candidate at the first width is wrong and must not be returned.
+    a = (P(1, *[0] * 30, -1) ** 30).coeffs
+    b = (P(1, -1) ** 30).coeffs
+    want = (QPoly([1] * 31) ** 30).coeffs
+    assert max(a).bit_length() == 28 and max(want).bit_length() == 142
+    assert tuple(_exact_quotient(a, b)) == want
+    assert QPoly(a).exact_div(QPoly(b)).coeffs == want
+
+
+def test_packed_division_survives_a_quotient_too_wide_to_unpack():
+    # _unpack raises OverflowError when the integer quotient needs more
+    # digits than the polynomial quotient has; that candidate is dropped.
+    rng = random.Random(31)
+    b = [rng.randrange(-2 ** 80, 2 ** 80) for _ in range(30)] + [1]
+    c = [rng.randrange(-2 ** 80, 2 ** 80) for _ in range(30)] + [1]
+    calls = []
+
+    def first_overflows(value, width, count):
+        calls.append(width)
+        if len(calls) == 1:
+            raise OverflowError
+        return _unpack(value, width, count)
+
+    with mock.patch.object(ratcore, "_unpack", first_overflows):
+        assert _exact_quotient(_mul_schoolbook(b, c), b) == c
+    assert len(calls) == 2 and calls[1] > calls[0]
 
 
 class TestPolyGcd:
