@@ -2,19 +2,22 @@
 
 Every functional is applied through its monomial moments: expand the input,
 pair coefficient k with the k-th moment.  The q-binomial diagonal basis is
-used to *define* the phi and theta moments, and the basis route is kept
-available as an independent cross-check.
+used to *define* the phi and theta moments.  The theta moments are served by
+a closed q-binomial sum (theta_moment) and the xi moments by one ratio step
+each (xi_moment); the basis routes (phi_via_basis, theta_moment_via_basis)
+are kept as independent cross-checks.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from math import comb
 from typing import Callable, List, Tuple
 
 from .carlitz import q_euler_recursive
 from .qkit import parity_sign, poch, q_factorial, q_int
-from .ratcore import Q_ONE, Q_ZERO, RatFuncQ, const, qpow, serialize
+from .ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow, serialize
 from .orthopoly import FamilyId, ZPoly, family_polys
 from .record import FrozenRecord, Record
 
@@ -141,9 +144,13 @@ def _monomial_diag_coeffs(n: int) -> Tuple[RatFuncQ, ...]:
     return tuple(to_diagonal_basis(ZPoly.monomial(n)))
 
 
-@lru_cache(maxsize=None)
-def theta_moment(ell: int, n: int) -> RatFuncQ:
-    """theta_ell(z^n), computed through the diagonal basis expansion."""
+def theta_moment_via_basis(ell: int, n: int) -> RatFuncQ:
+    """theta_ell(z^n) through the diagonal basis expansion of z^n.
+
+    This is the definition of theta_ell; it costs O(n^2) reduced RatFuncQ
+    operations, so it serves only as the cross-check of theta_moment."""
+    if ell < 0 or n < 0:
+        raise ValueError("ell and n must be >= 0")
     out = Q_ZERO
     for j, c in enumerate(_monomial_diag_coeffs(n)):
         if not c.is_zero:
@@ -151,12 +158,103 @@ def theta_moment(ell: int, n: int) -> RatFuncQ:
     return out
 
 
+def _gaussian_rows(n: int) -> List[List[List[int]]]:
+    """rows[j][k] = coefficients of [j choose k]_q for 0 <= k <= j <= n,
+    by q-Pascal: [j, k] = [j-1, k-1] + q^k [j-1, k]."""
+    rows = [[[1]]]
+    for j in range(1, n + 1):
+        prev = rows[-1]
+        row = [[1]]
+        for k in range(1, j):
+            low, high = prev[k - 1], prev[k]
+            out = low + [0] * (k + len(high) - len(low))
+            for i, c in enumerate(high):
+                out[k + i] += c
+            row.append(out)
+        row.append([1])
+        rows.append(row)
+    return rows
+
+
+def _theta_sums(n: int) -> Tuple[int, List[QPoly]]:
+    """(T, [S_{n,0}, ..., S_{n,n}]) of theta_moment's closed sum."""
+    top = n + max(comb(k, 2) + k * (n - k) for k in range(n + 1))
+    rows = _gaussian_rows(n)
+    sums = []
+    for k in range(n + 1):
+        acc = [0] * (top + 1)
+        for j in range(k, n + 1):
+            c = parity_sign(j) * comb(n, j)
+            e = top - j - comb(k, 2) - k * (j - k)
+            for i, g in enumerate(rows[j][k]):
+                acc[e + i] += c * g
+        sums.append(QPoly(acc))
+    return top, sums
+
+
 @lru_cache(maxsize=None)
-def xi_moment(ell: int, n: int) -> RatFuncQ:
-    """xi_{ell,n} = q^{(ell+1) n} (-q; q)_n / (-q^{ell+2}; q)_n."""
+def theta_moment(ell: int, n: int) -> RatFuncQ:
+    """theta_ell(z^n) by a closed q-binomial sum, reduced once.
+
+    With w = 1 - (1-q) z the diagonal basis is [k, z choose k]_q =
+    (qw; q)_k / (q; q)_k, so theta_ell((qw; q)_k) = (q^{ell+1}; q)_k /
+    (-q^{ell+2}; q)_k.  Expand z^n = (1-w)^n / (1-q)^n by the binomial
+    theorem and each power x^j of x = qw by the inverse q-binomial theorem
+    (Gasper & Rahman, Basic Hypergeometric Series, 2nd ed., 2004, sec. 1.3)
+
+        x^j = sum_{k<=j} (-1)^k [j, k]_q q^{-C(k,2) - k(j-k)} (x; q)_k.
+
+    Exchanging the sums and putting everything over (-q^{ell+2}; q)_n gives
+
+        theta_ell(z^n) = N / (q^T (1-q)^n (-q^{ell+2}; q)_n),
+        N       = sum_{k=0}^{n} (-1)^k S_{n,k} (q^{ell+1}; q)_k (-q^{ell+k+2}; q)_{n-k},
+        S_{n,k} = sum_{j=k}^{n} (-1)^j C(n,j) q^{T - j - C(k,2) - k(j-k)} [j, k]_q,
+        T       = max_k (n + C(k,2) + k(n-k)),
+
+    where T makes every exponent of S_{n,k} nonnegative.  N and the
+    denominator are built in Z[q], with the Gaussian binomials taken from
+    q-Pascal rows, and the one gcd is the RatFuncQ reduction at the end.
+    theta_moment_via_basis is the independent check of this formula.
+    """
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
-    return qpow((ell + 1) * n) * poch(-qpow(1), n) / poch(-qpow(ell + 2), n)
+    top, sums = _theta_sums(n)
+    one = QPoly.const(1)
+    # tails[k] = (-q^{ell+k+2}; q)_{n-k}
+    tails = [one] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        tails[k] = tails[k + 1] * (one + QPoly.q_power(ell + k + 2))
+    num = QPoly()
+    rising = one  # (q^{ell+1}; q)_k
+    for k in range(n + 1):
+        if k:
+            rising = rising * (one - QPoly.q_power(ell + k))
+        term = sums[k] * rising * tails[k]
+        num = num - term if k & 1 else num + term
+    den = QPoly.q_power(top) * QPoly((1, -1)) ** n * tails[0]
+    return RatFuncQ(num, den)
+
+
+@lru_cache(maxsize=None)
+def xi_moment(ell: int, n: int) -> RatFuncQ:
+    """xi_{ell,n} = q^{(ell+1) n} (-q; q)_n / (-q^{ell+2}; q)_n.
+
+    Served one ratio step at a time: xi_{ell,n} = xi_{ell,n-1} q^{ell+1}
+    (1 + q^n) / (1 + q^{ell+n+1}), with xi_{ell,0} = 1.
+    """
+    if ell < 0 or n < 0:
+        raise ValueError("ell and n must be >= 0")
+    if n == 0:
+        return Q_ONE
+    # Ask for entries 1..n-1 in ascending order: each finds its predecessor
+    # in the memo, so a cold call recurses one level deep.
+    prev = Q_ONE
+    for k in range(1, n):
+        prev = xi_moment(ell, k)
+    one = QPoly.const(1)
+    step = RatFuncQ(QPoly.q_power(ell + 1) * (one + QPoly.q_power(n)),
+                    one + QPoly.q_power(ell + n + 1))
+    return prev * step
 
 
 def moments_for(functional: FunctionalId) -> Callable[[int], RatFuncQ]:

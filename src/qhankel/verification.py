@@ -32,6 +32,7 @@ from .functionals import (
     phi_via_basis,
     qbinom_basis,
     theta_moment,
+    theta_moment_via_basis,
     to_diagonal_basis,
     verify_orthogonality,
     verify_phi_relation,
@@ -322,6 +323,19 @@ def _check_phi_moments(max_n: int) -> CheckResult:
         if phi(p) != phi_via_basis(p):
             failures.append(f"trial {t}: moment and basis routes disagree")
     return _done("phi-moments", cases, failures)
+
+
+@_register("theta-moments")
+def _check_theta_moments(max_n: int) -> CheckResult:
+    # every moment theta-det reads: its Hankel matrices need z^0..z^{2 max_n}
+    failures: List[str] = []
+    cases = 0
+    for ell in range(4):
+        for n in range(2 * max_n + 1):
+            cases += 1
+            if theta_moment(ell, n) != theta_moment_via_basis(ell, n):
+                failures.append(f"theta_{ell}(z^{n}): closed sum and basis route disagree")
+    return _done("theta-moments", cases, failures)
 
 
 @_register("phi-closed-forms")

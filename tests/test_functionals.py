@@ -2,11 +2,13 @@
 
 import json
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from qhankel.carlitz import q_euler_recursive
+from qhankel.carlitz import q_euler_explicit, q_euler_recursive
 from qhankel.cli import main
 from qhankel.functionals import (
     FunctionalId,
@@ -22,6 +24,7 @@ from qhankel.functionals import (
     phi_via_basis,
     qbinom_basis,
     theta_moment,
+    theta_moment_via_basis,
     theta_on_basis,
     to_diagonal_basis,
     verify_orthogonality,
@@ -185,6 +188,58 @@ class TestThetaAndXi:
             xi_moment(-1, 0)
         with pytest.raises(ValueError):
             theta_on_basis(0, -2)
+
+    def test_negative_indices_raise(self):
+        # theta_moment(0, -1) once returned 1 through the basis route
+        for ell, n in ((0, -1), (-1, 0), (2, -3)):
+            with pytest.raises(ValueError):
+                theta_moment(ell, n)
+            with pytest.raises(ValueError):
+                theta_moment_via_basis(ell, n)
+            with pytest.raises(ValueError):
+                xi_moment(ell, n)
+
+    def test_closed_sum_matches_basis_route(self):
+        for ell in range(4):
+            for n in range(13):
+                assert theta_moment(ell, n) == theta_moment_via_basis(ell, n), (ell, n)
+
+    def test_ratio_steps_match_the_product(self):
+        # oracle: q^{(ell+1) n} (-q; q)_n / (-q^{ell+2}; q)_n as two products
+        # in Z[q], compared by cross-multiplication (no gcd, so it stays fast)
+        one = QPoly.const(1)
+        for ell in range(4):
+            num, den = one, one
+            for n in range(61):
+                if n:
+                    num = num * (one + QPoly.q_power(n))
+                    den = den * (one + QPoly.q_power(ell + n + 1))
+                xi = xi_moment(ell, n)
+                assert xi.num * den == xi.den * QPoly.q_power((ell + 1) * n) * num, (ell, n)
+
+    def test_cold_calls_stay_shallow(self):
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        xi_moment.cache_clear()
+        theta_moment.cache_clear()
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            xi = xi_moment(1, 300)
+            theta = theta_moment(1, 30)
+        finally:
+            sys.setrecursionlimit(old)
+        # independent values: the product formula at q = 1/2, and
+        # eps_{n+1} = eps_1 theta_1(z^n)
+        x = Fraction(1, 2)
+        want = x ** 600
+        for k in range(300):
+            want *= (1 + x ** (k + 1)) / (1 + x ** (k + 3))
+        assert xi.eval_at(x) == want
+        assert q_euler_recursive(1) * theta == q_euler_explicit(31)
 
 
 class TestFunctionalId:
