@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -73,6 +74,23 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list:
     # pure-Python convolution by a wide margin at these sizes.
     width = (_norm(a) * _norm(b) * min(len(a), len(b))).bit_length() // 8 + 1
     return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
+
+
+def mul_binomial(coeffs: Sequence[int], m: int, sign: int) -> tuple:
+    """coeffs * (1 + sign * q**m) for m >= 1 and sign = +1 or -1.
+
+    Coefficient i of the product is c_i + sign * c_{i-m}: one linear pass of
+    additions and no multiplication.  A canonical input (no trailing zeros)
+    gives a canonical output."""
+    if m < 1 or sign not in (1, -1):
+        raise ValueError("mul_binomial wants m >= 1 and sign = +1 or -1")
+    c = tuple(coeffs)
+    if not c:
+        return c
+    n = len(c)
+    top = c[max(n - m, 0):]
+    op, top = (operator.add, top) if sign > 0 else (operator.sub, tuple(-x for x in top))
+    return c[:m] + (0,) * (m - n) + tuple(map(op, c[m:], c)) + top
 
 
 class QPoly:
@@ -337,8 +355,11 @@ def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
     x^(k+1), so x divides d_k, which is impossible for 0 < |d_k| < x/2.
 
     A candidate that fails the bound, or a quotient that does not fit in n
-    digits, is tried once more at the width the bound asks for; if that also
-    fails, the schoolbook loop decides.
+    digits, is tried again at the width the bound asks for.  A wrapped
+    candidate can understate the norm of the true quotient, which may exceed
+    the dividend's by far (a denominator divided by a gcd, say), so that
+    width can fall short again; the next two tries at least double it.  If
+    every try fails, the schoolbook loop decides.
     """
     n = len(A) - len(B) + 1
     if min(len(B), n) < _KRONECKER_CUTOFF:
@@ -348,7 +369,7 @@ def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
     na, nb = _norm(A), _norm(B)
     terms = min(len(B), n)
     width = (max(na, nb) * len(A)).bit_length() // 8 + 1
-    for _ in range(2):
+    for attempt in range(4):
         qv, r = divmod(_pack(A, width), _pack(B, width))
         if r:
             return None
@@ -361,7 +382,7 @@ def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
         bound = 2 * (na + nb * nc * terms)
         if cand is not None and bound < 1 << (8 * width):
             return cand
-        width = bound.bit_length() // 8 + 1
+        width = max(bound.bit_length() // 8 + 1, 2 * width if attempt else 0)
     return _exact_quotient_schoolbook(A, B)
 
 

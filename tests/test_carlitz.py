@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 from click.testing import CliRunner
 
-from qhankel import ratcore
+from qhankel import carlitz, ratcore
 from qhankel.carlitz import (
     limit_q1,
     q_bernoulli_explicit,
@@ -205,3 +205,73 @@ def test_beta_37_needs_no_subresultant_fallback(monkeypatch):
     q_bernoulli_recursive.cache_clear()
     monkeypatch.setattr(ratcore, "_subresultant_gcd", refuse)
     assert q_bernoulli_recursive(37) == q_bernoulli_explicit(37)
+
+
+_MEMOS = (q_euler_recursive, q_bernoulli_recursive,
+          carlitz._euler_scaled, carlitz._bernoulli_scaled)
+
+
+def _clear_carlitz_memos():
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+def _frames():
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_cold_scaled_memos_stay_shallow():
+    # Clear the served and the scaled memos, so both fill from empty: each
+    # asks for entries 0..n-1 in ascending order and stays a few frames deep.
+    _clear_carlitz_memos()
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 40)
+    try:
+        eps = q_euler_recursive(45)
+        beta = q_bernoulli_recursive(45)
+    finally:
+        sys.setrecursionlimit(old)
+    assert eps == q_euler_explicit(45)
+    assert beta == q_bernoulli_explicit(45)
+    for memo in _MEMOS:
+        assert memo.cache_info().currsize == 46
+
+
+def test_scaled_memos_survive_concurrent_extension():
+    top = 25
+    _clear_carlitz_memos()
+    _in_threads(
+        [partial(fn, top) for fn in (q_euler_recursive, q_bernoulli_recursive) for _ in range(2)],
+        timeout=120,
+    )
+    for memo in _MEMOS:
+        assert memo.cache_info().currsize == top + 1
+    for n in range(top + 1):
+        assert q_euler_recursive(n) == q_euler_explicit(n)
+        assert q_bernoulli_recursive(n) == q_bernoulli_explicit(n)
+
+
+def _binomial_product(n, sign):
+    p = QPoly([1])
+    for m in range(2, n + 2):
+        p = p * QPoly((1,) + (0,) * (m - 1) + (sign,))
+    return p
+
+
+def test_scaled_numerators_are_the_values_times_their_denominators():
+    # E_n = eps_n * prod (1 + q^m) and B_n = beta_n * prod (1 - q^m),
+    # m = 2..n+1, are integer polynomials, each memoized packed into one
+    # integer with its width, length and 1-norm.
+    for n in range(16):
+        for scaled, sign, explicit in ((carlitz._euler_scaled, 1, q_euler_explicit),
+                                       (carlitz._bernoulli_scaled, -1, q_bernoulli_explicit)):
+            value, width, size, l1 = scaled(n)
+            num = ratcore._unpack(value, width, size)
+            assert num[-1] != 0 and l1 == sum(map(abs, num))
+            assert 2 * max(map(abs, num)) < 256 ** width
+            assert RatFuncQ(QPoly(num), _binomial_product(n, sign)) == explicit(n)

@@ -33,6 +33,7 @@ from qhankel.ratcore import (
     const,
     decimal_to_int,
     deserialize,
+    mul_binomial,
     int_to_decimal,
     poly_gcd,
     poly_text,
@@ -247,6 +248,47 @@ def test_packed_division_survives_a_quotient_too_wide_to_unpack():
     with mock.patch.object(ratcore, "_unpack", first_overflows):
         assert _exact_quotient(_mul_schoolbook(b, c), b) == c
     assert len(calls) == 2 and calls[1] > calls[0]
+
+
+def test_packed_division_needs_no_schoolbook_fallback():
+    # (1 - q^31)^30 / (1 - q)^30: 28-bit coefficients in, 142-bit ones out.
+    # The first packed candidates wrap and understate the quotient's norm;
+    # the widening retries must still certify it without handing the
+    # division to the schoolbook loop.
+    a = (P(1, *[0] * 30, -1) ** 30).coeffs
+    b = (P(1, -1) ** 30).coeffs
+    want = list((QPoly([1] * 31) ** 30).coeffs)
+    with mock.patch.object(ratcore, "_exact_quotient_schoolbook",
+                           side_effect=AssertionError("schoolbook fallback")):
+        assert _exact_quotient(a, b) == want
+
+
+_BINOMIAL_COEFFS = st.one_of(st.integers(-10**6, 10**6), st.integers(-2**4100, 2**4100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_BINOMIAL_COEFFS, max_size=30), st.integers(1, 40), st.sampled_from((1, -1)))
+def test_mul_binomial_matches_multiplication(c, m, sign):
+    p = QPoly(c)
+    want = (p * QPoly((1,) + (0,) * (m - 1) + (sign,))).coeffs
+    assert mul_binomial(p.coeffs, m, sign) == want
+
+
+def test_mul_binomial_on_huge_coefficients_and_zero():
+    rng = random.Random(41)
+    for m in (1, 2, 7, 60, 61, 200):
+        for sign in (1, -1):
+            c = [rng.randrange(2 ** 4000, 2 ** 4001) * rng.choice((1, -1)) for _ in range(60)]
+            want = (QPoly(c) * QPoly((1,) + (0,) * (m - 1) + (sign,))).coeffs
+            got = mul_binomial(c, m, sign)
+            assert got == want and isinstance(got, tuple)
+            assert mul_binomial((), m, sign) == ()
+
+
+@pytest.mark.parametrize("m, sign", [(0, 1), (-3, -1), (2, 0), (2, 2), (1, -2)])
+def test_mul_binomial_rejects_other_binomials(m, sign):
+    with pytest.raises(ValueError):
+        mul_binomial((1, 2, 3), m, sign)
 
 
 class TestPolyGcd:
