@@ -12,7 +12,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
 class DivisionByZeroError(ZeroDivisionError):
@@ -262,69 +262,12 @@ def poly_text(p: QPoly, latex: bool = False) -> str:
     return out
 
 
-def _pseudo_rem(A: Sequence[int], B: Sequence[int]) -> list:
-    """Remainder of lc(B)^(deg A - deg B + 1) * A modulo B, over Z."""
-    rem = list(A)
-    db = len(B) - 1
-    lb = B[-1]
-    steps = len(A) - len(B) + 1
-    while rem and len(rem) - 1 >= db:
-        la = rem[-1]
-        shift = len(rem) - 1 - db
-        new = [lb * c for c in rem]
-        for j, bc in enumerate(B):
-            new[shift + j] -= la * bc
-        new.pop()
-        while new and new[-1] == 0:
-            new.pop()
-        rem = new
-        steps -= 1
-    if steps > 0 and rem:
-        f = lb ** steps
-        rem = [c * f for c in rem]
-    return rem
-
-
-def _exact_int_div(a: int, b: int) -> int:
-    qt, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("internal: inexact integer division in gcd chain")
-    return qt
-
-
 def _split_content(coeffs: Sequence[int]) -> tuple:
     """(u, p) for nonzero coeffs = u * p, p primitive with positive leading term."""
     u = math.gcd(*coeffs)
     if coeffs[-1] < 0:
         u = -u
     return u, (coeffs if u == 1 else [c // u for c in coeffs])
-
-
-def _subresultant_gcd(f: QPoly, g: QPoly) -> QPoly:
-    """Gcd of two nonzero primitive polynomials via a subresultant PRS.
-
-    The subresultant scaling keeps intermediate integer coefficients from
-    exploding the way naive pseudo-remainder chains do.
-    """
-    A = list(f.coeffs)
-    B = list(g.coeffs)
-    gg = 1
-    h = 1
-    while True:
-        d = (len(A) - 1) - (len(B) - 1)
-        R = _pseudo_rem(A, B)
-        if not R:
-            break
-        if len(R) == 1:
-            return _P_ONE
-        divisor = gg * h ** d
-        A, B = B, [_exact_int_div(c, divisor) for c in R]
-        gg = A[-1]
-        if d == 1:
-            h = gg
-        elif d > 1:
-            h = _exact_int_div(gg ** d, h ** (d - 1))
-    return QPoly(_split_content(B)[1])
 
 
 class _HeuristicFailed(Exception):
@@ -422,9 +365,10 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
 
     Evaluates both at x = 256**w, takes the integer gcd, and reads a
     candidate divisor h back off its balanced base-x digits with _unpack.
-    The trial divisions that test h also give the two cofactors.  Each retry
-    multiplies x by 256; raises _HeuristicFailed when a few evaluation points
-    in a row produce nothing that divides both inputs.
+    The trial divisions that test h also give the two cofactors.  The first
+    five retries multiply x by 256 and the last two square it, for gcds whose
+    coefficients outgrow a few bytes; raises _HeuristicFailed when all eight
+    evaluation points produce nothing that divides both inputs.
 
     Theorem (Char, Geddes & Gonnet, 1989): for primitive f, g and
     x >= 2 * min(|f|_inf, |g|_inf) + 2, the primitive part of h is gcd(f, g)
@@ -440,7 +384,7 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
     that passes trial division into both inputs is returned as it stands.
     """
     width = (2 * min(_norm(f_coeffs), _norm(g_coeffs)) + 29).bit_length() // 8 + 1
-    for _ in range(6):
+    for attempt in range(8):
         x = 1 << (8 * width)
         fv = _int_eval(f_coeffs, x)
         gv = _int_eval(g_coeffs, x)
@@ -457,14 +401,32 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
             found = _cofactors(f_coeffs, g_coeffs, cand)
             if found is not None:
                 return found
-        width += 1
+        width = width + 1 if attempt < 5 else 2 * width
     raise _HeuristicFailed
 
 
-# Primes just below 2**63 for the modular gcd: sixteen of them lift a
-# scaled gcd whose coefficients have up to about 1,000 bits.
-_GCD_PRIMES = tuple(2 ** 63 - d for d in (
-    25, 165, 259, 301, 375, 387, 391, 409, 457, 471, 517, 529, 549, 627, 649, 669))
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 37 with the twelve prime bases 2..37, which
+    no composite below 3.1 * 10**23 passes (Sorenson & Webster, 2015)."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _gcd_primes() -> Iterator[int]:
+    """The primes below 2**63, largest first, drawn on demand."""
+    return filter(_is_prime, range(2 ** 63 - 1, 37, -2))
 
 
 def _gcd_mod(a: list, b: list, p: int) -> list:
@@ -486,11 +448,10 @@ def _gcd_mod(a: list, b: list, p: int) -> list:
     return a
 
 
-def _modular_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> Optional[tuple]:
+def _modular_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
     """Gcd of primitive polynomials with positive leading term, by images
-    mod the primes of _GCD_PRIMES (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, ch. 6), returned as (gcd, f / gcd, g / gcd); None when the
-    primes run out.
+    mod the primes of _gcd_primes (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 6), returned as (gcd, f / gcd, g / gcd).
 
     For a prime p dividing neither leading coefficient, the gcd mod p has
     degree at least that of G = gcd(f, g), with equality for all but finitely
@@ -500,10 +461,18 @@ def _modular_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> Optional[t
     Chinese remainder theorem lifts once the modulus exceeds twice its
     coefficients.  A lifted primitive part that divides both inputs divides
     G and has at least its degree, so it is G.
+
+    Termination: the primes skipped (they divide lc f * lc g) and the unlucky
+    ones (their image has degree above deg G, and each divides the nonzero
+    resultant of f / G and g / G) are finitely many.  Once a lucky image is
+    seen, only lucky images are combined; once their primes multiply past
+    twice the coefficients of (b / lc G) * G, the lift is exact and trial
+    division passes.  The primes below 2**63, about 2 * 10**17 of them, last
+    far longer, so no bound on the coefficients of G is needed.
     """
     b = math.gcd(f_coeffs[-1], g_coeffs[-1])
     residues, modulus = None, 1  # CRT image of the lowest degree seen so far
-    for p in _GCD_PRIMES:
+    for p in _gcd_primes():
         if f_coeffs[-1] % p == 0 or g_coeffs[-1] % p == 0:
             continue
         image = _gcd_mod([c % p for c in f_coeffs], [c % p for c in g_coeffs], p)
@@ -523,24 +492,19 @@ def _modular_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> Optional[t
                            _split_content([r - modulus if r > half else r for r in residues])[1])
         if found is not None:
             return found
-    return None
+    raise ArithmeticError("internal: the primes below 2**63 ran out")
 
 
 def _primitive_gcd(f: Sequence[int], g: Sequence[int]) -> tuple:
     """(G, f / G, g / G) for nonzero primitive f, g with positive leading
-    terms and G = gcd(f, g): heuristic, then modular, then the subresultant
-    chain; each certifies what it returns."""
+    terms and G = gcd(f, g): heuristic, then modular; each certifies what it
+    returns."""
     if len(f) == 1 or len(g) == 1:
         return _ONE_TUPLE, f, g
     try:
         return _heu_gcd(f, g)
     except _HeuristicFailed:
-        pass
-    found = _modular_gcd(f, g)
-    if found is not None:
-        return found
-    big, small = (f, g) if len(f) >= len(g) else (g, f)
-    return _cofactors(f, g, _subresultant_gcd(QPoly(big), QPoly(small)).coeffs)
+        return _modular_gcd(f, g)
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:

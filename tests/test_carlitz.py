@@ -195,16 +195,17 @@ def test_cold_recursion_stays_shallow():
     assert beta == q_bernoulli_explicit(45)
 
 
-def test_beta_37_needs_no_subresultant_fallback(monkeypatch):
-    # beta_37 once fell back to the subresultant chain (25-33 s) because the
-    # heuristic gcd threw away a correct candidate; now the heuristic or the
-    # modular gcd must answer every gcd on the way.
+def test_beta_49_needs_no_modular_fallback(monkeypatch):
+    # The heuristic gcd once gave up on the reduction of beta_49 (a gcd of
+    # degree 519 outgrew its evaluation points) and left it to the modular
+    # gcd; now the heuristic must answer every gcd on the way.
     def refuse(f, g):
-        raise AssertionError("subresultant gcd reached")
+        raise AssertionError("modular gcd reached")
 
     q_bernoulli_recursive.cache_clear()
-    monkeypatch.setattr(ratcore, "_subresultant_gcd", refuse)
-    assert q_bernoulli_recursive(37) == q_bernoulli_explicit(37)
+    carlitz._bernoulli_scaled.cache_clear()
+    monkeypatch.setattr(ratcore, "_modular_gcd", refuse)
+    assert q_bernoulli_recursive(49) == q_bernoulli_explicit(49)
 
 
 _MEMOS = (q_euler_recursive, q_bernoulli_recursive,

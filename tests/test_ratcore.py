@@ -4,12 +4,15 @@ import contextlib
 import json
 import math
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qhankel import ratcore
 from qhankel.ratcore import (
@@ -28,7 +31,6 @@ from qhankel.ratcore import (
     _mul_schoolbook,
     _pack,
     _unpack,
-    _subresultant_gcd,
     _split_content,
     const,
     decimal_to_int,
@@ -309,6 +311,60 @@ class TestPolyGcd:
         assert g.content() == 1
 
 
+def _pseudo_rem(A, B):
+    """Remainder of lc(B)^(deg A - deg B + 1) * A modulo B, over Z."""
+    rem = list(A)
+    db = len(B) - 1
+    lb = B[-1]
+    steps = len(A) - len(B) + 1
+    while rem and len(rem) - 1 >= db:
+        la = rem[-1]
+        shift = len(rem) - 1 - db
+        new = [lb * c for c in rem]
+        for j, bc in enumerate(B):
+            new[shift + j] -= la * bc
+        new.pop()
+        while new and new[-1] == 0:
+            new.pop()
+        rem = new
+        steps -= 1
+    if steps > 0 and rem:
+        f = lb ** steps
+        rem = [c * f for c in rem]
+    return rem
+
+
+def _exact_int_div(a, b):
+    qt, r = divmod(a, b)
+    assert r == 0, "inexact integer division in the subresultant chain"
+    return qt
+
+
+def _subresultant_gcd(f, g):
+    """Test oracle: gcd of nonzero primitive QPolys, deg f >= deg g, by a
+    subresultant PRS; it shares no code with the library's gcd routes."""
+    A = list(f.coeffs)
+    B = list(g.coeffs)
+    gg = 1
+    h = 1
+    while True:
+        d = (len(A) - 1) - (len(B) - 1)
+        R = _pseudo_rem(A, B)
+        if not R:
+            break
+        if len(R) == 1:
+            return P(1)
+        divisor = gg * h ** d
+        A, B = B, [_exact_int_div(c, divisor) for c in R]
+        gg = A[-1]
+        if d == 1:
+            h = gg
+        elif d > 1:
+            h = _exact_int_div(gg ** d, h ** (d - 1))
+    content = math.gcd(*B) if B[-1] > 0 else -math.gcd(*B)
+    return QPoly(c // content for c in B)
+
+
 def _check_gcd_against_subresultant(a, b, c):
     pa, pb, pc = QPoly(a), QPoly(b), QPoly(c)
     if pa.is_zero or pb.is_zero or pc.is_zero:
@@ -325,11 +381,42 @@ def _check_gcd_against_subresultant(a, b, c):
     assert got.exact_div(poly_gcd(got, QPoly(_split_content(pc.coeffs)[1])))
 
 
-_gcd_inputs = given(
-    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+# A coprime pair met while building eps_n and beta_n, n <= 40.  Its values
+# share small primes at many points (gcd 364 at 97, 30940 at 223), each a
+# non-dividing candidate.
+_COPRIME_F = (
+    0, -1, 3, 11, 94, 344, 799, 658, -2813, -15569, -70736, -54831, -80605, 189384,
+    338026, 540480, 310710, 144108, -414445, -662163, -920252, -488637, -202741, 278990,
+    313523, 431948, 161942, 53911, -119977, -16445, -34320, 11440
 )
+_COPRIME_G = (
+    1, -3, 6, -9, 13, -17, 22, -26, 30, -32, 34, -34, 34, -32, 30, -26, 22, -17, 13, -9,
+    6, -3, 1
+)
+
+
+# Coefficients of about 143 bits: the modular lift needs three primes.
+_BIG_GCD = (5 ** 50, -(2 ** 130 + 1), 3 ** 90)
+
+# (a, b, c) for the gcd of a*c and b*c: fixed inputs that every gcd route and
+# oracle comparison runs besides the generated ones.
+_FIXED_GCD_INPUTS = (
+    ((1, 1), (1, 1, 1), (1, -1)),            # 1 - q^2 and 1 - q^3
+    ((1, 0, 1), (1, 0, 0, 1), (1,)),
+    ((3, 0, 3), (5, 5), (2, 2)),
+    (_COPRIME_F, _COPRIME_G, (1,)),
+    ((7, 0, 0, 1), (9, 2), _BIG_GCD),
+)
+
+
+def _gcd_inputs(test):
+    for a, b, c in _FIXED_GCD_INPUTS:
+        test = example(a=list(a), b=list(b), c=list(c))(test)
+    return given(
+        a=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+        b=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+        c=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    )(test)
 
 
 @settings(max_examples=150, deadline=None)
@@ -341,21 +428,17 @@ def test_heuristic_gcd_matches_subresultant(a, b, c):
 @settings(max_examples=150, deadline=None)
 @_gcd_inputs
 def test_modular_gcd_matches_subresultant(a, b, c):
-    # The heuristic always fails and the library's own subresultant fallback
-    # refuses, so every gcd here comes from the modular route; the oracle is
-    # the subresultant chain imported above, which the patch does not touch.
-    with mock.patch.object(ratcore, "_heu_gcd", side_effect=ratcore._HeuristicFailed), \
-            mock.patch.object(ratcore, "_subresultant_gcd", side_effect=AssertionError):
+    # The heuristic always fails, so every gcd here comes from the modular
+    # route; the oracle is the test-local subresultant chain above.
+    with mock.patch.object(ratcore, "_heu_gcd", side_effect=ratcore._HeuristicFailed):
         _check_gcd_against_subresultant(a, b, c)
 
 
-# Patches that force each gcd route: the heuristic fails, then the modular
-# gcd runs out of primes as well.
+# Patches that force each gcd route: as it stands, or with the heuristic
+# failing so that the modular gcd answers.
 _GCD_ROUTES = {
     "heuristic": (),
     "modular": (("_heu_gcd", {"side_effect": ratcore._HeuristicFailed}),),
-    "subresultant": (("_heu_gcd", {"side_effect": ratcore._HeuristicFailed}),
-                     ("_modular_gcd", {"return_value": None})),
 }
 
 
@@ -410,28 +493,24 @@ def test_balanced_digits_match_the_digit_loop():
 
 
 def test_heuristic_gcd_answers_a_coprime_pair_it_used_to_give_up_on():
-    # A coprime pair met while building eps_n and beta_n, n <= 40.  Its values
-    # share small primes at many points (gcd 364 at 97, 30940 at 223), each a
-    # non-dividing candidate; the heuristic must still answer without raising.
-    f = (
-        0, -1, 3, 11, 94, 344, 799, 658, -2813, -15569, -70736, -54831, -80605, 189384,
-        338026, 540480, 310710, 144108, -414445, -662163, -920252, -488637, -202741, 278990,
-        313523, 431948, 161942, 53911, -119977, -16445, -34320, 11440
-    )
-    g = (
-        1, -3, 6, -9, 13, -17, 22, -26, 30, -32, 34, -34, 34, -32, 30, -26, 22, -17, 13, -9,
-        6, -3, 1
-    )
+    # The heuristic must answer without raising.
+    f, g = _COPRIME_F, _COPRIME_G
     got = tuple(map(tuple, ratcore._heu_gcd(f, g)))
     want = _subresultant_gcd(QPoly(f), QPoly(g))
     assert got == (want.coeffs, tuple(QPoly(f).exact_div(want).coeffs),
                    tuple(QPoly(g).exact_div(want).coeffs))
 
 
+# The sixteen fixed primes the modular gcd used before it drew them on demand.
+_OLD_GCD_PRIMES = tuple(2 ** 63 - d for d in (
+    25, 165, 259, 301, 375, 387, 391, 409, 457, 471, 517, 529, 549, 627, 649, 669))
+
+
 class TestModularGcd:
-    P0 = ratcore._GCD_PRIMES[0]
-    # Coefficients of about 143 bits: the lift needs three of the primes.
-    BIG = P(5 ** 50, -(2 ** 130 + 1), 3 ** 90)
+    P0, P1 = islice(ratcore._gcd_primes(), 2)
+    BIG = P(*_BIG_GCD)
+    # Coefficients of about 1,130 bits: sixteen primes do not lift it.
+    HUGE = P(5 ** 480, -(2 ** 1130 + 1), 3 ** 700)
 
     def _primes_used(self, f, g):
         with mock.patch.object(ratcore, "_gcd_mod", wraps=ratcore._gcd_mod) as spy:
@@ -439,12 +518,15 @@ class TestModularGcd:
         assert P(*got) * P(*qf) == f and P(*got) * P(*qg) == g
         return tuple(got), [call.args[2] for call in spy.call_args_list]
 
+    def test_first_primes_are_the_old_fixed_ones(self):
+        assert tuple(islice(ratcore._gcd_primes(), 16)) == _OLD_GCD_PRIMES
+
     def test_prime_dividing_a_leading_coefficient_is_skipped(self):
         f = P(1, 1) * P(1, 3 * self.P0)
         g = P(1, 1) * P(2, 1)
         got, primes = self._primes_used(f, g)
         assert got == (1, 1)
-        assert primes == [ratcore._GCD_PRIMES[1]]
+        assert primes == [self.P1]
 
     def test_unlucky_prime_gives_way_to_a_lower_degree(self):
         # mod P0 the two inputs coincide, so that image has degree 2
@@ -452,7 +534,7 @@ class TestModularGcd:
         g = P(2, 1) * P(1 + self.P0, 1)
         got, primes = self._primes_used(f, g)
         assert got == (2, 1)
-        assert primes == list(ratcore._GCD_PRIMES[:2])
+        assert primes == [self.P0, self.P1]
 
     def test_large_gcd_lifts_over_several_primes(self):
         f, g = self.BIG * P(7, 0, 0, 1), self.BIG * P(9, 2)
@@ -461,15 +543,49 @@ class TestModularGcd:
         assert len(primes) == 3
         assert got == _subresultant_gcd(f, g).coeffs
 
-    def test_exhausted_primes_fall_back_to_subresultant(self):
-        f, g = self.BIG * P(7, 0, 0, 1), self.BIG * P(9, 2)
-        with mock.patch.object(ratcore, "_GCD_PRIMES", ratcore._GCD_PRIMES[:2]):
-            assert ratcore._modular_gcd(f.coeffs, g.coeffs) is None
-            with mock.patch.object(ratcore, "_heu_gcd", side_effect=ratcore._HeuristicFailed), \
-                    mock.patch.object(ratcore, "_subresultant_gcd",
-                                      wraps=ratcore._subresultant_gcd) as oracle:
-                assert poly_gcd(f, g) == self.BIG
-        assert oracle.call_count == 1
+    def test_gcd_past_sixteen_primes_is_certified(self):
+        # The old fixed primes ran out on this gcd; drawn on demand, they
+        # lift it, with both cofactors certified by _primes_used.
+        f, g = self.HUGE * P(7, 0, 0, 1), self.HUGE * P(9, 2)
+        got, primes = self._primes_used(f, g)
+        assert got == self.HUGE.coeffs == _subresultant_gcd(f, g).coeffs
+        assert len(primes) > 16
+        assert primes == list(islice(ratcore._gcd_primes(), len(primes)))
+        with mock.patch.object(ratcore, "_heu_gcd", side_effect=ratcore._HeuristicFailed), \
+                mock.patch.object(ratcore, "_modular_gcd", wraps=ratcore._modular_gcd) as spy:
+            assert poly_gcd(f, g) == self.HUGE
+            g_full, qf, qg = _gcd_full(f.scale(6), g.scale(-4))
+        assert spy.call_count == 2
+        assert g_full == self.HUGE.scale(2)
+        assert qf == P(7, 0, 0, 1).scale(3) and qg == P(9, 2).scale(-2)
+
+    def test_gcd_past_sixteen_primes_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        q = sympy.Symbol("q")
+        f, g = self.HUGE * P(7, 0, 0, 1), self.HUGE * P(9, 2)
+        with mock.patch.object(ratcore, "_heu_gcd", side_effect=ratcore._HeuristicFailed):
+            got = poly_gcd(f, g)
+        want = sympy.Poly(sympy.gcd(sympy.Poly(f.coeffs[::-1], q), sympy.Poly(g.coeffs[::-1], q)), q)
+        assert got.coeffs == tuple(int(c) for c in want.all_coeffs()[::-1])
+
+    def test_generated_primes_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        got = list(islice(ratcore._gcd_primes(), 300))
+        want, p = [], 2 ** 63
+        for _ in got:
+            p = sympy.prevprime(p)
+            want.append(p)
+        assert got == want
+
+
+def test_verify_runs_with_sympy_blocked():
+    # sympy is a test-only oracle: the library must never import it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.modules['sympy'] = None; from qhankel.cli import main; "
+            "main(['verify', '--max-n', '2'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(src)}, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 class TestRatFuncQ:
