@@ -1,9 +1,13 @@
 """Hankel matrices, exact determinants, J-fractions, and closed forms.
 
 The determinant kernel clears each row of a rational-function matrix to a
-common polynomial denominator, runs fraction-free Bareiss elimination over
-Z[q], then divides the cleared factors back out.  Cofactor expansion is kept
-as an independent oracle for dimensions up to three.
+common polynomial denominator and runs fraction-free elimination over Z[q]
+on primitive rows: each updated row is divided by a common factor of its
+own entries, found by one GCDHEU evaluation of the whole row, and a scale
+in Q(q) per row records what was multiplied in and divided out.  Row i
+always holds its scale times row i of the current Schur complement, so the
+determinant is the product of the pivots over their scales.  Cofactor
+expansion is kept as an independent oracle for dimensions up to three.
 
 The J-fraction functions run the three-term recurrence on scalars only:
 Chebyshev's table recovers a(n), b(n) from moments, the Jacobi-operator table
@@ -13,7 +17,7 @@ expands them back, and the shifted determinant needs only p_{n+1}(0).
 from __future__ import annotations
 
 import json
-from math import comb
+from math import comb, gcd
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .carlitz import q_bernoulli_recursive, q_euler_recursive
@@ -30,7 +34,12 @@ from .ratcore import (
     Q_ZERO,
     QPoly,
     RatFuncQ,
+    _exact_quotient,
     _gcd_full,
+    _norm,
+    _pack,
+    _split_content,
+    _unpack,
     const,
     qpow,
     serialize,
@@ -80,40 +89,129 @@ def _row_lcm(dens: Sequence[QPoly]) -> QPoly:
     return out
 
 
-def _det_bareiss(matrix: Matrix) -> RatFuncQ:
+def _digits(value: int, width: int) -> List[int]:
+    """The balanced base-256**width digits of value, trailing zeros dropped."""
+    out = _unpack(value, width, abs(value).bit_length() // (8 * width) + 2)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _eliminate_row(pivot: QPoly, lead: QPoly, row_i: Sequence[QPoly],
+                   row_k: Sequence[QPoly]) -> Optional[Tuple[QPoly, List[QPoly]]]:
+    """(g, [(pivot * a - lead * b) / g for a, b in zip(row_i, row_k)]) for a
+    common divisor g of those entries, or None when they all vanish.
+
+    Each entry E is formed as one integer, its value at x = 256**w, with w
+    set so that x > 2N for a bound N on the coefficients of pivot, lead and
+    every pivot * a - lead * b.  So E(x) = 0 only for E = 0, and the
+    balanced base-x digits of E(x) are the coefficients of E.  The candidate
+    h is the primitive part of the digits of the gcd of the values: one
+    GCDHEU evaluation of the whole row, as in ratcore._heu_gcd.  If h divides
+    every entry (see _quotients), g is h times the integer content of the
+    quotients; otherwise g is the integer content of the row alone.  Any
+    common divisor will do, so nothing checks that g is the greatest one.
+    """
+    P, L = pivot.coeffs, lead.coeffs
+    pairs = [(a.coeffs, b.coeffs) for a, b in zip(row_i, row_k)]
+    norm_p, norm_l = _norm(P), _norm(L)
+    bound = max([norm_p, norm_l] + [
+        (norm_p * _norm(a) * min(len(P), len(a)) if a else 0)
+        + (norm_l * _norm(b) * min(len(L), len(b)) if b else 0)
+        for a, b in pairs])
+    width = (2 * bound + 1).bit_length() // 8 + 1
+    xp, xl = _pack(P, width), _pack(L, width)
+    values = [xp * _pack(a, width) - xl * _pack(b, width) for a, b in pairs]
+    h = gcd(*values)
+    if not h:
+        return None
+    cand = _split_content(_digits(h, width))[1]
+    entries = _quotients(values, cand, width, bound) if len(cand) > 1 else None
+    if entries is None:
+        cand, entries = (1,), [_digits(v, width) for v in values]
+    content = gcd(*(c for e in entries for c in e))
+    if content != 1:
+        entries = [[c // content for c in e] for e in entries]
+    return QPoly(cand).scale(content), [QPoly(e) for e in entries]
+
+
+def _quotients(values: Sequence[int], cand: Sequence[int], width: int,
+               bound: int) -> Optional[List[List[int]]]:
+    """The coefficients of E / cand for each entry E given by its value at
+    x = 256**width, where bound >= |E| and x > 2 * bound; None unless cand
+    divides every E.
+
+    Trial division at the same point: a nonzero remainder of E(x) / cand(x)
+    proves that cand does not divide E.  Otherwise a zero remainder and the
+    norm certificate of ratcore._exact_quotient,
+    |E| + |cand| * |C| * min(len cand, len C) < x/2, make the unpacked
+    quotient C exact; where that certificate falls short, _exact_quotient
+    decides.
+    """
+    hx, top = _pack(cand, width), 1 << (8 * width - 1)
+    out = []
+    for v in values:
+        qv, r = divmod(v, hx)
+        if r:
+            return None
+        quot = _digits(qv, width)
+        if quot and bound + _norm(cand) * _norm(quot) * min(len(cand), len(quot)) >= top:
+            quot = _exact_quotient(_digits(v, width), cand)
+            if quot is None:
+                return None
+        out.append(quot)
+    return out
+
+
+def _det_primitive_rows(matrix: Matrix) -> RatFuncQ:
+    """Fraction-free elimination that keeps every updated row primitive.
+
+    Row i is cleared by the lcm of its denominators and carries a scale
+    s_i in Q(q), at first that lcm.  Invariant: row i stores s_i times row i
+    of the current Schur complement.  Take pivot P = m[k][k], a row with lead
+    L = m[i][k] != 0, and d = gcd(P, L).  For the complement rows r,
+    (P m[i] - L m[k]) / d = (s_i P / d) (r_i - (r_i[k] / r_k[k]) r_k), which
+    is s_i P / d times row i of the next complement.  Dividing it by any
+    common divisor g of its entries keeps the invariant with
+    s_i <- s_i P / (d g).  A zero lead leaves the row and s_i as they are,
+    and a pivot swap swaps the scales and flips the sign.  The complements'
+    pivots are then m[k][k] / s_k, and their product is the determinant.  So
+    correctness never rests on d g being the row's gcd: it only decides how
+    large the entries stay.  Bareiss's division by the previous pivot
+    instead leaves the rows' shared factors in every entry.
+    """
     n = len(matrix)
-    cleared: List[List[QPoly]] = []
-    factors: List[QPoly] = []
+    m: List[List[QPoly]] = []
+    scales: List[RatFuncQ] = []
     for row in matrix:
         lcm = _row_lcm([entry.den for entry in row])
-        cleared.append([entry.num * lcm.exact_div(entry.den) for entry in row])
-        factors.append(lcm)
-    m = cleared
+        m.append([entry.num * lcm.exact_div(entry.den) for entry in row])
+        scales.append(RatFuncQ(lcm))
     sign = 1
-    prev = QPoly((1,))
     for k in range(n - 1):
         if m[k][k].is_zero:
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if pivot_row is None:
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+            if swap is None:
                 return Q_ZERO
-            m[k], m[pivot_row] = m[pivot_row], m[k]
+            m[k], m[swap] = m[swap], m[k]
+            scales[k], scales[swap] = scales[swap], scales[k]
             sign = -sign
         pivot = m[k][k]
         for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - lead * row_k[j]).exact_div(prev)
-            row_i[k] = QPoly()
-        prev = pivot
-    det_poly = m[n - 1][n - 1]
-    if det_poly.is_zero:
+            if m[i][k].is_zero:
+                continue
+            _, p_by_d, l_by_d = _gcd_full(pivot, m[i][k])
+            step = _eliminate_row(p_by_d, l_by_d, m[i][k + 1:], m[k][k + 1:])
+            if step is None:
+                return Q_ZERO
+            g, m[i][k + 1:] = step  # the row's tail; column k is not read again
+            scales[i] = scales[i] * RatFuncQ(p_by_d, g)
+    if m[n - 1][n - 1].is_zero:
         return Q_ZERO
-    result = RatFuncQ(det_poly.scale(sign))
-    for f in factors:
-        result = result / RatFuncQ(f)
-    return result
+    det = const(sign)
+    for k in range(n):
+        det = det * (RatFuncQ(m[k][k]) / scales[k])
+    return det
 
 
 def det_cofactor(matrix: Matrix) -> RatFuncQ:
@@ -141,7 +239,7 @@ def det_exact(matrix: Matrix) -> RatFuncQ:
         return Q_ONE
     if n == 1:
         return matrix[0][0]
-    return _det_bareiss([list(row) for row in matrix])
+    return _det_primitive_rows([list(row) for row in matrix])
 
 
 def det_heilermann(jf: JFraction, n: int) -> RatFuncQ:

@@ -58,7 +58,7 @@ def _cases():
         cases.append(["det", *spec, "--n", "6", "--method", "closedform", "-f", "json"])
     cases.append(["det", "--id", "qeuler", "--shift", "2", "--n", "5",
                   "--method", "heilermann", "-f", "json"])
-    # Bareiss at a size where its exact divisions take the packed path.
+    # The brute-force route at a size where the row updates run on packed values.
     for spec in (["--id", "qeuler", "--shift", "0"], ["--id", "qbernoulli"]):
         cases.append(["det", *spec, "--n", "7", "--method", "bruteforce", "-f", "json"])
     for fmt in ("json", "text"):

@@ -7,9 +7,11 @@ from math import comb, factorial
 
 import pytest
 
+from qhankel import hankel
 from qhankel.carlitz import q_bernoulli_recursive, q_euler_recursive
 from qhankel.functionals import theta_moment, xi_moment
 from qhankel.hankel import (
+    ROUTES,
     HankelResult,
     InsufficientMomentsError,
     JFraction,
@@ -115,6 +117,185 @@ class TestDeterminants:
             P(0, -1) * P(1, 1), P(1, 0, 1) * P(1, 0, 1) * P(1, 0, 0, 1)
         )
         assert det_exact(hankel_matrix(q_euler_recursive, 0, 1)) == want
+
+
+def _det_bareiss(matrix):
+    """Bareiss's fraction-free elimination (Math. Comp. 22, 1968): each row is
+    cleared by its denominator lcm and each update is divided exactly by the
+    previous pivot.  The oracle for det_exact's primitive-row elimination."""
+    n = len(matrix)
+    m, factors = [], []
+    for row in matrix:
+        lcm = hankel._row_lcm([entry.den for entry in row])
+        m.append([entry.num * lcm.exact_div(entry.den) for entry in row])
+        factors.append(lcm)
+    sign = 1
+    prev = QPoly((1,))
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+            if pivot_row is None:
+                return Q_ZERO
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            lead = m[i][k]
+            for j in range(k + 1, n):
+                m[i][j] = (pivot * m[i][j] - lead * m[k][j]).exact_div(prev)
+            m[i][k] = QPoly()
+        prev = pivot
+    result = RatFuncQ(m[n - 1][n - 1].scale(sign))
+    for f in factors:
+        result = result / RatFuncQ(f)
+    return result
+
+
+def _random_poly(rng, degree=4, span=5):
+    return QPoly(rng.randint(-span, span) for _ in range(rng.randint(0, degree) + 1))
+
+
+def _random_matrix(rng, dim, zero_rate=0.2):
+    """Integer polynomials, some zero, a few over a denominator 1 + q^k."""
+    def entry():
+        if rng.random() < zero_rate:
+            return Q_ZERO
+        value = RatFuncQ(_random_poly(rng))
+        return value / (Q_ONE + qpow(rng.randint(1, 3))) if rng.random() < 0.2 else value
+    return [[entry() for _ in range(dim)] for _ in range(dim)]
+
+
+def _combine(rows, weights):
+    """sum of weights[r] * rows[r], entry by entry."""
+    out = [Q_ZERO] * len(rows[0])
+    for row, w in zip(rows, weights):
+        out = [a + w * b for a, b in zip(out, row)]
+    return out
+
+
+def _structured_matrices(rng):
+    """Matrices whose elimination swaps after step 0, turns singular part way
+    through, or meets zero leads."""
+    out = []
+    for dim in range(3, 7):
+        # row 1 = t * row 0 + (0, 0, *): its update is zero at column 1, so
+        # step 1 swaps in a later row
+        m = _random_matrix(rng, dim, zero_rate=0)
+        t = RatFuncQ(_random_poly(rng, 2))
+        m[1] = [t * a + (b if j >= 2 else Q_ZERO) for j, (a, b) in enumerate(zip(m[0], m[1]))]
+        out.append(m)
+        # the last row a combination of two earlier ones: its update vanishes
+        # at step 1 (or at step 0 when it is a multiple of row 0)
+        m = _random_matrix(rng, dim, zero_rate=0)
+        m[-1] = _combine(m[:2], [RatFuncQ(_random_poly(rng, 2)), RatFuncQ(_random_poly(rng, 2))])
+        out.append(m)
+        m = _random_matrix(rng, dim, zero_rate=0)
+        t = RatFuncQ(_random_poly(rng, 2))
+        m[-1] = [t * e for e in m[0]]
+        out.append(m)
+        # zero leads: zeros in the first columns of the later rows
+        m = _random_matrix(rng, dim, zero_rate=0)
+        for i in range(1, dim):
+            for j in range(min(i, 2)):
+                if rng.random() < 0.7:
+                    m[i][j] = Q_ZERO
+        out.append(m)
+    return out
+
+
+# every ROUTES row, with theta and xi at ell = 0 and 1
+ROUTE_ROWS = [(key, ell) for key in ROUTES for ell in ((0, 1) if key[0] in ("theta", "xi") else (0,))]
+
+
+def _route_matrix(key, ell, n):
+    return hankel_matrix(ROUTES[key].moments(ell), key[1], n)
+
+
+class TestPrimitiveRows:
+    @pytest.mark.parametrize("key, ell", ROUTE_ROWS)
+    def test_routes_match_bareiss(self, key, ell):
+        for n in range(7):
+            m = _route_matrix(key, ell, n)
+            assert det_exact(m) == _det_bareiss(m)
+
+    def test_random_matrices_match_bareiss(self):
+        rng = random.Random(0xB4E155)
+        for dim in range(2, 7):
+            for _ in range(6):
+                m = _random_matrix(rng, dim)
+                want = _det_bareiss(m)
+                assert det_exact(m) == want
+                if dim <= 3:
+                    assert want == det_cofactor(m)
+
+    def test_swaps_singular_steps_and_zero_leads(self):
+        rng = random.Random(0x5A4B)
+        singular = 0
+        for m in _structured_matrices(rng):
+            want = _det_bareiss(m)
+            singular += want.is_zero
+            assert det_exact(m) == want
+        assert singular >= 8  # both kinds of dependent last row, dims 3..6
+
+    def test_row_with_a_zero_tail_and_a_large_pivot(self):
+        # only the lead survives in row 1, so the pivot alone sets the width
+        big = RatFuncQ(QPoly((0, 10 ** 30)))
+        m = [[big, Q_ONE], [Q_ONE, Q_ZERO]]
+        assert det_exact(m) == const(-1)
+        m = [[big, Q_ONE, qpow(1)], [Q_ONE, Q_ZERO, Q_ZERO], [Q_ZERO, Q_ONE, big]]
+        assert det_exact(m) == _det_bareiss(m) == det_cofactor(m)
+
+    def _matrices(self):
+        rng = random.Random(0xFA11)
+        out = [_route_matrix(key, ell, n) for key, ell in ROUTE_ROWS for n in range(6)]
+        return out + [_random_matrix(rng, dim) for dim in range(2, 7)] + _structured_matrices(rng)
+
+    def test_content_alone_when_the_candidate_fails(self, monkeypatch):
+        # a candidate of degree 4999 divides no entry, so every row keeps
+        # only its integer content; the values must not change
+        matrices = self._matrices()
+        want = [det_exact(m) for m in matrices]
+        divisors = []
+        eliminate = hankel._eliminate_row
+
+        def spy(*args):
+            out = eliminate(*args)
+            if out is not None:
+                divisors.append(out[0])
+            return out
+
+        monkeypatch.setattr(hankel, "_split_content", lambda digits: (1, (1,) * 5000))
+        monkeypatch.setattr(hankel, "_eliminate_row", spy)
+        assert [det_exact(m) for m in matrices] == want
+        assert divisors and all(g.degree == 0 for g in divisors)
+
+    def test_certificate_shortfall_goes_to_trial_division(self, monkeypatch):
+        # row 1's update is (E1, E2) with gcd h = (1+q)^4; E1 / h = (1-q)^4
+        # has |h| * |E1 / h| * 5 = 180 against x/2 = 128 for the values'
+        # width, so _exact_quotient decides; a refusal there keeps the
+        # integer content alone and must not change any value
+        h = P(1, 1) ** 4
+        e1, e2 = RatFuncQ(h * P(1, -1) ** 4), RatFuncQ(h * P(1, 0, 1))
+        shortfall = [[Q_ONE, Q_ZERO, Q_ZERO], [Q_ONE, e1, e2], [Q_ZERO, Q_ZERO, Q_ONE]]
+        matrices = [shortfall] + self._matrices()
+        want = [det_exact(m) for m in matrices]
+        assert want[0] == e1 == _det_bareiss(shortfall)
+        exact_quotient = hankel._exact_quotient
+        calls = []
+
+        def spy(a, b):
+            calls.append((tuple(a), tuple(b)))
+            return exact_quotient(a, b)
+
+        monkeypatch.setattr(hankel, "_exact_quotient", spy)
+        assert det_exact(shortfall) == e1
+        assert (e1.num.coeffs, h.coeffs) in calls
+        monkeypatch.setattr(hankel, "_exact_quotient", lambda a, b: None)
+        assert [det_exact(m) for m in matrices] == want
+
+    def test_theorem1_shift0_at_n11(self):
+        m = hankel_matrix(q_euler_recursive, 0, 11)
+        assert det_exact(m) == closed_form_theorem1(0, 11)
 
 
 class TestJFraction:
