@@ -5,7 +5,9 @@ pair coefficient k with the k-th moment.  The q-binomial diagonal basis is
 used to *define* the phi and theta moments.  The theta moments are served by
 a closed q-binomial sum (theta_moment) and the xi moments by one ratio step
 each (xi_moment); the basis routes (phi_via_basis, theta_moment_via_basis)
-are kept as independent cross-checks.
+are kept as independent cross-checks.  Orthogonality checks pair the family
+with the moments in Z[q], one packed integer per L(p_m p_n), and reduce only
+the pairings that do not vanish (_pairing_failures).
 """
 
 from __future__ import annotations
@@ -13,11 +15,23 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from math import comb
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .carlitz import q_euler_recursive
 from .qkit import parity_sign, poch, q_factorial, q_int
-from .ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow, serialize
+from .ratcore import (
+    Q_ONE,
+    Q_ZERO,
+    QPoly,
+    RatFuncQ,
+    _digits,
+    _norm,
+    _pack,
+    clear_denominators,
+    const,
+    qpow,
+    serialize,
+)
 from .orthopoly import FamilyId, ZPoly, family_polys
 from .record import FrozenRecord, Record
 
@@ -310,12 +324,61 @@ _VALID_PAIRINGS = {
 }
 
 
+def _pairing_failures(moments: Sequence[RatFuncQ],
+                      polys: Sequence[ZPoly]) -> List[Tuple[int, int, RatFuncQ]]:
+    """(0, 0, 0) if L(p_0) = 0, then (m, n, L(p_m p_n)) for each m < n with
+    L(p_m p_n) != 0, in the order n, then m; moments[k] = L(z^k) for every
+    k up to twice the largest degree.
+
+    The bilinear form runs in Z[q].  With the moments cleared to M_k / E and
+    p_n to sum_i P_{n,i} z^i / d_n (ratcore.clear_denominators),
+
+        L(p_m p_n) d_m d_n E = N_{mn} = sum_{i,j} P_{m,i} P_{n,j} M_{i+j},
+
+    and |N_{mn}|_inf <= N = (D+1)^2 max|P|_1^2 max|M|_inf for D the largest
+    degree, since |a b c|_inf <= |a|_1 |b|_1 |c|_inf.  Every P and M is
+    packed once at x = 256**w with x > 2N, and N_{mn}(x) is formed as
+    sum_i P_{m,i}(x) W_n[i] with W_n[i] = sum_j P_{n,j}(x) M_{i+j}(x).
+
+    Certificate (as for ratcore._exact_quotient and hankel._eliminate_row):
+    a polynomial F with integer coefficients below x/2 in absolute value and
+    F(x) = 0 is zero, for its lowest nonzero coefficient f_k would be a
+    multiple of x.  So N_{mn}(x) = 0 exactly when L(p_m p_n) = 0, and a
+    nonzero value's balanced base-x digits are the coefficients of N_{mn};
+    only those pairs are expanded and reduced.
+    """
+    E, nums = clear_denominators(moments)
+    cleared = [clear_denominators(p.coeffs) for p in polys]
+    norm_p = max([sum(map(abs, c.coeffs)) for _, P in cleared for c in P] + [1])
+    norm_m = max([_norm(c.coeffs) for c in nums if c.coeffs] + [1])
+    top = max(len(P) for _, P in cleared)
+    width = (2 * top * top * norm_p * norm_p * norm_m).bit_length() // 8 + 1
+    mx = [_pack(c.coeffs, width) for c in nums]
+    px = [[_pack(c.coeffs, width) for c in P] for _, P in cleared]
+    failures: List[Tuple[int, int, RatFuncQ]] = []
+    if not sum(a * b for a, b in zip(px[0], mx)):
+        failures.append((0, 0, Q_ZERO))
+    for n in range(1, len(px)):
+        rows = max(len(P) for P in px[:n])
+        w_n = [sum(a * mx[i + j] for j, a in enumerate(px[n])) for i in range(rows)]
+        for m in range(n):
+            packed = sum(a * b for a, b in zip(px[m], w_n))
+            if packed:
+                den = cleared[m][0] * cleared[n][0] * E
+                failures.append((m, n, RatFuncQ(QPoly(_digits(packed, width)), den)))
+    return failures
+
+
 def verify_orthogonality(
-    functional: FunctionalId, family: FamilyId, upto: int
+    functional: FunctionalId, family: FamilyId, upto: int,
+    polys: Optional[Sequence[ZPoly]] = None,
 ) -> OrthogonalityReport:
     """Exhaustive orthogonality check L(p_m p_n) = 0 for m != n, L(p_0) != 0.
 
-    Fails loudly on a functional/family pair the theory does not match up.
+    ``polys`` may pass p_0..p_k (k >= upto) of the family when the caller
+    has built them already.  Each pairing is tested exactly in Z[q]; see
+    _pairing_failures.  Fails loudly on a functional/family pair the theory
+    does not match up.
     """
     expected_kind = _VALID_PAIRINGS[functional.kind]
     func_ell = 0 if functional.kind == "phi" else functional.ell
@@ -326,14 +389,8 @@ def verify_orthogonality(
         )
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    polys = family_polys(family, upto)
-    failures: List[Tuple[int, int, RatFuncQ]] = []
-    head = apply_functional(functional, polys[0])
-    if head.is_zero:
-        failures.append((0, 0, head))
-    for n in range(1, upto + 1):
-        for m in range(n):
-            val = apply_functional(functional, polys[m] * polys[n])
-            if not val.is_zero:
-                failures.append((m, n, val))
+    polys = family_polys(family, upto) if polys is None else polys[:upto + 1]
+    moments = moments_for(functional)
+    top = max(p.degree for p in polys)
+    failures = _pairing_failures([moments(k) for k in range(2 * top + 1)], polys)
     return OrthogonalityReport(functional, family, upto, failures)

@@ -34,12 +34,13 @@ from .ratcore import (
     Q_ZERO,
     QPoly,
     RatFuncQ,
+    _digits,
     _exact_quotient,
     _gcd_full,
     _norm,
     _pack,
     _split_content,
-    _unpack,
+    clear_denominators,
     const,
     qpow,
     serialize,
@@ -80,21 +81,6 @@ def hankel_matrix(seq: Union[Moments, Sequence[RatFuncQ]], shift: int, n: int) -
             )
         values = list(seq[: top + 1])
     return [[values[i + j + shift] for j in range(n + 1)] for i in range(n + 1)]
-
-
-def _row_lcm(dens: Sequence[QPoly]) -> QPoly:
-    out = dens[0]
-    for d in dens[1:]:
-        out = out * _gcd_full(out, d)[2]
-    return out
-
-
-def _digits(value: int, width: int) -> List[int]:
-    """The balanced base-256**width digits of value, trailing zeros dropped."""
-    out = _unpack(value, width, abs(value).bit_length() // (8 * width) + 2)
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def _eliminate_row(pivot: QPoly, lead: QPoly, row_i: Sequence[QPoly],
@@ -184,8 +170,8 @@ def _det_primitive_rows(matrix: Matrix) -> RatFuncQ:
     m: List[List[QPoly]] = []
     scales: List[RatFuncQ] = []
     for row in matrix:
-        lcm = _row_lcm([entry.den for entry in row])
-        m.append([entry.num * lcm.exact_div(entry.den) for entry in row])
+        lcm, nums = clear_denominators(row)
+        m.append(nums)
         scales.append(RatFuncQ(lcm))
     sign = 1
     for k in range(n - 1):

@@ -68,6 +68,14 @@ def _unpack(value: int, width: int, count: int) -> list:
             for i in range(0, width * count, width)]
 
 
+def _digits(value: int, width: int) -> list:
+    """The balanced base-256**width digits of value, trailing zeros dropped."""
+    out = _unpack(value, width, abs(value).bit_length() // (8 * width) + 2)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list:
     # Pack each polynomial into one big integer with signed byte-aligned
     # blocks; CPython multiplies huge ints subquadratically, which beats
@@ -531,6 +539,20 @@ def _gcd_full(a: QPoly, b: QPoly) -> tuple:
     return (QPoly(G).scale(c),
             QPoly(qa if ka == 1 else [x * ka for x in qa]),
             QPoly(qb if kb == 1 else [x * kb for x in qb]))
+
+
+def clear_denominators(values: Sequence[RatFuncQ]) -> tuple:
+    """(D, [v.num * (D / v.den) for v in values]) for D the lcm of the
+    denominators, so v = numerator / D for each v; D = 1 for no values.
+
+    D grows by one cofactor per value, lcm(D, d) = D * (d / gcd(D, d)), and
+    each numerator's multiplier is an exact division."""
+    if not values:
+        return _P_ONE, []
+    lcm = values[0].den
+    for v in values[1:]:
+        lcm = lcm * _gcd_full(lcm, v.den)[2]
+    return lcm, [v.num * lcm.exact_div(v.den) for v in values]
 
 
 _ONE_TUPLE = (1,)

@@ -4,7 +4,10 @@ Every check is a function of a single size parameter ``max_n`` and returns a
 CheckResult.  The bounds inside each check are scaled so that ``max_n = 5``
 reproduces the battery this library was built to pass; smaller values give a
 quick smoke run, larger ones a deeper sweep.  All comparisons are structural
-equalities of canonical RatFuncQ values, never numeric tolerance.
+equalities of canonical RatFuncQ values, never numeric tolerance.  An
+orthogonality zero test is exact too, on the cleared numerator of
+L(p_m p_n) in Z[q]: its value at one packing point is zero only for the zero
+polynomial, as the packing bound certifies (functionals._pairing_failures).
 """
 
 from __future__ import annotations
@@ -372,11 +375,12 @@ def _check_phi_orthogonality(max_n: int) -> CheckResult:
     cases = 0
     for ell in (0, 1):
         functional = FunctionalId("phi") if ell == 0 else FunctionalId("phi_ell", 1)
-        report = verify_orthogonality(functional, FamilyId("p_family", ell), max_n + 1)
+        family = FamilyId("p_family", ell)
+        polys = family_polys(family, max_n + 3)
+        report = verify_orthogonality(functional, family, max_n + 1, polys)
         cases += (max_n + 1) * (max_n + 2) // 2 + 1
         for m, n, value in report.failures:
             failures.append(f"ell={ell}: pairing ({m},{n}) gave {value}")
-        polys = family_polys(FamilyId("p_family", ell), max_n + 3)
         for n in range(1, max_n + 4):
             cases += 1
             value = apply_functional(functional, polys[n])

@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from qhankel import functionals
 from qhankel.carlitz import q_euler_explicit, q_euler_recursive
 from qhankel.cli import main
 from qhankel.functionals import (
     FunctionalId,
     OrthogonalityReport,
     PairingError,
+    _pairing_failures,
     apply_functional,
     from_diagonal_basis,
     moments_for,
@@ -259,6 +261,98 @@ class TestFunctionalId:
         shifted = moments_for(FunctionalId("phi_ell", 1))
         for n in range(6):
             assert shifted(n) == q_euler_recursive(n + 1)
+
+
+def _orthogonality_oracle(functional, family, upto):
+    """The per-pair route over Q(q): expand each product p_m p_n as a ZPoly
+    and sum the functional over its monomial moments, reducing at every
+    step.  The oracle for verify_orthogonality's packed pairing in Z[q]."""
+    polys = functionals.family_polys(family, upto)
+    failures = []
+    head = apply_functional(functional, polys[0])
+    if head.is_zero:
+        failures.append((0, 0, head))
+    for n in range(1, upto + 1):
+        for m in range(n):
+            value = apply_functional(functional, polys[m] * polys[n])
+            if not value.is_zero:
+                failures.append((m, n, value))
+    return failures
+
+
+_ALL_PAIRS = (
+    [(FunctionalId("phi"), FamilyId("p_family", 0)),
+     (FunctionalId("phi_ell", 1), FamilyId("p_family", 1))]
+    + [(FunctionalId("theta_ell", ell), FamilyId("p_family", ell)) for ell in range(4)]
+    + [(FunctionalId("xi_ell", ell), FamilyId("monic_big_q_jacobi", ell)) for ell in range(4)]
+)
+
+
+def _with_member(index, change):
+    """A family_polys double whose member p_index is change(p_index)."""
+    real = functionals.family_polys
+
+    def polys(family, upto):
+        out = real(family, upto)
+        out[index] = change(out)
+        return out
+
+    return polys
+
+
+class TestPackedPairing:
+    @pytest.mark.parametrize("functional, family", _ALL_PAIRS, ids=str)
+    def test_matches_the_oracle_on_every_pair(self, functional, family):
+        report = verify_orthogonality(functional, family, 4)
+        assert report.failures == _orthogonality_oracle(functional, family, 4) == []
+
+    @pytest.mark.parametrize("functional, family", [
+        (FunctionalId("theta_ell", 2), FamilyId("p_family", 2)),
+        (FunctionalId("xi_ell", 1), FamilyId("monic_big_q_jacobi", 1)),
+    ], ids=str)
+    def test_a_changed_coefficient_fails_as_the_oracle_says(
+            self, monkeypatch, functional, family):
+        # p_3's z^1 coefficient gains c = q / (1 + q^2), a factor that no
+        # denominator of the family holds; L(p_m p_3) moves by c L(z p_m),
+        # which is nonzero for m <= 1 only
+        bump = ZPoly([Q_ZERO, qpow(1) / (Q_ONE + qpow(2))])
+        monkeypatch.setattr(functionals, "family_polys",
+                            _with_member(3, lambda ps: ps[3] + bump))
+        report = verify_orthogonality(functional, family, 5)
+        want = _orthogonality_oracle(functional, family, 5)
+        assert [(m, n) for m, n, _ in want] == [(0, 3), (1, 3)]
+        assert report.failures == want
+        assert [serialize(v) for *_, v in report.failures] == [
+            serialize(v) for *_, v in want]
+
+    def test_a_vanishing_head_is_reported(self, monkeypatch):
+        functional, family = FunctionalId("theta_ell", 1), FamilyId("p_family", 1)
+        monkeypatch.setattr(functionals, "family_polys", _with_member(0, lambda ps: ps[1]))
+        report = verify_orthogonality(functional, family, 3)
+        want = _orthogonality_oracle(functional, family, 3)
+        assert want[0] == (0, 0, Q_ZERO)
+        assert report.failures == want
+
+    def test_prebuilt_polys_are_cut_to_upto(self):
+        family = FamilyId("p_family", 0)
+        polys = functionals.family_polys(family, 6)
+        polys[5] = polys[5] + ZPoly.one()  # beyond upto, so never paired
+        report = verify_orthogonality(FunctionalId("phi"), family, 3, polys)
+        assert report.passed and report.upto == 3
+
+    @pytest.mark.parametrize("moments, p1", [
+        # (128 - q) + 128, from moments that each fit one byte
+        ([RatFuncQ(P(128, -1)), const(128), Q_ZERO], [1, 1]),
+        # (2 - q) + 127 * 2, from small moments and a family coefficient 127
+        ([RatFuncQ(P(2, -1)), const(2), Q_ZERO], [1, 127]),
+    ])
+    def test_the_width_covers_a_numerator_that_vanishes_at_256(self, moments, p1):
+        # L(p_0 p_1) = mu_0 p1[0] + mu_1 p1[1] is 256 - q, which is zero at
+        # x = 256 although every input fits one byte there: a packing point
+        # chosen from the moments' or the family's coefficients alone would
+        # call the pair orthogonal
+        polys = [ZPoly.one(), ZPoly([const(c) for c in p1])]
+        assert _pairing_failures(moments, polys) == [(0, 1, RatFuncQ(P(256, -1)))]
 
 
 class TestOrthogonality:

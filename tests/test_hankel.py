@@ -42,7 +42,7 @@ from qhankel.orthopoly import (
     three_term_build,
 )
 from qhankel.qkit import parity_sign
-from qhankel.ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow
+from qhankel.ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, clear_denominators, const, qpow
 
 
 def P(*coeffs):
@@ -126,8 +126,8 @@ def _det_bareiss(matrix):
     n = len(matrix)
     m, factors = [], []
     for row in matrix:
-        lcm = hankel._row_lcm([entry.den for entry in row])
-        m.append([entry.num * lcm.exact_div(entry.den) for entry in row])
+        lcm, nums = clear_denominators(row)
+        m.append(nums)
         factors.append(lcm)
     sign = 1
     prev = QPoly((1,))

@@ -32,6 +32,7 @@ from qhankel.ratcore import (
     _pack,
     _unpack,
     _split_content,
+    clear_denominators,
     const,
     decimal_to_int,
     deserialize,
@@ -490,6 +491,25 @@ def test_balanced_digits_match_the_digit_loop():
         got = _unpack(value, width, count)
         assert got == want + [0] * (count - len(want))
         assert _pack(got, width) == value
+
+
+def test_clear_denominators_puts_values_over_their_lcm():
+    assert clear_denominators([]) == (QPoly((1,)), [])
+    rng = random.Random(0xC1EA)
+    for _ in range(40):
+        values = [RatFuncQ(P(rng.randint(-4, 4), rng.randint(-4, 4)),
+                           P(1, 1) ** rng.randint(0, 3) * P(1, 0, 1) ** rng.randint(0, 2)
+                           * P(rng.choice((1, 2, 3))))
+                  for _ in range(rng.randint(1, 5))]
+        lcm, nums = clear_denominators(values)
+        assert [RatFuncQ(num, lcm) for num in nums] == values
+        # every denominator divides lcm, and the multipliers lcm / den share
+        # no factor, so no common multiple is smaller
+        multipliers = [lcm.exact_div(v.den) for v in values]
+        common = multipliers[0]
+        for m in multipliers[1:]:
+            common = _gcd_full(common, m)[0]
+        assert common == QPoly((1,))
 
 
 def test_heuristic_gcd_answers_a_coprime_pair_it_used_to_give_up_on():
