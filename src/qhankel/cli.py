@@ -38,6 +38,10 @@ from .verification import available_checks, run_checks
 _FORMATS = ("json", "text", "latex")
 _VERIFY_FORMATS = ("json", "text")
 _ELL_IDS = ("theta", "xi")  # the sequences that take --ell
+# The choices of seq and det come from ROUTES, so a new route needs no edit here.
+_SEQ_IDS = list(dict.fromkeys(seq for seq, _ in ROUTES))
+_DET_METHODS = list(dict.fromkeys(m for row in ROUTES.values() for m in row.routes)) + ["all"]
+_JFRACTIONS = {"qeuler": jfraction_for_eps, "theta": jfraction_for_theta, "xi": jfraction_for_xi}
 
 _SEQ_SYMBOLS = {
     "qeuler": r"\varepsilon",
@@ -143,7 +147,7 @@ def main() -> None:
 @click.option(
     "--id",
     "seq_id",
-    type=click.Choice(["qeuler", "qbernoulli", "theta", "xi"]),
+    type=click.Choice(_SEQ_IDS),
     required=True,
     help="Which moment sequence to print.",
 )
@@ -223,15 +227,15 @@ def cmd_poly(family, ell, n, fmt, at_q, out) -> None:
 @click.option(
     "--id",
     "seq_id",
-    type=click.Choice(["qeuler", "qbernoulli", "theta", "xi"]),
+    type=click.Choice(_SEQ_IDS),
     required=True,
 )
 @click.option("--ell", type=int, default=None, help="Shift parameter for theta/xi.")
-@click.option("--shift", type=click.IntRange(0, 2), default=0)
+@click.option("--shift", type=click.IntRange(min=0), default=0)
 @click.option("--n", type=click.IntRange(min=0), required=True)
 @click.option(
     "--method",
-    type=click.Choice(["bruteforce", "heilermann", "closedform", "all"]),
+    type=click.Choice(_DET_METHODS),
     default="all",
 )
 @click.option("--format", "-f", "fmt", type=click.Choice(_FORMATS), default=None)
@@ -295,7 +299,7 @@ def cmd_det(seq_id, ell, shift, n, method, fmt, at_q, out) -> None:
 @click.option(
     "--id",
     "seq_id",
-    type=click.Choice(["qeuler", "theta", "xi"]),
+    type=click.Choice(list(_JFRACTIONS)),
     required=True,
 )
 @click.option("--ell", type=click.IntRange(min=0), default=0)
@@ -311,9 +315,8 @@ def cmd_jfrac(seq_id, ell, depth, order, fmt, out) -> None:
     if seq_id == "qeuler" and ell not in (0, 1):
         raise click.UsageError("--id qeuler supports only --ell 0 or 1")
 
-    makers = {"qeuler": jfraction_for_eps, "theta": jfraction_for_theta, "xi": jfraction_for_xi}
     try:
-        jf: JFraction = makers[seq_id](ell)
+        jf: JFraction = _JFRACTIONS[seq_id](ell)
         a_vals = [] if depth is None else [jf.a(k) for k in range(depth)]
         b_vals = [] if depth is None else [jf.b(k) for k in range(1, depth)]
         expansion = None if order is None else jfraction_expand(jf, order)

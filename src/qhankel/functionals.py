@@ -5,9 +5,10 @@ pair coefficient k with the k-th moment.  The q-binomial diagonal basis is
 used to *define* the phi and theta moments.  The theta moments are served by
 a closed q-binomial sum (theta_moment) and the xi moments by one ratio step
 each (xi_moment); the basis routes (phi_via_basis, theta_moment_via_basis)
-are kept as independent cross-checks.  Orthogonality checks pair the family
-with the moments in Z[q], one packed integer per L(p_m p_n), and reduce only
-the pairings that do not vanish (_pairing_failures).
+are kept as independent cross-checks.  An orthogonality check takes only the
+functional and pairs its Favard family (favard_family) with the moments in
+Z[q], one packed integer per L(p_m p_n), reducing only the pairings that do
+not vanish (_pairing_failures).
 """
 
 from __future__ import annotations
@@ -32,12 +33,8 @@ from .ratcore import (
     qpow,
     serialize,
 )
-from .orthopoly import FamilyId, ZPoly, family_polys
+from .orthopoly import ZPoly, jfraction_for_theta, jfraction_for_xi, three_term_build
 from .record import FrozenRecord, Record
-
-
-class PairingError(ValueError):
-    """Functional and family do not belong together."""
 
 
 class FunctionalId(FrozenRecord):
@@ -293,12 +290,24 @@ def apply_functional(functional: FunctionalId, p: ZPoly) -> RatFuncQ:
     return out
 
 
-class OrthogonalityReport(Record):
-    __slots__ = ("functional", "family", "upto", "failures")
+def favard_family(functional: FunctionalId, upto: int) -> List[ZPoly]:
+    """p_0 .. p_upto of the monic family orthogonal for the functional.
 
-    def __init__(self, functional: FunctionalId, family: FamilyId, upto: int,
+    By Favard's theorem it is the family its J-fraction's a(n), b(n) generate:
+    coeffs_monic for xi_ell, coeffs_p for phi, phi_ell and theta_ell.  It never
+    reads the moments, so an orthogonality check compares independent routes.
+    """
+    if functional.kind == "xi_ell":
+        return three_term_build(jfraction_for_xi(functional.ell), upto)
+    return three_term_build(jfraction_for_theta(functional.ell), upto)
+
+
+class OrthogonalityReport(Record):
+    __slots__ = ("functional", "upto", "failures")
+
+    def __init__(self, functional: FunctionalId, upto: int,
                  failures: List[Tuple[int, int, RatFuncQ]]) -> None:
-        self._init(functional, family, upto, failures)
+        self._init(functional, upto, failures)
 
     @property
     def passed(self) -> bool:
@@ -307,21 +316,12 @@ class OrthogonalityReport(Record):
     def to_json_dict(self) -> dict:
         return {
             "functional": str(self.functional),
-            "family": str(self.family),
             "upto": self.upto,
             "failures": [
                 {"m": m, "n": n, "value": json.loads(serialize(v))}
                 for m, n, v in self.failures
             ],
         }
-
-
-_VALID_PAIRINGS = {
-    "phi": "p_family",
-    "phi_ell": "p_family",
-    "theta_ell": "p_family",
-    "xi_ell": "monic_big_q_jacobi",
-}
 
 
 def _pairing_failures(moments: Sequence[RatFuncQ],
@@ -370,27 +370,19 @@ def _pairing_failures(moments: Sequence[RatFuncQ],
 
 
 def verify_orthogonality(
-    functional: FunctionalId, family: FamilyId, upto: int,
-    polys: Optional[Sequence[ZPoly]] = None,
+    functional: FunctionalId, upto: int, polys: Optional[Sequence[ZPoly]] = None,
 ) -> OrthogonalityReport:
-    """Exhaustive orthogonality check L(p_m p_n) = 0 for m != n, L(p_0) != 0.
+    """Exhaustive orthogonality check L(p_m p_n) = 0 for m != n, L(p_0) != 0,
+    on the functional's Favard family p_0..p_upto (favard_family).
 
-    ``polys`` may pass p_0..p_k (k >= upto) of the family when the caller
+    ``polys`` may pass p_0..p_k (k >= upto) of that family when the caller
     has built them already.  Each pairing is tested exactly in Z[q]; see
-    _pairing_failures.  Fails loudly on a functional/family pair the theory
-    does not match up.
+    _pairing_failures.
     """
-    expected_kind = _VALID_PAIRINGS[functional.kind]
-    func_ell = 0 if functional.kind == "phi" else functional.ell
-    if family.kind != expected_kind or family.ell != func_ell:
-        raise PairingError(
-            f"{functional} does not pair with {family}; expected "
-            f"{expected_kind}({func_ell})"
-        )
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    polys = family_polys(family, upto) if polys is None else polys[:upto + 1]
+    polys = favard_family(functional, upto) if polys is None else polys[:upto + 1]
     moments = moments_for(functional)
     top = max(p.degree for p in polys)
     failures = _pairing_failures([moments(k) for k in range(2 * top + 1)], polys)
-    return OrthogonalityReport(functional, family, upto, failures)
+    return OrthogonalityReport(functional, upto, failures)

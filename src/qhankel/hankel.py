@@ -443,8 +443,10 @@ def _row(moments: Callable[[int], Moments], shift: int, closed: Route, recurrenc
     return DetRoutes(moments, routes)
 
 
-# (sequence id, shift) -> its independent determinant routes.  A new identity
-# or route is one entry here; ``det`` and ``verify`` both read this table.
+# (sequence id, shift) -> its independent determinant routes.  A new route is
+# one entry here: ``det`` derives its choices from this table and ``verify``
+# runs every route of a row.  A new row also needs one _register_routes line
+# in verification.py, which names its check.
 # Routes call the module-level functions by name at call time, so a wrapper
 # put in their place on this module (a tracer, a test double) is used.
 # Only theta and xi depend on ell; the other rows ignore it.

@@ -10,7 +10,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from .carlitz import q_euler_recursive
 from .qkit import parity_sign, poch
 from .ratcore import Q_ONE, Q_ZERO, RatFuncQ, const, qpow
-from .record import FrozenRecord, Record
+from .record import Record
 
 
 class DegenerateRecurrenceError(ValueError):
@@ -371,28 +371,3 @@ def p1_at_zero_closed(n: int) -> RatFuncQ:
     tail = const(-1) + const(parity_sign(n + 1)) * qpow((n + 1) ** 2)
     return pref * tail
 
-
-class FamilyId(FrozenRecord):
-    """Which polynomial family: series kind, monic kind, or affine-shifted."""
-
-    __slots__ = ("kind", "ell")
-    _KINDS = ("big_q_jacobi", "monic_big_q_jacobi", "p_family")
-
-    def __init__(self, kind: str, ell: int = 0) -> None:
-        if kind not in self._KINDS:
-            raise ValueError(f"unknown family kind {kind!r}")
-        if ell < 0:
-            raise ValueError("ell must be >= 0")
-        self._init(kind, ell)
-
-    def __str__(self) -> str:
-        return f"{self.kind}({self.ell})"
-
-
-def family_polys(family: FamilyId, upto: int) -> List[ZPoly]:
-    """p_0 .. p_upto of the requested family."""
-    if family.kind == "p_family":
-        return three_term_build(jfraction_for_theta(family.ell), upto)
-    if family.kind == "monic_big_q_jacobi":
-        return three_term_build(jfraction_for_xi(family.ell), upto)
-    return [build_j_via_phi2(family.ell, n) for n in range(upto + 1)]

@@ -400,10 +400,7 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
             h = math.gcd(fv, gv)
             if h == 1:
                 return _ONE_TUPLE, f_coeffs, g_coeffs
-            digits = _unpack(h, width, h.bit_length() // (8 * width) + 2)
-            while not digits[-1]:
-                digits.pop()
-            cand = _split_content(digits)[1]
+            cand = _split_content(_digits(h, width))[1]
             if len(cand) == 1:
                 return _ONE_TUPLE, f_coeffs, g_coeffs
             found = _cofactors(f_coeffs, g_coeffs, cand)

@@ -5,9 +5,11 @@ CheckResult.  The bounds inside each check are scaled so that ``max_n = 5``
 reproduces the battery this library was built to pass; smaller values give a
 quick smoke run, larger ones a deeper sweep.  All comparisons are structural
 equalities of canonical RatFuncQ values, never numeric tolerance.  An
-orthogonality zero test is exact too, on the cleared numerator of
-L(p_m p_n) in Z[q]: its value at one packing point is zero only for the zero
-polynomial, as the packing bound certifies (functionals._pairing_failures).
+orthogonality check names only the functional; its family is the Favard
+family of the functional's J-fraction (functionals.favard_family).  Its zero
+test is exact too, on the cleared numerator of L(p_m p_n) in Z[q]: its value
+at one packing point is zero only for the zero polynomial, as the packing
+bound certifies (functionals._pairing_failures).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .carlitz import (
 from .functionals import (
     FunctionalId,
     apply_functional,
+    favard_family,
     from_diagonal_basis,
     phi,
     phi_closed_m_n,
@@ -49,7 +52,6 @@ from .hankel import (
     verify_exponent_integrality,
 )
 from .orthopoly import (
-    FamilyId,
     ZPoly,
     build_j_via_phi2,
     build_jtilde_via_phi2,
@@ -58,7 +60,6 @@ from .orthopoly import (
     coeffs_monic,
     coeffs_p,
     affine_transform,
-    family_polys,
     jfraction_for_theta,
     p1_at_zero_closed,
     three_term_build,
@@ -375,9 +376,8 @@ def _check_phi_orthogonality(max_n: int) -> CheckResult:
     cases = 0
     for ell in (0, 1):
         functional = FunctionalId("phi") if ell == 0 else FunctionalId("phi_ell", 1)
-        family = FamilyId("p_family", ell)
-        polys = family_polys(family, max_n + 3)
-        report = verify_orthogonality(functional, family, max_n + 1, polys)
+        polys = favard_family(functional, max_n + 3)
+        report = verify_orthogonality(functional, max_n + 1, polys)
         cases += (max_n + 1) * (max_n + 2) // 2 + 1
         for m, n, value in report.failures:
             failures.append(f"ell={ell}: pairing ({m},{n}) gave {value}")
@@ -389,17 +389,16 @@ def _check_phi_orthogonality(max_n: int) -> CheckResult:
     return _done("phi-orthogonality", cases, failures)
 
 
-def _register_orthogonality(name: str, functional: str, kind: str) -> None:
-    """Register a check that the ``kind`` family of each ell in 0..3 is
-    orthogonal for the ``functional`` of the same ell, up to degree max_n + 1."""
+def _register_orthogonality(name: str, functional: str) -> None:
+    """Register a check that, for each ell in 0..3, the Favard family of the
+    ``functional`` kind at ell (functionals.favard_family, built from the
+    paper's a(n), b(n)) is orthogonal for its moments up to degree max_n + 1."""
 
     def check(max_n: int) -> CheckResult:
         failures: List[str] = []
         cases = 0
         for ell in range(4):
-            report = verify_orthogonality(
-                FunctionalId(functional, ell), FamilyId(kind, ell), max_n + 1
-            )
+            report = verify_orthogonality(FunctionalId(functional, ell), max_n + 1)
             cases += (max_n + 1) * (max_n + 2) // 2 + 1
             for m, n, value in report.failures:
                 failures.append(f"ell={ell}: pairing ({m},{n}) gave {value}")
@@ -408,8 +407,8 @@ def _register_orthogonality(name: str, functional: str, kind: str) -> None:
     CHECKS[name] = check
 
 
-_register_orthogonality("theta-orthogonality", "theta_ell", "p_family")
-_register_orthogonality("xi-orthogonality", "xi_ell", "monic_big_q_jacobi")
+_register_orthogonality("theta-orthogonality", "theta_ell")
+_register_orthogonality("xi-orthogonality", "xi_ell")
 
 
 @_register("intertwining")

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from qhankel.cli import _json_value, _render, main
+from qhankel.cli import _json_value, _render, cmd_det, cmd_seq, main
+from qhankel.hankel import ROUTES
 from qhankel.ratcore import int_to_decimal
 
 runner = CliRunner()
@@ -173,6 +174,22 @@ class TestDet:
             main, ["det", "--id", "theta", "--shift", "1", "--n", "1"]
         )
         assert result.exit_code == 2
+
+    def test_shift_past_every_row_is_a_usage_error(self):
+        result = runner.invoke(main, ["det", "--id", "qeuler", "--shift", "3", "--n", "1"])
+        assert result.exit_code == 2
+        assert "--shift 3 is not available for --id qeuler" in result.output
+
+    def test_choices_come_from_routes(self):
+        def choices(command, name):
+            return list(next(p.type.choices for p in command.params if p.name == name))
+
+        ids = list(dict.fromkeys(seq for seq, _ in ROUTES))
+        methods = list(dict.fromkeys(m for row in ROUTES.values() for m in row.routes))
+        assert choices(cmd_seq, "seq_id") == ids
+        assert choices(cmd_det, "seq_id") == ids
+        assert choices(cmd_det, "method") == methods + ["all"]
+        assert set(methods) == {"bruteforce", "closedform", "heilermann"}
 
     def test_theta_with_ell(self):
         result = runner.invoke(

@@ -14,9 +14,9 @@ from qhankel.cli import main
 from qhankel.functionals import (
     FunctionalId,
     OrthogonalityReport,
-    PairingError,
     _pairing_failures,
     apply_functional,
+    favard_family,
     from_diagonal_basis,
     moments_for,
     phi,
@@ -33,7 +33,15 @@ from qhankel.functionals import (
     verify_phi_relation,
     xi_moment,
 )
-from qhankel.orthopoly import FamilyId, ZPoly, build_p_via_phi2
+from qhankel.orthopoly import (
+    ZPoly,
+    build_jtilde_via_phi2,
+    build_p_via_phi2,
+    jfraction_for_eps,
+    jfraction_for_theta,
+    jfraction_for_xi,
+    three_term_build,
+)
 from qhankel.qkit import poch
 from qhankel.ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow, serialize
 
@@ -263,11 +271,11 @@ class TestFunctionalId:
             assert shifted(n) == q_euler_recursive(n + 1)
 
 
-def _orthogonality_oracle(functional, family, upto):
+def _orthogonality_oracle(functional, upto):
     """The per-pair route over Q(q): expand each product p_m p_n as a ZPoly
     and sum the functional over its monomial moments, reducing at every
     step.  The oracle for verify_orthogonality's packed pairing in Z[q]."""
-    polys = functionals.family_polys(family, upto)
+    polys = functionals.favard_family(functional, upto)
     failures = []
     head = apply_functional(functional, polys[0])
     if head.is_zero:
@@ -281,63 +289,82 @@ def _orthogonality_oracle(functional, family, upto):
 
 
 _ALL_PAIRS = (
-    [(FunctionalId("phi"), FamilyId("p_family", 0)),
-     (FunctionalId("phi_ell", 1), FamilyId("p_family", 1))]
-    + [(FunctionalId("theta_ell", ell), FamilyId("p_family", ell)) for ell in range(4)]
-    + [(FunctionalId("xi_ell", ell), FamilyId("monic_big_q_jacobi", ell)) for ell in range(4)]
+    [FunctionalId("phi"), FunctionalId("phi_ell", 1)]
+    + [FunctionalId("theta_ell", ell) for ell in range(4)]
+    + [FunctionalId("xi_ell", ell) for ell in range(4)]
 )
 
 
-def _with_member(index, change):
-    """A family_polys double whose member p_index is change(p_index)."""
-    real = functionals.family_polys
+def _pair_id(functional):
+    """The functional and the name of its Favard family, e.g. theta_ell(2)-p_family(2)."""
+    family = "monic_big_q_jacobi" if functional.kind == "xi_ell" else "p_family"
+    return f"{functional}-{family}({functional.ell})"
 
-    def polys(family, upto):
-        out = real(family, upto)
+
+def _with_member(index, change):
+    """A favard_family double whose member p_index is change(p_index)."""
+    real = functionals.favard_family
+
+    def polys(functional, upto):
+        out = real(functional, upto)
         out[index] = change(out)
         return out
 
     return polys
 
 
-class TestPackedPairing:
-    @pytest.mark.parametrize("functional, family", _ALL_PAIRS, ids=str)
-    def test_matches_the_oracle_on_every_pair(self, functional, family):
-        report = verify_orthogonality(functional, family, 4)
-        assert report.failures == _orthogonality_oracle(functional, family, 4) == []
+class TestFavardFamily:
+    def test_equals_the_recurrence_and_series_families(self):
+        # The recurrence of each functional's own J-fraction (phi and phi_1
+        # read the eps J-fractions), and the 2phi1 series family it must equal.
+        for functional in _ALL_PAIRS:
+            ell = functional.ell
+            if functional.kind == "xi_ell":
+                jf, series = jfraction_for_xi(ell), build_jtilde_via_phi2
+            elif functional.kind == "theta_ell":
+                jf, series = jfraction_for_theta(ell), build_p_via_phi2
+            else:
+                jf, series = jfraction_for_eps(ell), build_p_via_phi2
+            got = favard_family(functional, 5)
+            assert got == three_term_build(jf, 5), functional
+            assert got == [series(ell, n) for n in range(6)], functional
 
-    @pytest.mark.parametrize("functional, family", [
-        (FunctionalId("theta_ell", 2), FamilyId("p_family", 2)),
-        (FunctionalId("xi_ell", 1), FamilyId("monic_big_q_jacobi", 1)),
-    ], ids=str)
-    def test_a_changed_coefficient_fails_as_the_oracle_says(
-            self, monkeypatch, functional, family):
+
+class TestPackedPairing:
+    @pytest.mark.parametrize("functional", _ALL_PAIRS, ids=_pair_id)
+    def test_matches_the_oracle_on_every_pair(self, functional):
+        report = verify_orthogonality(functional, 4)
+        assert report.failures == _orthogonality_oracle(functional, 4) == []
+
+    @pytest.mark.parametrize("functional", [
+        FunctionalId("theta_ell", 2), FunctionalId("xi_ell", 1),
+    ], ids=_pair_id)
+    def test_a_changed_coefficient_fails_as_the_oracle_says(self, monkeypatch, functional):
         # p_3's z^1 coefficient gains c = q / (1 + q^2), a factor that no
         # denominator of the family holds; L(p_m p_3) moves by c L(z p_m),
         # which is nonzero for m <= 1 only
         bump = ZPoly([Q_ZERO, qpow(1) / (Q_ONE + qpow(2))])
-        monkeypatch.setattr(functionals, "family_polys",
+        monkeypatch.setattr(functionals, "favard_family",
                             _with_member(3, lambda ps: ps[3] + bump))
-        report = verify_orthogonality(functional, family, 5)
-        want = _orthogonality_oracle(functional, family, 5)
+        report = verify_orthogonality(functional, 5)
+        want = _orthogonality_oracle(functional, 5)
         assert [(m, n) for m, n, _ in want] == [(0, 3), (1, 3)]
         assert report.failures == want
         assert [serialize(v) for *_, v in report.failures] == [
             serialize(v) for *_, v in want]
 
     def test_a_vanishing_head_is_reported(self, monkeypatch):
-        functional, family = FunctionalId("theta_ell", 1), FamilyId("p_family", 1)
-        monkeypatch.setattr(functionals, "family_polys", _with_member(0, lambda ps: ps[1]))
-        report = verify_orthogonality(functional, family, 3)
-        want = _orthogonality_oracle(functional, family, 3)
+        functional = FunctionalId("theta_ell", 1)
+        monkeypatch.setattr(functionals, "favard_family", _with_member(0, lambda ps: ps[1]))
+        report = verify_orthogonality(functional, 3)
+        want = _orthogonality_oracle(functional, 3)
         assert want[0] == (0, 0, Q_ZERO)
         assert report.failures == want
 
     def test_prebuilt_polys_are_cut_to_upto(self):
-        family = FamilyId("p_family", 0)
-        polys = functionals.family_polys(family, 6)
+        polys = favard_family(FunctionalId("phi"), 6)
         polys[5] = polys[5] + ZPoly.one()  # beyond upto, so never paired
-        report = verify_orthogonality(FunctionalId("phi"), family, 3, polys)
+        report = verify_orthogonality(FunctionalId("phi"), 3, polys)
         assert report.passed and report.upto == 3
 
     @pytest.mark.parametrize("moments, p1", [
@@ -357,65 +384,40 @@ class TestPackedPairing:
 
 class TestOrthogonality:
     def test_phi_pairs(self):
-        report = verify_orthogonality(FunctionalId("phi"), FamilyId("p_family", 0), 5)
+        report = verify_orthogonality(FunctionalId("phi"), 5)
         assert report.passed
         assert report.upto == 5
 
     def test_phi_shifted_pairs(self):
-        report = verify_orthogonality(
-            FunctionalId("phi_ell", 1), FamilyId("p_family", 1), 4
-        )
+        report = verify_orthogonality(FunctionalId("phi_ell", 1), 4)
         assert report.passed
 
     def test_theta_pairs(self):
-        report = verify_orthogonality(
-            FunctionalId("theta_ell", 2), FamilyId("p_family", 2), 5
-        )
+        report = verify_orthogonality(FunctionalId("theta_ell", 2), 5)
         assert report.passed
 
     def test_xi_pairs(self):
-        report = verify_orthogonality(
-            FunctionalId("xi_ell", 1), FamilyId("monic_big_q_jacobi", 1), 4
-        )
+        report = verify_orthogonality(FunctionalId("xi_ell", 1), 4)
         assert report.passed
 
-    def test_mismatched_pairing_rejected(self):
-        with pytest.raises(PairingError):
-            verify_orthogonality(
-                FunctionalId("xi_ell", 0), FamilyId("p_family", 0), 3
-            )
-        with pytest.raises(PairingError):
-            verify_orthogonality(
-                FunctionalId("theta_ell", 1), FamilyId("p_family", 2), 3
-            )
-
     def test_failure_recorded(self):
-        # theta_0 against a family it is not orthogonal to: force via same kind/ell
-        # by checking a constant-shifted family is NOT orthogonal; build a report
-        # by hand instead to keep the pairing honest.
-        report = OrthogonalityReport(
-            FunctionalId("phi"),
-            FamilyId("p_family", 0),
-            1,
-            [(0, 1, Q_ONE)],
-        )
+        # A report built by hand with one failing pairing: it fails, and its
+        # JSON carries the pair and the canonical value.
+        report = OrthogonalityReport(FunctionalId("phi"), 1, [(0, 1, Q_ONE)])
         assert not report.passed
         d = report.to_json_dict()
         assert d["failures"][0]["m"] == 0
         assert d["failures"][0]["value"] == {"num": ["1"], "den": ["1"]}
 
     def test_report_json_shape(self):
-        report = verify_orthogonality(
-            FunctionalId("theta_ell", 0), FamilyId("p_family", 0), 2
-        )
+        report = verify_orthogonality(FunctionalId("theta_ell", 0), 2)
         d = report.to_json_dict()
         assert d == {
             "functional": "theta_ell(0)",
-            "family": "p_family(0)",
             "upto": 2,
             "failures": [],
         }
 
     def test_negative_upto(self):
         with pytest.raises(ValueError):
-            verify_orthogonality(FunctionalId("phi"), FamilyId("p_family", 0), -1)
+            verify_orthogonality(FunctionalId("phi"), -1)

@@ -65,6 +65,8 @@ def _cases():
         cases.append(["verify", "--max-n", "2", "-f", fmt])
     cases.append(["det", "--id", "qbernoulli", "--n", "2", "--method", "heilermann"])
     cases.append(["det", "--id", "theta", "--shift", "1", "--n", "2"])
+    # A shift past the rows of ROUTES is a usage error, not a range error.
+    cases.append(["det", "--id", "qeuler", "--shift", "3", "--n", "1"])
     return cases
 
 

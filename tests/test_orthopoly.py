@@ -4,7 +4,6 @@ import pytest
 
 from qhankel.orthopoly import (
     DegenerateRecurrenceError,
-    FamilyId,
     JFraction,
     ZPoly,
     affine_transform,
@@ -14,7 +13,6 @@ from qhankel.orthopoly import (
     coeffs_ab,
     coeffs_monic,
     coeffs_p,
-    family_polys,
     jfraction_for_theta,
     jfraction_for_xi,
     p1_at_zero_closed,
@@ -192,24 +190,3 @@ class TestAffineTransform:
         back = affine_transform(there, Q_ONE / u, -v / u)
         assert back == polys
 
-
-class TestFamilyId:
-    def test_dispatch(self):
-        assert family_polys(FamilyId("p_family", 0), 3) == three_term_build(
-            jfraction_for_theta(0), 3
-        )
-        assert family_polys(FamilyId("monic_big_q_jacobi", 1), 2) == [
-            build_jtilde_via_phi2(1, n) for n in range(3)
-        ]
-        assert family_polys(FamilyId("big_q_jacobi", 2), 2) == [
-            build_j_via_phi2(2, n) for n in range(3)
-        ]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FamilyId("legendre", 0)
-        with pytest.raises(ValueError):
-            FamilyId("p_family", -1)
-
-    def test_str(self):
-        assert str(FamilyId("p_family", 2)) == "p_family(2)"

@@ -10,7 +10,7 @@ import pytest
 
 from qhankel.functionals import FunctionalId, OrthogonalityReport
 from qhankel.hankel import HankelResult
-from qhankel.orthopoly import FamilyId, JFraction
+from qhankel.orthopoly import JFraction
 from qhankel.ratcore import Q, Q_ONE
 from qhankel.verification import CheckResult
 
@@ -28,7 +28,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 def test_fields_defaults_and_repr():
     assert CheckResult("c", True, 2).detail == ""
-    assert FamilyId("p_family").ell == 0
+    assert FunctionalId("phi").ell == 0
     assert repr(FunctionalId("theta_ell", 2)) == "FunctionalId(kind='theta_ell', ell=2)"
     jf = JFraction(Q_ONE, a=len, b=len)
     assert jf.a_list is None and jf.b_list is None
@@ -37,22 +37,22 @@ def test_fields_defaults_and_repr():
 def test_equality_is_by_type_and_fields():
     assert HankelResult("qeuler", 0, 1, "heilermann", Q) == HankelResult("qeuler", 0, 1, "heilermann", Q)
     assert HankelResult("qeuler", 0, 1, "heilermann", Q) != HankelResult("qeuler", 0, 1, "closedform", Q)
-    assert FunctionalId("phi") != FamilyId("p_family")
+    assert FunctionalId("phi") != HankelResult("qeuler", 0, 1, "heilermann", Q)
     assert FunctionalId("phi") != ("phi", 0)
 
 
 def test_frozen_records_hash_and_refuse_assignment():
-    a, b = FamilyId("p_family", 1), FamilyId(kind="p_family", ell=1)
+    a, b = FunctionalId("theta_ell", 1), FunctionalId(kind="theta_ell", ell=1)
     assert len({a, b, FunctionalId("xi_ell", 1)}) == 2
     with pytest.raises(AttributeError):
         a.ell = 2
     with pytest.raises(TypeError):
-        hash(OrthogonalityReport(FunctionalId("phi"), a, 2, []))
+        hash(OrthogonalityReport(a, 2, []))
 
 
 def test_copy_and_pickle_keep_the_value():
     for value in (CheckResult("c", False, 3, "why"), FunctionalId("phi_ell", 1),
-                  OrthogonalityReport(FunctionalId("phi"), FamilyId("p_family"), 2, [])):
+                  OrthogonalityReport(FunctionalId("phi"), 2, [])):
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
 
@@ -61,4 +61,4 @@ def test_validation_still_runs():
     with pytest.raises(ValueError):
         FunctionalId("phi_ell", 2)
     with pytest.raises(ValueError):
-        FamilyId("big_q_jacobi", -1)
+        FunctionalId("theta_ell", -1)
