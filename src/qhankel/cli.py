@@ -26,6 +26,7 @@ from .hankel import (
     ROUTES,
     JFraction,
     HankelResult,
+    hankel_product,
     jfraction_expand,
     jfraction_for_eps,
     jfraction_for_theta,
@@ -254,16 +255,18 @@ def cmd_det(seq_id, ell, shift, n, method, fmt, at_q, out) -> None:
     wanted = row.routes if method == "all" else {method: row.routes[method]}
 
     try:
-        values = {m: fn(ell_value, n) for m, fn in sorted(wanted.items())}
+        lists = {m: tuple(fn(ell_value, n)) for m, fn in sorted(wanted.items())}
+        products = {ds: hankel_product(ds) for ds in set(lists.values())}
     except _COMPUTE_ERRORS as exc:
         raise click.ClickException(str(exc))
+    values = {m: products[ds] for m, ds in lists.items()}
     try:
         shown = {m: _at(v, point) for m, v in values.items()}
     except PoleError as exc:
         raise click.ClickException(f"pole at q={point}: {exc}")
 
     label = seq_id if ell is None else f"{seq_id}({ell})"
-    agree = len(set(values.values())) == 1
+    agree = len(products) == 1
     if fmt == "json":
         if method == "all":
             payload: Dict[str, object] = {

@@ -6,23 +6,26 @@ on primitive rows: each updated row is divided by a common factor of its
 own entries, found by one GCDHEU evaluation of the whole row, and a scale
 in Q(q) per row records what was multiplied in and divided out.  Row i
 always holds its scale times row i of the current Schur complement, so the
-determinant is the product of the pivots over their scales.  Cofactor
-expansion is kept as an independent oracle for dimensions up to three.
+pivots over their scales multiply to the determinant.  Each determinant
+route returns its quotients d_k = H_k / H_{k-1}, expanded by hankel_product.
 
 The J-fraction functions run the three-term recurrence on scalars only:
 Chebyshev's table recovers a(n), b(n) from moments, the Jacobi-operator table
-expands them back, and the shifted determinant needs only p_{n+1}(0).
+expands them back, and the shifted quotients need only p_k(0).
 """
 
 from __future__ import annotations
 
 import json
+from functools import reduce
+from itertools import accumulate
 from math import comb, gcd
+from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .carlitz import q_bernoulli_recursive, q_euler_recursive
 from .functionals import theta_moment, xi_moment
-from .qkit import parity_sign, poch, q_factorial
+from .qkit import parity_sign, q_factorial
 from .orthopoly import (
     JFraction,
     jfraction_for_eps,
@@ -84,9 +87,9 @@ def hankel_matrix(seq: Union[Moments, Sequence[RatFuncQ]], shift: int, n: int) -
 
 
 def _eliminate_row(pivot: QPoly, lead: QPoly, row_i: Sequence[QPoly],
-                   row_k: Sequence[QPoly]) -> Optional[Tuple[QPoly, List[QPoly]]]:
+                   row_k: Sequence[QPoly]) -> Tuple[QPoly, List[QPoly]]:
     """(g, [(pivot * a - lead * b) / g for a, b in zip(row_i, row_k)]) for a
-    common divisor g of those entries, or None when they all vanish.
+    common divisor g of those entries, which is 1 when they all vanish.
 
     Each entry E is formed as one integer, its value at x = 256**w, with w
     set so that x > 2N for a bound N on the coefficients of pivot, lead and
@@ -110,7 +113,7 @@ def _eliminate_row(pivot: QPoly, lead: QPoly, row_i: Sequence[QPoly],
     values = [xp * _pack(a, width) - xl * _pack(b, width) for a, b in pairs]
     h = gcd(*values)
     if not h:
-        return None
+        return QPoly.const(1), [QPoly()] * len(values)
     cand = _split_content(_digits(h, width))[1]
     entries = _quotients(values, cand, width, bound) if len(cand) > 1 else None
     if entries is None:
@@ -149,8 +152,9 @@ def _quotients(values: Sequence[int], cand: Sequence[int], width: int,
     return out
 
 
-def _det_primitive_rows(matrix: Matrix) -> RatFuncQ:
-    """Fraction-free elimination that keeps every updated row primitive.
+def minor_quotients(matrix: Matrix, swap: bool = False) -> List[RatFuncQ]:
+    """The pivots m[k][k] / s_k of a fraction-free elimination that keeps
+    every updated row primitive; their product is the determinant.
 
     Row i is cleared by the lcm of its denominators and carries a scale
     s_i in Q(q), at first that lcm.  Invariant: row i stores s_i times row i
@@ -159,12 +163,15 @@ def _det_primitive_rows(matrix: Matrix) -> RatFuncQ:
     (P m[i] - L m[k]) / d = (s_i P / d) (r_i - (r_i[k] / r_k[k]) r_k), which
     is s_i P / d times row i of the next complement.  Dividing it by any
     common divisor g of its entries keeps the invariant with
-    s_i <- s_i P / (d g).  A zero lead leaves the row and s_i as they are,
-    and a pivot swap swaps the scales and flips the sign.  The complements'
-    pivots are then m[k][k] / s_k, and their product is the determinant.  So
+    s_i <- s_i P / (d g).  A zero lead leaves the row and s_i as they are.  So
     correctness never rests on d g being the row's gcd: it only decides how
-    large the entries stay.  Bareiss's division by the previous pivot
-    instead leaves the rows' shared factors in every entry.
+    large the entries stay.  Bareiss's division by the previous pivot instead
+    leaves the rows' shared factors in every entry.
+
+    Without swaps pivot k is H_k / H_{k-1} for the leading minors H_k
+    (H_{-1} = 1), so a zero pivot before the last raises
+    NotQuasiDefiniteError(k).  With ``swap`` a later row comes up instead,
+    and one of the two scales is negated, so the product keeps its sign.
     """
     n = len(matrix)
     m: List[List[QPoly]] = []
@@ -173,31 +180,29 @@ def _det_primitive_rows(matrix: Matrix) -> RatFuncQ:
         lcm, nums = clear_denominators(row)
         m.append(nums)
         scales.append(RatFuncQ(lcm))
-    sign = 1
     for k in range(n - 1):
         if m[k][k].is_zero:
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if swap is None:
-                return Q_ZERO
-            m[k], m[swap] = m[swap], m[k]
-            scales[k], scales[swap] = scales[swap], scales[k]
-            sign = -sign
+            if not swap:
+                raise NotQuasiDefiniteError(k)
+            i = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+            if i is not None:  # else column k is zero, and so is the pivot
+                m[k], m[i] = m[i], m[k]
+                scales[k], scales[i] = -scales[i], scales[k]
         pivot = m[k][k]
         for i in range(k + 1, n):
             if m[i][k].is_zero:
                 continue
             _, p_by_d, l_by_d = _gcd_full(pivot, m[i][k])
-            step = _eliminate_row(p_by_d, l_by_d, m[i][k + 1:], m[k][k + 1:])
-            if step is None:
-                return Q_ZERO
-            g, m[i][k + 1:] = step  # the row's tail; column k is not read again
+            # the row's tail; column k is not read again
+            g, m[i][k + 1:] = _eliminate_row(p_by_d, l_by_d, m[i][k + 1:], m[k][k + 1:])
             scales[i] = scales[i] * RatFuncQ(p_by_d, g)
-    if m[n - 1][n - 1].is_zero:
-        return Q_ZERO
-    det = const(sign)
-    for k in range(n):
-        det = det * (RatFuncQ(m[k][k]) / scales[k])
-    return det
+    return [RatFuncQ(m[k][k]) / scales[k] for k in range(n)]
+
+
+def hankel_product(ds: Sequence[RatFuncQ]) -> RatFuncQ:
+    """H_n = d_0 d_1 ... d_n from the quotients d_k = H_k / H_{k-1}: the one
+    place where a determinant is expanded."""
+    return reduce(mul, ds, Q_ONE)
 
 
 def det_cofactor(matrix: Matrix) -> RatFuncQ:
@@ -221,33 +226,31 @@ def det_exact(matrix: Matrix) -> RatFuncQ:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return Q_ONE
-    if n == 1:
-        return matrix[0][0]
-    return _det_primitive_rows([list(row) for row in matrix])
+    return hankel_product(minor_quotients(matrix, swap=True))
 
 
-def det_heilermann(jf: JFraction, n: int) -> RatFuncQ:
-    """det of the shift-0 Hankel matrix from recurrence data:
-    mu0^{n+1} * prod_{k=1}^{n} b(k)^{n+1-k}."""
+def heilermann_quotients(jf: JFraction, n: int) -> List[RatFuncQ]:
+    """d_0..d_n of the shift-0 Hankel determinants from recurrence data:
+    Heilermann's H_k = mu0^{k+1} prod_{j<=k} b(j)^{k+1-j} gives
+    d_k = mu0 b(1) ... b(k)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = jf.mu0 ** (n + 1)
-    for k in range(1, n + 1):
-        out = out * jf.b_checked(k) ** (n + 1 - k)
+    return list(accumulate(map(jf.b_checked, range(1, n + 1)), mul, initial=jf.mu0))
+
+
+def favard_quotients(jf: JFraction, n: int) -> List[RatFuncQ]:
+    """d_0..d_n of the shift-1 Hankel determinants H_k (-1)^{k+1} p_{k+1}(0):
+    Heilermann's d_k times -p_{k+1}(0) / p_k(0), with the recurrence run at
+    z = 0.  A zero p_k(0) raises NotQuasiDefiniteError(k - 1)."""
+    out = []
+    prev, cur = Q_ONE, jf.a(0)  # p_k(0), p_{k+1}(0)
+    for k, d in enumerate(heilermann_quotients(jf, n)):
+        if k:
+            prev, cur = cur, jf.a(k) * cur - jf.b_checked(k) * prev
+        if prev.is_zero:
+            raise NotQuasiDefiniteError(k - 1)
+        out.append(-d * cur / prev)
     return out
-
-
-def det_shifted_via_favard(jf: JFraction, n: int) -> RatFuncQ:
-    """det of the shift-1 Hankel matrix: shift-0 value times (-1)^{n+1} p_{n+1}(0),
-    with the recurrence run at z = 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    prev, cur = Q_ONE, jf.a(0)  # p_0(0), p_1(0)
-    for k in range(1, n + 1):
-        prev, cur = cur, jf.a(k) * cur - jf.b_checked(k) * prev
-    return det_heilermann(jf, n) * const(parity_sign(n + 1)) * cur
 
 
 def jfraction_expand(jf: JFraction, order: int) -> List[RatFuncQ]:
@@ -338,92 +341,82 @@ def verify_exponent_integrality(upto: int = 50) -> bool:
     return True
 
 
-def _even_poch_ratio(bases_num: Sequence[RatFuncQ], bases_den: Sequence[RatFuncQ], upto: int) -> RatFuncQ:
-    """prod_{k=1}^{upto} prod(num;q^2)_k / prod(den;q^2)_k."""
-    out = Q_ONE
-    for k in range(1, upto + 1):
-        for base in bases_num:
-            out = out * poch(base, k, step=2)
-        for base in bases_den:
-            out = out / poch(base, k, step=2)
+def _poch_blocks(num: Sequence[int], den: Sequence[int], n: int) -> List[RatFuncQ]:
+    """B_0..B_n with B_k = prod_a (q^a;q^2)_k / prod_b (-q^b;q^2)_k, for a in
+    ``num`` and b in ``den``: each B_k is B_{k-1} times one factor per base."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    out = [Q_ONE]
+    for k in range(n):
+        step = Q_ONE
+        for a in num:
+            step = step * (Q_ONE - qpow(a + 2 * k))
+        for b in den:
+            step = step / (Q_ONE + qpow(b + 2 * k))
+        out.append(out[-1] * step)
     return out
 
 
-def closed_form_theorem1(shift: int, n: int) -> RatFuncQ:
-    """Closed form of det(eps_{i+j+shift})_{0..n} for shift in {0, 1, 2}.
-
-    Shifts 0 and 1 are theta determinants: eps_n = theta_0(z^n), and
-    eps_{n+1} = eps_1 theta_1(z^n) with eps_1 = -q/(1+q^2).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if shift == 0:
-        return closed_form_theta_det(0, n)
-    if shift == 1:
-        eps1 = -qpow(1) / (Q_ONE + qpow(2))
-        return eps1 ** (n + 1) * closed_form_theta_det(1, n)
-    if shift == 2:
-        sign = parity_sign(comb(n + 2, 2))
-        head = (
-            const(sign)
-            * qpow(shift12_exponent(n))
-            * (Q_ONE + qpow(1)) ** n
-            * (Q_ONE - const(parity_sign(n)) * qpow((n + 2) ** 2))
-            / (
-                (Q_ONE - qpow(1)) ** (n * (n + 1))
-                * (Q_ONE + qpow(2)) ** (2 * (n + 1))
-                * (Q_ONE + qpow(3)) ** (n + 1)
-            )
-        )
-        prod = _even_poch_ratio(
-            [qpow(4), qpow(4)],
-            [-qpow(3), -qpow(4), -qpow(4), -qpow(5)],
-            n,
-        )
-        return head * prod
-    raise ValueError("closed form exists for shift in {0, 1, 2} only")
+def xi_det_quotients(ell: int, n: int) -> List[RatFuncQ]:
+    """d_0..d_n of the closed form of det(xi_{ell, i+j})_{0..k}:
+    d_k = (-1)^k q^{k^2 + 2(ell+1)k} B_k, with the Pochhammer block
+    B_k = (q^2;q^2)_k (q^{2ell+2};q^2)_k /
+    ((-q^{ell+1};q^2)_k (-q^{ell+2};q^2)_k^2 (-q^{ell+3};q^2)_k)."""
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    blocks = _poch_blocks((2, 2 * ell + 2), (ell + 1, ell + 2, ell + 2, ell + 3), n)
+    return [const(parity_sign(k)) * qpow(k * k + 2 * (ell + 1) * k) * b for k, b in enumerate(blocks)]
 
 
-def closed_form_chapoton_zeng(n: int) -> RatFuncQ:
-    """det(beta_{i+j})_{0..n} = (-1)^C(n+1,2) q^C(n+1,3)
-    prod_{k=1}^{n} [k]_q!^6 / ([2k]_q! [2k+1]_q!)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = const(parity_sign(comb(n + 1, 2))) * qpow(comb(n + 1, 3))
-    for k in range(1, n + 1):
-        out = out * q_factorial(k) ** 6 / (q_factorial(2 * k) * q_factorial(2 * k + 1))
-    return out
-
-
-def _theta_det_times_one_minus_q_power(ell: int, n: int) -> RatFuncQ:
-    """(1-q)^{n(n+1)} det(theta_ell(z^{i+j}))_{0..n}; the xi form never divides."""
-    if ell < 0 or n < 0:
-        raise ValueError("ell and n must be >= 0")
-    e = 2 * comb(n + 2, 3) + (2 * ell - 1) * comb(n + 1, 2)
-    prod = _even_poch_ratio(
-        [qpow(2), qpow(2 * ell + 2)],
-        [-qpow(ell + 1), -qpow(ell + 2), -qpow(ell + 2), -qpow(ell + 3)],
-        n,
-    )
-    return const(parity_sign(comb(n + 1, 2))) * qpow(e) * prod
-
-
-def closed_form_theta_det(ell: int, n: int) -> RatFuncQ:
-    """Closed form of det(theta_ell(z^{i+j}))_{0..n}."""
-    return _theta_det_times_one_minus_q_power(ell, n) / (Q_ONE - qpow(1)) ** (n * (n + 1))
-
-
-def closed_form_xi_det(ell: int, n: int) -> RatFuncQ:
-    """Closed form of det(xi_{ell, i+j})_{0..n}.
+def theta_det_quotients(ell: int, n: int) -> List[RatFuncQ]:
+    """d_0..d_n of the closed form det(theta_ell(z^{i+j}))_{0..k} =
+    (-1)^C(k+1,2) q^e (1-q)^{-k(k+1)} B_1 ... B_k, with
+    e = 2 C(k+2,3) + (2 ell - 1) C(k+1,2) and B_k as in xi_det_quotients.
 
     The theta_ell family is p_n(z) = u^{-n} p~_n(u z + q) for the xi_ell
     family p~ and u = q^2 - q, so each xi b(k) is u^2 times the theta one and
-    Heilermann's product gathers u^{n(n+1)} = q^{n(n+1)} (1-q)^{n(n+1)}.
+    each xi d_k is u^{2k} times theta's.
     """
-    return qpow(n * (n + 1)) * _theta_det_times_one_minus_q_power(ell, n)
+    u = qpow(2) - qpow(1)
+    return [d / u ** (2 * k) for k, d in enumerate(xi_det_quotients(ell, n))]
 
 
-Route = Callable[[int, int], RatFuncQ]
+def theorem1_quotients(shift: int, n: int) -> List[RatFuncQ]:
+    """d_0..d_n of the closed form of det(eps_{i+j+shift})_{0..n}, shift in
+    {0, 1, 2}.
+
+    Shifts 0 and 1 are theta determinants: eps_n = theta_0(z^n), and
+    eps_{n+1} = eps_1 theta_1(z^n) with eps_1 = -q/(1+q^2).  Shift 2 is
+    head(n) B_1 ... B_n with head(n) = (-1)^C(n+2,2) q^{C(2n+4,3)/4} (1+q)^n
+    (1 - (-1)^n q^{(n+2)^2}) / ((1-q)^{n(n+1)} (1+q^2)^{2(n+1)} (1+q^3)^{n+1})
+    and B_k = (q^4;q^2)_k^2 / ((-q^3;q^2)_k (-q^4;q^2)_k^2 (-q^5;q^2)_k), so
+    d_k = B_k head(k) / head(k-1), where head(-1) = 1.
+    """
+    if shift == 0:
+        return theta_det_quotients(0, n)
+    if shift == 1:
+        eps1 = -qpow(1) / (Q_ONE + qpow(2))
+        return [eps1 * d for d in theta_det_quotients(1, n)]
+    if shift != 2:
+        raise ValueError("closed form exists for shift in {0, 1, 2} only")
+    fixed = (Q_ONE + qpow(1)) / ((Q_ONE + qpow(2)) ** 2 * (Q_ONE + qpow(3)))
+    return [const(parity_sign(k + 1)) * qpow((k + 1) ** 2) * fixed * b
+            * (Q_ONE - const(parity_sign(k)) * qpow((k + 2) ** 2))
+            / ((Q_ONE + const(parity_sign(k)) * qpow((k + 1) ** 2)) * (Q_ONE - qpow(1)) ** (2 * k))
+            for k, b in enumerate(_poch_blocks((4, 4), (3, 4, 4, 5), n))]
+
+
+def chapoton_zeng_quotients(n: int) -> List[RatFuncQ]:
+    """d_0..d_n of det(beta_{i+j})_{0..n} = (-1)^C(n+1,2) q^C(n+1,3)
+    prod_{k=1}^{n} [k]_q!^6 / ([2k]_q! [2k+1]_q!):
+    d_k = (-1)^k q^C(k,2) [k]_q!^6 / ([2k]_q! [2k+1]_q!)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return [const(parity_sign(k)) * qpow(comb(k, 2)) * q_factorial(k) ** 6
+            / (q_factorial(2 * k) * q_factorial(2 * k + 1)) for k in range(n + 1)]
+
+
+Route = Callable[[int, int], List[RatFuncQ]]  # (ell, n) -> d_0..d_n
 
 
 class DetRoutes(NamedTuple):
@@ -435,7 +428,7 @@ class DetRoutes(NamedTuple):
 
 def _row(moments: Callable[[int], Moments], shift: int, closed: Route, recurrence: Optional[Route] = None) -> DetRoutes:
     routes = {
-        "bruteforce": lambda ell, n: det_exact(hankel_matrix(moments(ell), shift, n)),
+        "bruteforce": lambda ell, n: minor_quotients(hankel_matrix(moments(ell), shift, n)),
         "closedform": closed,
     }
     if recurrence is not None:
@@ -443,7 +436,8 @@ def _row(moments: Callable[[int], Moments], shift: int, closed: Route, recurrenc
     return DetRoutes(moments, routes)
 
 
-# (sequence id, shift) -> its independent determinant routes.  A new route is
+# (sequence id, shift) -> its independent determinant routes, each returning
+# d_0..d_n from its own data; hankel_product expands them.  A new route is
 # one entry here: ``det`` derives its choices from this table and ``verify``
 # runs every route of a row.  A new row also needs one _register_routes line
 # in verification.py, which names its check.
@@ -453,32 +447,32 @@ def _row(moments: Callable[[int], Moments], shift: int, closed: Route, recurrenc
 ROUTES: Dict[Tuple[str, int], DetRoutes] = {
     ("qeuler", 0): _row(
         lambda ell: q_euler_recursive, 0,
-        lambda ell, n: closed_form_theorem1(0, n),
-        lambda ell, n: det_heilermann(jfraction_for_eps(0), n),
+        lambda ell, n: theorem1_quotients(0, n),
+        lambda ell, n: heilermann_quotients(jfraction_for_eps(0), n),
     ),
     ("qeuler", 1): _row(
         lambda ell: q_euler_recursive, 1,
-        lambda ell, n: closed_form_theorem1(1, n),
-        lambda ell, n: det_shifted_via_favard(jfraction_for_eps(0), n),
+        lambda ell, n: theorem1_quotients(1, n),
+        lambda ell, n: favard_quotients(jfraction_for_eps(0), n),
     ),
     ("qeuler", 2): _row(
         lambda ell: q_euler_recursive, 2,
-        lambda ell, n: closed_form_theorem1(2, n),
-        lambda ell, n: det_shifted_via_favard(jfraction_for_eps(1), n),
+        lambda ell, n: theorem1_quotients(2, n),
+        lambda ell, n: favard_quotients(jfraction_for_eps(1), n),
     ),
     ("qbernoulli", 0): _row(
         lambda ell: q_bernoulli_recursive, 0,
-        lambda ell, n: closed_form_chapoton_zeng(n),
+        lambda ell, n: chapoton_zeng_quotients(n),
     ),
     ("theta", 0): _row(
         lambda ell: lambda n: theta_moment(ell, n), 0,
-        lambda ell, n: closed_form_theta_det(ell, n),
-        lambda ell, n: det_heilermann(jfraction_for_theta(ell), n),
+        lambda ell, n: theta_det_quotients(ell, n),
+        lambda ell, n: heilermann_quotients(jfraction_for_theta(ell), n),
     ),
     ("xi", 0): _row(
         lambda ell: lambda n: xi_moment(ell, n), 0,
-        lambda ell, n: closed_form_xi_det(ell, n),
-        lambda ell, n: det_heilermann(jfraction_for_xi(ell), n),
+        lambda ell, n: xi_det_quotients(ell, n),
+        lambda ell, n: heilermann_quotients(jfraction_for_xi(ell), n),
     ),
 }
 

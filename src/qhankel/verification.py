@@ -45,6 +45,7 @@ from .functionals import (
 )
 from .hankel import (
     ROUTES,
+    hankel_product,
     jfraction_expand,
     jfraction_for_eps,
     jfraction_for_xi,
@@ -425,20 +426,21 @@ def _check_intertwining(max_n: int) -> CheckResult:
 
 
 def _register_routes(name: str, key: Tuple[str, int], ells: Sequence[int]) -> None:
-    """Register a check that every route of ``ROUTES[key]`` agrees for n <= max_n."""
+    """Register a check that every route of ``ROUTES[key]`` gives the same
+    H_n for n <= max_n, from one quotient list d_0..d_max_n per route."""
 
     def check(max_n: int) -> CheckResult:
         routes = ROUTES[key].routes
         failures: List[str] = []
-        cases = 0
         for ell in ells:
-            for n in range(max_n + 1):
-                cases += 1
-                values = {route: fn(ell, n) for route, fn in routes.items()}
-                if len(set(values.values())) > 1:
+            lists = [fn(ell, max_n) for fn in routes.values()]
+            if len({tuple(ds) for ds in lists}) == 1:
+                continue
+            for n in range(max_n + 1):  # H_n = d_0 ... d_n, only when the lists differ
+                if len({hankel_product(ds[: n + 1]) for ds in lists}) > 1:
                     where = f"n={n}" if len(ells) == 1 else f"ell={ell}, n={n}"
                     failures.append(f"routes disagree at {where}")
-        return _done(name, cases, failures)
+        return _done(name, len(ells) * (max_n + 1), failures)
 
     CHECKS[name] = check
 
@@ -453,13 +455,12 @@ _register_routes("xi-det", ("xi", 0), range(4))
 
 @_register("theorem1-q1-limit")
 def _check_theorem1_q1(max_n: int) -> CheckResult:
+    # H_n(1) is the product of d_k(1), each value finite: d_k(1) = (-1/4)^k k!^2
     failures: List[str] = []
-    closed = ROUTES[("qeuler", 0)].routes["closedform"]
-    for n in range(max_n + 1):
-        got = closed(0, n).eval_at(Fraction(1))
-        want = Fraction(-1, 4) ** ((n + 1) * n // 2)
-        for k in range(1, n + 1):
-            want *= Fraction(math.factorial(k)) ** 2
+    got = want = Fraction(1)
+    for n, d in enumerate(ROUTES[("qeuler", 0)].routes["closedform"](0, max_n)):
+        got *= d.eval_at(Fraction(1))
+        want *= Fraction(-1, 4) ** n * Fraction(math.factorial(n)) ** 2
         if got != want:
             failures.append(f"limit at n={n}: got {got}, want {want}")
     return _done("theorem1-q1-limit", max_n + 1, failures)

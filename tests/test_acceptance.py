@@ -29,19 +29,20 @@ from qhankel.functionals import (
     xi_moment,
 )
 from qhankel.hankel import (
-    closed_form_chapoton_zeng,
-    closed_form_theorem1,
-    closed_form_theta_det,
-    closed_form_xi_det,
-    det_exact,
-    det_heilermann,
-    det_shifted_via_favard,
+    chapoton_zeng_quotients,
+    favard_quotients,
     hankel_matrix,
+    hankel_product,
+    heilermann_quotients,
     jfraction_expand,
     jfraction_for_eps,
     jfraction_from_moments,
+    minor_quotients,
     shift0_exponent,
     shift12_exponent,
+    theorem1_quotients,
+    theta_det_quotients,
+    xi_det_quotients,
 )
 from qhankel.orthopoly import (
     ZPoly,
@@ -63,52 +64,44 @@ def _line(num: int, desc: str, bad: list) -> None:
     assert not bad, f"criterion {num}: " + "; ".join(str(b) for b in bad[:5])
 
 
+def _differing(*lists) -> list:
+    """f"n={n}" for each n whose quotient d_n differs between the lists: equal
+    lists d_0..d_n mean equal determinants H_0..H_n."""
+    return [f"n={n}" for n, ds in enumerate(zip(*lists)) if len(set(ds)) > 1]
+
+
 def test_criterion_01_shift0_three_ways():
     eps = q_euler_recursive
     jf = jfraction_for_eps(0)
-    bad = []
-    for n in range(7):
-        brute = det_exact(hankel_matrix(eps, 0, n))
-        closed = closed_form_theorem1(0, n)
-        recur = det_heilermann(jf, n)
-        if not (brute == closed == recur):
-            bad.append(f"n={n}")
+    brute = minor_quotients(hankel_matrix(eps, 0, 6))
+    bad = _differing(brute, theorem1_quotients(0, 6), heilermann_quotients(jf, 6))
     _line(1, "shift-0 determinants agree brute/closed/recurrence, n <= 6", bad)
 
 
 def test_criterion_02_shift1_three_ways():
     eps = q_euler_recursive
     jf = jfraction_for_eps(0)
-    bad = []
-    for n in range(7):
-        brute = det_exact(hankel_matrix(eps, 1, n))
-        closed = closed_form_theorem1(1, n)
-        recur = det_shifted_via_favard(jf, n)
-        if not (brute == closed == recur):
-            bad.append(f"n={n}")
+    brute = minor_quotients(hankel_matrix(eps, 1, 6))
+    bad = _differing(brute, theorem1_quotients(1, 6), favard_quotients(jf, 6))
     _line(2, "shift-1 determinants agree brute/closed/recurrence, n <= 6", bad)
 
 
 def test_criterion_03_shift2_three_ways():
     eps = q_euler_recursive
     jf_tail = jfraction_for_eps(1)
-    bad = []
-    for n in range(6):
-        brute = det_exact(hankel_matrix(eps, 2, n))
-        closed = closed_form_theorem1(2, n)
-        recur = det_shifted_via_favard(jf_tail, n)
-        if not (brute == closed == recur):
-            bad.append(f"n={n}")
+    brute = minor_quotients(hankel_matrix(eps, 2, 5))
+    bad = _differing(brute, theorem1_quotients(2, 5), favard_quotients(jf_tail, 5))
     _line(3, "shift-2 determinants agree brute/closed/recurrence, n <= 5", bad)
 
 
 def test_criterion_04_value_at_one():
     bad = []
+    closed = theorem1_quotients(0, 5)
     for n in range(6):
         want = Fraction(-1, 4) ** comb(n + 1, 2)
         for k in range(1, n + 1):
             want *= Fraction(factorial(k)) ** 2
-        if closed_form_theorem1(0, n).eval_at(1) != want:
+        if hankel_product(closed[: n + 1]).eval_at(1) != want:
             bad.append(f"n={n}")
     _line(4, "shift-0 closed form at q=1 equals (-1/4)^C(n+1,2) prod k!^2", bad)
 
@@ -132,10 +125,7 @@ def test_criterion_05_two_definitions_agree():
 
 def test_criterion_06_bernoulli_determinants():
     beta = q_bernoulli_recursive
-    bad = []
-    for n in range(6):
-        if det_exact(hankel_matrix(beta, 0, n)) != closed_form_chapoton_zeng(n):
-            bad.append(f"n={n}")
+    bad = _differing(minor_quotients(hankel_matrix(beta, 0, 5)), chapoton_zeng_quotients(5))
     _line(6, "q-Bernoulli Hankel determinants match the closed form, n <= 5", bad)
 
 
@@ -201,13 +191,11 @@ def test_criterion_11_theta_xi_determinants():
     bad = []
     for ell in range(4):
         xi_seq = partial(xi_moment, ell)
-        for n in range(6):
-            if det_exact(hankel_matrix(xi_seq, 0, n)) != closed_form_xi_det(ell, n):
-                bad.append(f"xi ell={ell}, n={n}")
+        brute = minor_quotients(hankel_matrix(xi_seq, 0, 5))
+        bad += [f"xi ell={ell}, {n}" for n in _differing(brute, xi_det_quotients(ell, 5))]
         th_seq = partial(theta_moment, ell)
-        for n in range(5):
-            if det_exact(hankel_matrix(th_seq, 0, n)) != closed_form_theta_det(ell, n):
-                bad.append(f"theta ell={ell}, n={n}")
+        brute = minor_quotients(hankel_matrix(th_seq, 0, 4))
+        bad += [f"theta ell={ell}, {n}" for n in _differing(brute, theta_det_quotients(ell, 4))]
     for ell in (0, 1):
         eps_ell = q_euler_recursive(ell)
         for n in range(11):

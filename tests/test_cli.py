@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from qhankel import hankel
+from qhankel.carlitz import q_euler_recursive
 from qhankel.cli import _json_value, _render, cmd_det, cmd_seq, main
-from qhankel.hankel import ROUTES
-from qhankel.ratcore import int_to_decimal
+from qhankel.hankel import ROUTES, hankel_matrix, hankel_product, minor_quotients
+from qhankel.ratcore import Q_ONE, int_to_decimal, qpow
+from qhankel.verification import run_checks
 
 runner = CliRunner()
 
@@ -284,6 +287,77 @@ class TestVerify:
         )
         assert result.exit_code == 0
         assert result.output.startswith("PASS exponent-integrality")
+
+
+def _perturb(monkeypatch, factors):
+    """Replace hankel.heilermann_quotients by a double that multiplies d_k by
+    factors[k] wherever the list reaches k."""
+    real = hankel.heilermann_quotients
+
+    def double(jf, n):
+        ds = real(jf, n)
+        return [d * factors[k] if k in factors else d for k, d in enumerate(ds)]
+
+    monkeypatch.setattr(hankel, "heilermann_quotients", double)
+
+
+class TestRouteDisagreement:
+    """theorem1 shift 0 with a heilermann route off by 1 + q at d_3: the exit
+    code 3 that verify and det --method all document."""
+
+    OFF = Q_ONE + qpow(1)
+
+    def _det(self, *args):
+        return runner.invoke(main, ["det", "--id", "qeuler", "--method", "all", *args])
+
+    def test_verify_fails_at_the_quotient_and_past_it(self, monkeypatch):
+        _perturb(monkeypatch, {3: self.OFF})
+        (r,) = run_checks(5, only="theorem1-shift0")
+        assert not r.passed and r.cases == 6
+        assert r.detail == "routes disagree at n=3; routes disagree at n=4; routes disagree at n=5"
+        result = runner.invoke(main, ["verify", "--only", "theorem1-shift0", "--max-n", "5"])
+        assert result.exit_code == 3
+        assert "FAIL theorem1-shift0" in result.output
+
+    def test_det_below_the_quotient_agrees(self, monkeypatch):
+        _perturb(monkeypatch, {3: self.OFF})
+        result = self._det("--n", "2", "-f", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["equal"] is True
+
+    def test_det_prints_each_route_product(self, monkeypatch):
+        _perturb(monkeypatch, {3: self.OFF})
+        result = self._det("--n", "4", "-f", "json")
+        assert result.exit_code == 3
+        payload = json.loads(result.stdout)
+        assert payload["equal"] is False
+        true = hankel_product(minor_quotients(hankel_matrix(q_euler_recursive, 0, 4)))
+        assert payload["results"]["bruteforce"] == payload["results"]["closedform"] == _json_value(true)
+        assert payload["results"]["heilermann"] == _json_value(true * self.OFF)
+        text = self._det("--n", "4")
+        assert text.exit_code == 3
+        assert text.stdout.splitlines()[-1] == "MISMATCH"
+
+    def test_single_method_expands_its_own_list(self, monkeypatch):
+        _perturb(monkeypatch, {3: self.OFF})
+        values = {}
+        for method in ("bruteforce", "heilermann"):
+            result = runner.invoke(main, ["det", "--id", "qeuler", "--n", "4",
+                                          "--method", method, "-f", "json"])
+            assert result.exit_code == 0
+            values[method] = json.loads(result.stdout)["value"]
+        assert values["bruteforce"] != values["heilermann"]
+
+    def test_compensated_quotients_flag_only_their_own_n(self, monkeypatch):
+        # d_3 f and d_4 / f leave H_4 and H_5 unchanged, but not the lists
+        _perturb(monkeypatch, {3: self.OFF, 4: Q_ONE / self.OFF})
+        (r,) = run_checks(5, only="theorem1-shift0")
+        assert r.detail == "routes disagree at n=3"
+        result = self._det("--n", "5", "-f", "json")
+        assert result.exit_code == 3
+        payload = json.loads(result.stdout)
+        assert payload["equal"] is False
+        assert len({json.dumps(v) for v in payload["results"].values()}) == 1
 
 
 class TestOutputPlumbing:

@@ -63,6 +63,8 @@ def _cases():
         cases.append(["det", *spec, "--n", "7", "--method", "bruteforce", "-f", "json"])
     for fmt in ("json", "text"):
         cases.append(["verify", "--max-n", "2", "-f", fmt])
+    # The full battery at its default size.
+    cases.append(["verify", "--max-n", "5", "-f", "json"])
     cases.append(["det", "--id", "qbernoulli", "--n", "2", "--method", "heilermann"])
     cases.append(["det", "--id", "theta", "--shift", "1", "--n", "2"])
     # A shift past the rows of ROUTES is a usage error, not a range error.

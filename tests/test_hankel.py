@@ -16,23 +16,25 @@ from qhankel.hankel import (
     InsufficientMomentsError,
     JFraction,
     NotQuasiDefiniteError,
-    closed_form_chapoton_zeng,
-    closed_form_theorem1,
-    closed_form_theta_det,
-    closed_form_xi_det,
+    chapoton_zeng_quotients,
     det_cofactor,
     det_exact,
-    det_heilermann,
-    det_shifted_via_favard,
+    favard_quotients,
     hankel_matrix,
+    hankel_product,
+    heilermann_quotients,
     jfraction_expand,
     jfraction_for_eps,
     jfraction_for_theta,
     jfraction_for_xi,
     jfraction_from_moments,
+    minor_quotients,
     shift0_exponent,
     shift12_exponent,
+    theorem1_quotients,
+    theta_det_quotients,
     verify_exponent_integrality,
+    xi_det_quotients,
 )
 from qhankel.orthopoly import (
     DegenerateRecurrenceError,
@@ -218,6 +220,23 @@ class TestPrimitiveRows:
             m = _route_matrix(key, ell, n)
             assert det_exact(m) == _det_bareiss(m)
 
+    @pytest.mark.parametrize("key, ell", ROUTE_ROWS)
+    def test_quotients_are_ratios_of_leading_minors(self, key, ell):
+        ds = minor_quotients(_route_matrix(key, ell, 6))
+        for n in range(7):
+            assert hankel_product(ds[: n + 1]) == _det_bareiss(_route_matrix(key, ell, n))
+
+    def test_singular_leading_minor(self):
+        # moments 1, 1, 1, 0, 0: H_1 = 0 and H_2 = -1
+        m = hankel_matrix([const(v) for v in (1, 1, 1, 0, 0)], 0, 2)
+        with pytest.raises(NotQuasiDefiniteError) as e:
+            minor_quotients(m)
+        assert e.value.depth == 1
+        assert det_exact(m) == const(-1) == det_cofactor(m)
+
+    def test_a_vanishing_last_minor_is_a_zero_quotient(self):
+        assert minor_quotients([[Q_ONE, Q_ONE], [Q_ONE, Q_ONE]]) == [Q_ONE, Q_ZERO]
+
     def test_random_matrices_match_bareiss(self):
         rng = random.Random(0xB4E155)
         for dim in range(2, 7):
@@ -295,7 +314,7 @@ class TestPrimitiveRows:
 
     def test_theorem1_shift0_at_n11(self):
         m = hankel_matrix(q_euler_recursive, 0, 11)
-        assert det_exact(m) == closed_form_theorem1(0, 11)
+        assert det_exact(m) == hankel_product(theorem1_quotients(0, 11))
 
 
 class TestJFraction:
@@ -542,76 +561,79 @@ class TestJFractionTables:
     def test_favard_matches_the_polynomial_at_zero(self):
         for jf in (jfraction_for_eps(0), jfraction_for_eps(1), jfraction_for_theta(2)):
             polys = three_term_build(jf, 9)
+            shifted, plain = favard_quotients(jf, 8), heilermann_quotients(jf, 8)
             for n in range(9):
-                want = const(parity_sign(n + 1)) * polys[n + 1](Q_ZERO) * det_heilermann(jf, n)
-                assert det_shifted_via_favard(jf, n) == want
+                want = const(parity_sign(n + 1)) * polys[n + 1](Q_ZERO) * hankel_product(plain[: n + 1])
+                assert hankel_product(shifted[: n + 1]) == want
 
 
 class TestHeilermann:
     def test_depth_zero_is_mu0(self):
         jf = jfraction_for_eps(1)
-        assert det_heilermann(jf, 0) == jf.mu0
+        assert heilermann_quotients(jf, 0) == [jf.mu0]
 
     def test_depth_one(self):
         jf = jfraction_for_eps(0)
-        assert det_heilermann(jf, 1) == jf.mu0 ** 2 * jf.b(1)
+        assert hankel_product(heilermann_quotients(jf, 1)) == jf.mu0 ** 2 * jf.b(1)
 
     def test_matches_bruteforce(self):
         eps = q_euler_recursive
         jf = jfraction_for_eps(0)
-        for n in range(5):
-            assert det_heilermann(jf, n) == det_exact(hankel_matrix(eps, 0, n))
+        assert heilermann_quotients(jf, 4) == minor_quotients(hankel_matrix(eps, 0, 4))
 
     def test_shifted_depth_zero(self):
         # first shifted determinant is just the first moment
-        got = det_shifted_via_favard(jfraction_for_eps(0), 0)
-        assert got == q_euler_recursive(1)
+        got = favard_quotients(jfraction_for_eps(0), 0)
+        assert got == [q_euler_recursive(1)]
 
     def test_shifted_matches_bruteforce(self):
         eps = q_euler_recursive
         jf = jfraction_for_eps(0)
-        for n in range(4):
-            assert det_shifted_via_favard(jf, n) == det_exact(
-                hankel_matrix(eps, 1, n)
-            )
+        assert favard_quotients(jf, 3) == minor_quotients(hankel_matrix(eps, 1, 3))
 
     def test_double_shift_through_tail_sequence(self):
         # shift-2 determinants are shift-1 determinants of the tail moments
         eps = q_euler_recursive
         jf1 = jfraction_for_eps(1)
-        for n in range(4):
-            assert det_shifted_via_favard(jf1, n) == det_exact(
-                hankel_matrix(eps, 2, n)
-            )
+        assert favard_quotients(jf1, 3) == minor_quotients(hankel_matrix(eps, 2, 3))
+
+    def test_shifted_zero_minor_matches_bruteforce(self):
+        # a(0) = 0 makes mu_1 = 0: the shift-1 minor of order 0 vanishes, so
+        # d_0 = 0 and d_1 is undefined, by the recurrence and by brute force
+        jf = JFraction.from_lists(Q_ONE, [Q_ZERO, Q_ONE], [qpow(1)])
+        moments = jfraction_expand(jf, 3)
+        assert favard_quotients(jf, 0) == minor_quotients(hankel_matrix(moments, 1, 0)) == [Q_ZERO]
+        for route in (lambda: favard_quotients(jf, 1),
+                      lambda: minor_quotients(hankel_matrix(moments, 1, 1))):
+            with pytest.raises(NotQuasiDefiniteError) as e:
+                route()
+            assert e.value.depth == 0
 
     def test_negative_n(self):
         with pytest.raises(ValueError):
-            det_heilermann(jfraction_for_eps(0), -1)
+            heilermann_quotients(jfraction_for_eps(0), -1)
         with pytest.raises(ValueError):
-            det_shifted_via_favard(jfraction_for_eps(0), -1)
+            favard_quotients(jfraction_for_eps(0), -1)
 
 
 class TestClosedForms:
     def test_shift0(self):
         eps = q_euler_recursive
-        for n in range(5):
-            assert closed_form_theorem1(0, n) == det_exact(hankel_matrix(eps, 0, n))
+        assert theorem1_quotients(0, 4) == minor_quotients(hankel_matrix(eps, 0, 4))
 
     def test_shift1(self):
         eps = q_euler_recursive
-        for n in range(4):
-            assert closed_form_theorem1(1, n) == det_exact(hankel_matrix(eps, 1, n))
+        assert theorem1_quotients(1, 3) == minor_quotients(hankel_matrix(eps, 1, 3))
 
     def test_shift2(self):
         eps = q_euler_recursive
-        for n in range(4):
-            assert closed_form_theorem1(2, n) == det_exact(hankel_matrix(eps, 2, n))
+        assert theorem1_quotients(2, 3) == minor_quotients(hankel_matrix(eps, 2, 3))
 
     def test_bad_shift(self):
         with pytest.raises(ValueError):
-            closed_form_theorem1(3, 1)
+            theorem1_quotients(3, 1)
         with pytest.raises(ValueError):
-            closed_form_theorem1(0, -1)
+            theorem1_quotients(0, -1)
 
     def test_value_at_one(self):
         # the determinant itself has no pole at q = 1
@@ -625,55 +647,45 @@ class TestClosedForms:
 
     def test_chapoton_zeng_frozen(self):
         want = RatFuncQ(P(-1), P(1, 1) * P(1, 1) * P(1, 1, 1))
-        assert closed_form_chapoton_zeng(1) == want
+        assert hankel_product(chapoton_zeng_quotients(1)) == want
 
     def test_chapoton_zeng_matches_bruteforce(self):
         beta = q_bernoulli_recursive
-        for n in range(5):
-            assert closed_form_chapoton_zeng(n) == det_exact(
-                hankel_matrix(beta, 0, n)
-            )
+        assert chapoton_zeng_quotients(4) == minor_quotients(hankel_matrix(beta, 0, 4))
 
     def test_theta_det_three_ways(self):
         for ell in range(3):
             seq = partial(theta_moment, ell)
             jf = jfraction_for_theta(ell)
-            for n in range(4):
-                want = closed_form_theta_det(ell, n)
-                assert det_exact(hankel_matrix(seq, 0, n)) == want
-                assert det_heilermann(jf, n) == want
+            want = theta_det_quotients(ell, 3)
+            assert minor_quotients(hankel_matrix(seq, 0, 3)) == want
+            assert heilermann_quotients(jf, 3) == want
 
     def test_xi_det_three_ways(self):
         for ell in range(3):
             seq = partial(xi_moment, ell)
             jf = jfraction_for_xi(ell)
-            for n in range(4):
-                want = closed_form_xi_det(ell, n)
-                assert det_exact(hankel_matrix(seq, 0, n)) == want
-                assert det_heilermann(jf, n) == want
+            want = xi_det_quotients(ell, 3)
+            assert minor_quotients(hankel_matrix(seq, 0, 3)) == want
+            assert heilermann_quotients(jf, 3) == want
 
     def test_theta_closed_forms_match_recurrence_routes(self):
         # theorem 1 shifts 0 and 1 and every xi closed form go through theta's
         eps0 = jfraction_for_eps(0)
-        for n in range(9):
-            assert closed_form_theorem1(0, n) == det_heilermann(eps0, n)
-            assert closed_form_theorem1(1, n) == det_shifted_via_favard(eps0, n)
-            for ell in range(4):
-                assert closed_form_xi_det(ell, n) == det_heilermann(jfraction_for_xi(ell), n)
+        assert theorem1_quotients(0, 8) == heilermann_quotients(eps0, 8)
+        assert theorem1_quotients(1, 8) == favard_quotients(eps0, 8)
+        for ell in range(4):
+            assert xi_det_quotients(ell, 8) == heilermann_quotients(jfraction_for_xi(ell), 8)
 
     def test_theta_det_at_ell_zero_collapses(self):
-        for n in range(5):
-            assert closed_form_theta_det(0, n) == det_exact(
-                hankel_matrix(partial(theta_moment, 0), 0, n)
-            )
+        assert theta_det_quotients(0, 4) == minor_quotients(
+            hankel_matrix(partial(theta_moment, 0), 0, 4)
+        )
 
     def test_shift1_factors_through_theta(self):
         # shift-1 determinants of eps = eps_1^{n+1} times the theta_1 determinant
         eps1 = q_euler_recursive(1)
-        for n in range(5):
-            assert closed_form_theorem1(1, n) == eps1 ** (
-                n + 1
-            ) * closed_form_theta_det(1, n)
+        assert theorem1_quotients(1, 4) == [eps1 * d for d in theta_det_quotients(1, 4)]
 
 
 class TestExponents:
