@@ -4,12 +4,23 @@ The explicit binomial sums and the defining recursions share no formula on
 purpose: agreement between them is one of the library's standing checks
 (`carlitz-consistency`), and a formula shared by both would pass it however
 wrong it was.  What they share is arithmetic: ``ratcore`` (``RatFuncQ`` and
-its certified gcd) and the binomial step: multiplying an integer polynomial
-by 1 +- q^m in one linear pass (``ratcore.mul_binomial``, or a shift of its
-packed integer).  Neither route reads the other's values, denominators or
-memo.
+its certified gcd) and one Horner kernel in Z[q], ``_horner``.  Neither
+route reads the other's values, denominators or memo.
 
-**The recursions in Z[q].**  Carlitz's recursion for epsilon_n,
+**The kernel.**  Each route is a pass of steps
+
+    S <- S (1 + s q^m) + c q^t X,    s = +1 or -1,
+
+on integers: at x = 256^w a polynomial P becomes the integer P(x)
+(``ratcore._pack``), multiplying by 1 + s q^m becomes P(x) + s P(x) x^m, a
+shift, and the whole step is one shift-and-add.  Evaluation at x is a ring
+homomorphism, so S(x) is exact however the digits carry; ``ratcore._unpack``
+reads back the coefficients of S, which is right when each of them is below
+x/2 in absolute value.  Every 1 + s q^m has 1-norm 2, so a 1-norm bound on
+the result, known before the pass, fixes w (``_width``): the read-back needs
+no further check, and only the result is unpacked.
+
+**The recursions.**  Carlitz's recursion for epsilon_n,
 
     sum_{k<=n} C(n,k) q^{k+1} eps_k + eps_n = 0,
 
@@ -24,41 +35,43 @@ an identity in Z[q].  Horner's rule evaluates the sum from k = 0 up:
     S <- S (1 + q^{k+1}) + C(n,k) q^{k+1} E_k,    k = 0, ..., n-1,
 
 since term k is multiplied exactly by the factors of the later steps,
-m = k+2, ..., n.  Each step is one binomial multiply and one shifted add;
-no step takes a gcd.  For beta_n the recursion
+m = k+2, ..., n; no step takes a gcd.  For beta_n the recursion
 sum_{k<=n} C(n,k) q^{k+1} beta_k - beta_n = [n = 1] solves to
 beta_n (1 - q^{n+1}) = sum_{k<n} C(n,k) q^{k+1} beta_k - [n = 1].  With
 D_n = prod_{m=2}^{n+1} (1 - q^m) and B_n = beta_n D_n the same steps run with
 1 - q^{k+1}, and B_n = S - [n = 1] D_{n-1}, where D_0 = 1.  Each served
 value is one certified reduction RatFuncQ(E_n, M_n) or RatFuncQ(B_n, D_n).
+The bound is |S|_inf <= sum_{k<n} C(n,k) |E_k|_1 2^{n-k-1}.
 
-The pass runs on integers.  At x = 256^w a polynomial P becomes the integer
-P(x) (``ratcore._pack``), multiplying by 1 +- q^m becomes P(x) +- P(x) x^m,
-a shift, and a whole step is S(x) += (+-S(x) + C(n,k) E_k(x)) x^{k+1}.
-Evaluation at x is a ring homomorphism, so S(x) is exact however the digits
-carry; ``ratcore._unpack`` reads back the coefficients of S, which is right
-when each of them is below x/2 in absolute value.  Every 1 +- q^m has
-1-norm 2, so |S|_inf <= sum_{k<n} C(n,k) |E_k|_1 2^{n-k-1}, and w is taken
-from that bound: the read-back needs no further check.  The memos hold each
-E_n as the tuple (E_n(x), w, length, |E_n|_1) at the narrowest w that holds
-its coefficients; one integer per entry takes far less memory than one
-object per coefficient.
+The memos hold each E_n as the tuple (E_n(x), w, length, |E_n|_1) at the
+width of the pass that made it; one integer per entry takes far less memory
+than one object per coefficient.  A pass needs every earlier entry at its
+own width, so pass widths are rounded up to a multiple of 8 bytes, and each
+sequence keeps one copy of its prefix packed at the current width
+(``_PASS_PREFIX``).  A pass extends the copy by the entries it lacks and
+repacks the whole prefix only when its width grows, a few times up to
+n = 60, instead of repacking nearly every earlier entry at every step.
 
-**The epsilon sum in Z[q].**  In eps_n = (1-q)^{-n} sum_k (-1)^k C(n,k)
-(1+q) / (1+q^{k+1}) the k = 0 term is 1 and the others have the
-denominators 1 + q^m, m = 2..n+1, so the sum is N / M_n with
-N = M_n + (1+q) U_n and U_n = sum_{k=1}^{n} (-1)^k C(n,k) M_n / (1+q^{k+1}).
-Horner's rule over the prefix products M_{j-1} gives
+**The sums.**  Since 1/[k+1]_q = (1-q)/(1-q^{k+1}), both explicit sums are
 
-    U_j = U_{j-1} (1 + q^{j+1}) + (-1)^j C(n,j) M_{j-1},    j = 1, ..., n.
+    (1-q)^{-n} sum_{k<=n} c_k (1 + s q) / (1 + s q^{k+1}),
 
-Then 1 - q is divided out of N as often as it divides, up to n times: the
-quotient's coefficients are the prefix sums of N's, and the division is
-exact exactly when the last of them, N(1), is 0.  The factors that do not
-divide stay in the denominator (on every n tried, all n divide), and one
-reduction of N / (M_n (1-q)^r) serves the value.  The beta sum stays on
-RatFuncQ: its Z[q] form was slower over prod (1 - q^m) and barely faster
-over the lcm of its denominators.
+with s = 1, c_k = (-1)^k C(n,k) for eps_n and s = -1,
+c_k = (-1)^k C(n,k) (k+1) for beta_n.  The k = 0 term is c_0, and the others
+have the denominators 1 + s q^m, m = 2..n+1, so with the prefix products
+P_j = prod_{m=2}^{j+1} (1 + s q^m) the sum is N / P_n, where
+N = c_0 P_n + (1 + s q) U_n and U_n = sum_{k=1}^{n} c_k P_n / (1 + s q^{k+1}).
+Horner's rule over the prefix products gives
+
+    U_j = U_{j-1} (1 + s q^{j+1}) + c_j P_{j-1},    j = 1, ..., n,
+
+and N is one more step, U_n (1 + s q) + c_0 P_n.  Since |P_j|_1 <= 2^j,
+|N|_1 <= 2^n sum_k |c_k| bounds the pass.  Then 1 - q is divided out of N
+as often as it divides, up to n times: the quotient's coefficients are the
+prefix sums of N's, and the division is exact exactly when the last of them,
+N(1), is 0.  The factors that do not divide stay in the denominator (for
+both sums and every n <= 60, all n divide), and one reduction of
+N / (P_n (1-q)^r) serves the value.
 """
 
 from __future__ import annotations
@@ -67,17 +80,25 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import comb
-from operator import add
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
-from .qkit import parity_sign, q_int
-from .ratcore import Q_ONE, QPoly, RatFuncQ, _pack, _unpack, const, mul_binomial, qpow
+from .qkit import parity_sign
+from .ratcore import QPoly, RatFuncQ, _pack, _unpack, mul_binomial
 
 
-def _add_scaled(a: Sequence[int], b: int, x: Sequence[int]) -> list:
-    """a + b x on coefficient sequences."""
-    bx = [b * c for c in x]
-    return list(map(add, a, bx)) + list(a[len(bx):] or bx[len(a):])
+def _width(bound: int) -> int:
+    """The fewest bytes w with 2 * bound < 256**w: at x = 256**w, balanced
+    digits hold every coefficient of absolute value at most bound."""
+    return (2 * bound).bit_length() // 8 + 1
+
+
+def _horner(steps: Iterable[tuple], sign: int, width: int, acc: int = 0) -> int:
+    """The packed S after S <- S (1 + sign q^m) + c q^t X for each step
+    (m, c, t, X) in order, every polynomial packed at x = 256**width."""
+    bits = 8 * width
+    for m, c, t, x in steps:
+        acc += (sign * acc << bits * m) + (c * x << bits * t)
+    return acc
 
 
 def _stripped(coeffs: list) -> list:
@@ -94,62 +115,79 @@ def _binomial_product(n: int, sign: int) -> tuple:
     return p
 
 
-def q_euler_explicit(n: int) -> RatFuncQ:
-    """epsilon_n from the alternating binomial sum over (1+q)/(1+q^{k+1})."""
+def _alternating_sum(n: int, sign: int, weight: Callable[[int], int]) -> RatFuncQ:
+    """(1-q)^{-n} sum_{k<=n} (-1)^k C(n,k) weight(k) (1 + sign q) / (1 + sign q^{k+1}),
+    by one Horner pass over the prefix products P_j (module docstring)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    u, prefix = (), (1,)
-    for j in range(1, n + 1):
-        u = _add_scaled(mul_binomial(u, j + 1, 1), parity_sign(j) * comb(n, j), prefix)
-        prefix = mul_binomial(prefix, j + 1, 1)
-    num = _stripped(_add_scaled(prefix, 1, mul_binomial(u, 1, 1)))
+    c = [parity_sign(k) * comb(n, k) * weight(k) for k in range(n + 1)]
+    width = _width(sum(map(abs, c)) << n)
+    prefix = [1]  # P_0..P_n, each step a multiply by 1 + sign q^m alone
+    for m in range(2, n + 2):
+        prefix.append(_horner([(m, 0, 0, 0)], sign, width, prefix[-1]))
+    steps = [(j + 1, c[j], 0, prefix[j - 1]) for j in range(1, n + 1)]
+    steps.append((1, c[0], 0, prefix[n]))
+    size = n * (n + 3) // 2 + 1  # deg P_n + 1, which N does not exceed
+    num = _stripped(_unpack(_horner(steps, sign, width), width, size))
     left = n
     while left:
         sums = list(accumulate(num))
         if sums[-1]:
             break
         num, left = sums[:-1], left - 1
-    den = prefix
+    den = _unpack(prefix[n], width, size)
     for _ in range(left):
         den = mul_binomial(den, 1, -1)
     return RatFuncQ(QPoly(num), QPoly(den))
 
 
+def q_euler_explicit(n: int) -> RatFuncQ:
+    """epsilon_n from the alternating binomial sum over (1+q)/(1+q^{k+1})."""
+    return _alternating_sum(n, 1, lambda k: 1)
+
+
 def q_bernoulli_explicit(n: int) -> RatFuncQ:
     """beta_n from the alternating binomial sum over (k+1)/[k+1]_q."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    total = sum(
-        (const(parity_sign(k) * comb(n, k) * (k + 1)) / q_int(k + 1)
-         for k in range(n + 1)),
-        start=const(0),
-    )
-    return total / (Q_ONE - qpow(1)) ** n
+    return _alternating_sum(n, -1, lambda k: k + 1)
 
 
-def _packed(coeffs: list) -> tuple:
-    """(c(x), w, len c, |c|_1) for c without trailing zeros, at the smallest
-    x = 256**w whose balanced digits hold every coefficient."""
-    c = _stripped(coeffs)
-    width = (2 * max(map(abs, c), default=0)).bit_length() // 8 + 1
-    return _pack(c, width), width, len(c), sum(map(abs, c))
+def _scaled_entry(value: int, width: int, length: int) -> tuple:
+    """(value, width, len c, |c|_1) for the polynomial c packed as value at
+    x = 256**width in at most length digits, trailing zeros dropped."""
+    c = _stripped(_unpack(value, width, length))
+    return value, width, len(c), sum(map(abs, c))
 
 
-def _horner_tail(scaled: Callable[[int], tuple], n: int, sign: int) -> list:
-    """Coefficients of sum_{k<n} C(n,k) q^{k+1} X_k prod_{m=k+2}^{n}
-    (1 + sign q^m) for the packed X_k = scaled(k), asked for with k
-    ascending; the pass runs on integers at a width the 1-norm bound sets."""
+# Widths of the recursion passes are multiples of this many bytes, so the
+# shared prefix below is repacked only when a pass outgrows its width.
+_GRID = 8
+# For each scaled memo: (width, its entries 0..len-1 packed at that width).
+# Each pair is replaced whole, never mutated, so concurrent passes read a
+# consistent one; a pass that finds a stale or short pair still computes
+# the same entries.
+_PASS_PREFIX: dict = {}
+
+
+def _horner_tail(scaled: Callable[[int], tuple], n: int, sign: int) -> tuple:
+    """(S(x), w, length) for S = sum_{k<n} C(n,k) q^{k+1} X_k
+    prod_{m=k+2}^{n} (1 + sign q^m), the packed X_k = scaled(k) asked for
+    with k ascending, at x = 256**w, with S in at most length digits."""
     parts = [scaled(k) for k in range(n)]
     bound = sum(comb(n, k) * l1 << (n - k - 1) for k, (_, _, _, l1) in enumerate(parts))
-    width = (2 * bound).bit_length() // 8 + 1
+    width = -(-_width(bound) // _GRID) * _GRID
+    have_width, have = _PASS_PREFIX.get(scaled, (0, ()))
+    if width > have_width:
+        have = ()
+    else:
+        width = have_width
+    if len(have) < n:
+        have += tuple(v if w == width else _pack(_unpack(v, w, size), width)
+                      for v, w, size, _ in parts[len(have):])
+        _PASS_PREFIX[scaled] = width, have
     length = max(k + 1 + size + (n * (n + 1) - (k + 1) * (k + 2)) // 2
                  for k, (_, _, size, _) in enumerate(parts))
-    acc = 0
-    for k, (value, w, size, _) in enumerate(parts):
-        if w != width:
-            value = _pack(_unpack(value, w, size), width)
-        acc += (sign * acc + comb(n, k) * value) << (8 * width * (k + 1))
-    return _unpack(acc, width, length)
+    acc = _horner(((k + 1, comb(n, k), k + 1, have[k]) for k in range(n)), sign, width)
+    return acc, width, length
 
 
 # Each memo asks for entries 0..n-1 in ascending order, so each entry it
@@ -160,19 +198,18 @@ def _horner_tail(scaled: Callable[[int], tuple], n: int, sign: int) -> list:
 def _euler_scaled(n: int) -> tuple:
     """E_n = eps_n * prod_{m=2}^{n+1} (1 + q^m) in Z[q], packed."""
     if n == 0:
-        return _packed([1])
-    return _packed([-c for c in _horner_tail(_euler_scaled, n, 1)])
+        return 1, 1, 1, 1
+    acc, width, length = _horner_tail(_euler_scaled, n, 1)
+    return _scaled_entry(-acc, width, length)
 
 
 @cache
 def _bernoulli_scaled(n: int) -> tuple:
     """B_n = beta_n * prod_{m=2}^{n+1} (1 - q^m) in Z[q], packed."""
     if n == 0:
-        return _packed([1])
-    s = _horner_tail(_bernoulli_scaled, n, -1)
-    if n == 1:
-        s[0] -= 1
-    return _packed(s)
+        return 1, 1, 1, 1
+    acc, width, length = _horner_tail(_bernoulli_scaled, n, -1)
+    return _scaled_entry(acc - (n == 1), width, length)
 
 
 def _served(scaled: tuple, den: tuple) -> RatFuncQ:

@@ -205,22 +205,6 @@ def hankel_product(ds: Sequence[RatFuncQ]) -> RatFuncQ:
     return reduce(mul, ds, Q_ONE)
 
 
-def det_cofactor(matrix: Matrix) -> RatFuncQ:
-    """Direct expansion; only for dimension <= 3 (independent small oracle)."""
-    n = len(matrix)
-    if n > 3:
-        raise ValueError("cofactor oracle is limited to dimension <= 3")
-    if n == 0:
-        return Q_ONE
-    if n == 1:
-        return matrix[0][0]
-    if n == 2:
-        (a, b), (c, d) = matrix
-        return a * d - b * c
-    (a, b, c), (d, e, f), (g, h, i) = matrix
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def det_exact(matrix: Matrix) -> RatFuncQ:
     """Exact determinant of a square RatFuncQ matrix."""
     n = len(matrix)

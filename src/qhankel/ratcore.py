@@ -220,6 +220,7 @@ class QPoly:
 
 _P_ZERO = QPoly()
 _P_ONE = QPoly((1,))
+_P_MINUS_ONE = QPoly((-1,))
 
 
 # CPython refuses str(int) and int(str) past 4,300 digits by default (and the
@@ -360,10 +361,16 @@ def _exact_quotient_schoolbook(A: Sequence[int], B: Sequence[int]) -> Optional[l
     return out
 
 
+def _same(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Equal coefficient sequences, whether each is a list or a tuple."""
+    return len(a) == len(b) and list(a) == list(b)
+
+
 def _cofactors(f: Sequence[int], g: Sequence[int], h: Sequence[int]) -> Optional[tuple]:
-    """(h, f / h, g / h) if h divides both f and g over Z, else None."""
-    qf = _exact_quotient(f, h)
-    qg = None if qf is None else _exact_quotient(g, h)
+    """(h, f / h, g / h) if h divides both f and g over Z, else None; an
+    input equal to h has the cofactor 1 without a trial division."""
+    qf = _ONE_TUPLE if _same(f, h) else _exact_quotient(f, h)
+    qg = None if qf is None else _ONE_TUPLE if _same(g, h) else _exact_quotient(g, h)
     return None if qg is None else (h, qf, qg)
 
 
@@ -525,7 +532,12 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
 
 def _gcd_full(a: QPoly, b: QPoly) -> tuple:
     """(g, a / g, b / g) for nonzero a, b and their gcd g in Z[q], integer
-    content included and leading coefficient positive."""
+    content included and leading coefficient positive; equal inputs need
+    no gcd."""
+    if a == b:
+        if a.leading > 0:
+            return a, _P_ONE, _P_ONE
+        return -a, _P_MINUS_ONE, _P_MINUS_ONE
     ua, fa = _split_content(a.coeffs)
     ub, fb = _split_content(b.coeffs)
     c = math.gcd(ua, ub)

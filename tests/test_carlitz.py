@@ -1,6 +1,7 @@
 """Carlitz q-Euler and q-Bernoulli sequences."""
 
 import json
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -276,3 +277,53 @@ def test_scaled_numerators_are_the_values_times_their_denominators():
             assert num[-1] != 0 and l1 == sum(map(abs, num))
             assert 2 * max(map(abs, num)) < 256 ** width
             assert RatFuncQ(QPoly(num), _binomial_product(n, sign)) == explicit(n)
+
+
+def _beta_sum_at(n, q):
+    """(1-q)^{-n} sum_k (-1)^k C(n,k) (k+1) / [k+1]_q over the rationals."""
+    total = sum(Fraction((-1) ** k * math.comb(n, k) * (k + 1)) / sum(q ** i for i in range(k + 1))
+                for k in range(n + 1))
+    return total / (1 - q) ** n
+
+
+def test_beta_explicit_matches_the_sum_over_the_rationals():
+    q = Fraction(2, 3)
+    for n in range(13):
+        assert q_bernoulli_explicit(n).eval_at(q) == _beta_sum_at(n, q)
+
+
+def test_beta_explicit_matches_the_recursion_to_45():
+    for n in range(46):
+        assert q_bernoulli_explicit(n) == q_bernoulli_recursive(n)
+
+
+def test_beta_pass_with_a_wrong_weight_is_caught():
+    # The same pass with the weight k in place of k + 1 is not beta_n: the
+    # rational sum and the recursion both tell it apart at every n >= 1.
+    q = Fraction(2, 3)
+    for n in range(1, 9):
+        wrong = carlitz._alternating_sum(n, -1, lambda k: k)
+        assert wrong.eval_at(q) != _beta_sum_at(n, q)
+        assert wrong != q_bernoulli_recursive(n)
+
+
+def test_cold_recursion_repacks_each_entry_once_per_width(monkeypatch):
+    # Each pass reuses the prefix packed at its width; an entry is repacked
+    # only when a pass outgrows that width, so a cold eps_0..40 packs about
+    # 40 entries per width step, not one per earlier entry per pass (~n^2/2).
+    widths = []
+
+    def counting(coeffs, width):
+        widths.append(width)
+        return ratcore._pack(coeffs, width)
+
+    top = 40
+    _clear_carlitz_memos()
+    monkeypatch.setattr(carlitz, "_PASS_PREFIX", {})
+    monkeypatch.setattr(carlitz, "_pack", counting)
+    value, width, size, _ = carlitz._euler_scaled(top)
+    steps = len(set(widths))
+    assert 1 <= steps <= 4
+    assert len(widths) <= top * steps < top * top // 4
+    num = ratcore._unpack(value, width, size)
+    assert RatFuncQ(QPoly(num), _binomial_product(top, 1)) == q_euler_explicit(top)

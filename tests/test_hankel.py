@@ -17,7 +17,6 @@ from qhankel.hankel import (
     JFraction,
     NotQuasiDefiniteError,
     chapoton_zeng_quotients,
-    det_cofactor,
     det_exact,
     favard_quotients,
     hankel_matrix,
@@ -55,6 +54,23 @@ def identity(n):
     return [[Q_ONE if i == j else Q_ZERO for j in range(n)] for i in range(n)]
 
 
+def _det_cofactor(matrix):
+    """Direct expansion; only for dimension <= 3 (the independent
+    small oracle for det_exact)."""
+    n = len(matrix)
+    if n > 3:
+        raise ValueError("cofactor oracle is limited to dimension <= 3")
+    if n == 0:
+        return Q_ONE
+    if n == 1:
+        return matrix[0][0]
+    if n == 2:
+        (a, b), (c, d) = matrix
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = matrix
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 class TestHankelMatrix:
     def test_layout(self):
         seq = [const(k) for k in range(6)]
@@ -82,7 +98,7 @@ class TestDeterminants:
     def test_trivial(self):
         assert det_exact([[Q_ONE]]) == Q_ONE
         assert det_exact(identity(4)) == Q_ONE
-        assert det_cofactor([]) == Q_ONE
+        assert _det_cofactor([]) == Q_ONE
 
     def test_pivot_swap(self):
         m = [[Q_ZERO, Q_ONE], [Q_ONE, Q_ZERO]]
@@ -104,11 +120,11 @@ class TestDeterminants:
                     ]
                     for _ in range(dim)
                 ]
-                assert det_exact(m) == det_cofactor(m)
+                assert det_exact(m) == _det_cofactor(m)
 
     def test_cofactor_dimension_cap(self):
         with pytest.raises(ValueError):
-            det_cofactor(identity(4))
+            _det_cofactor(identity(4))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -232,7 +248,7 @@ class TestPrimitiveRows:
         with pytest.raises(NotQuasiDefiniteError) as e:
             minor_quotients(m)
         assert e.value.depth == 1
-        assert det_exact(m) == const(-1) == det_cofactor(m)
+        assert det_exact(m) == const(-1) == _det_cofactor(m)
 
     def test_a_vanishing_last_minor_is_a_zero_quotient(self):
         assert minor_quotients([[Q_ONE, Q_ONE], [Q_ONE, Q_ONE]]) == [Q_ONE, Q_ZERO]
@@ -245,7 +261,7 @@ class TestPrimitiveRows:
                 want = _det_bareiss(m)
                 assert det_exact(m) == want
                 if dim <= 3:
-                    assert want == det_cofactor(m)
+                    assert want == _det_cofactor(m)
 
     def test_swaps_singular_steps_and_zero_leads(self):
         rng = random.Random(0x5A4B)
@@ -262,7 +278,7 @@ class TestPrimitiveRows:
         m = [[big, Q_ONE], [Q_ONE, Q_ZERO]]
         assert det_exact(m) == const(-1)
         m = [[big, Q_ONE, qpow(1)], [Q_ONE, Q_ZERO, Q_ZERO], [Q_ZERO, Q_ONE, big]]
-        assert det_exact(m) == _det_bareiss(m) == det_cofactor(m)
+        assert det_exact(m) == _det_bareiss(m) == _det_cofactor(m)
 
     def _matrices(self):
         rng = random.Random(0xFA11)

@@ -470,6 +470,51 @@ def test_gcd_cofactors_through_each_route(route, a, b, c):
         assert ((u * v).num, (u * v).den) == _reduced(u.num * v.num, u.den * v.den)
 
 
+@settings(max_examples=100, deadline=None)
+@_gcd_inputs
+def test_gcd_of_equal_inputs_needs_no_gcd(a, b, c):
+    # g = a with its content and a positive leading coefficient, and the
+    # cofactors are +-1, without a call into the primitive gcd.
+    f = QPoly(a) * QPoly(c)
+    if f.is_zero:
+        return
+    for p in (f, -f, f.scale(6), f.scale(-10)):
+        want = poly_gcd(p, p).scale(p.content())
+        with mock.patch.object(ratcore, "_primitive_gcd", side_effect=AssertionError):
+            g, qa, qb = _gcd_full(p, QPoly(p.coeffs))
+        assert g == want and g.leading > 0
+        assert qa == qb == QPoly.const(1 if p.leading > 0 else -1)
+        assert g * qa == p
+
+
+@pytest.mark.parametrize("route", sorted(_GCD_ROUTES))
+@settings(max_examples=100, deadline=None)
+@_gcd_inputs
+def test_gcd_of_a_divisor_skips_dividing_it_by_itself(route, a, b, c):
+    # When one input divides the other, the certified candidate is that
+    # input's primitive part, whose cofactor is 1 with no trial division.
+    pa, pb = QPoly(a), QPoly(b)
+    if pa.is_zero or pb.is_zero:
+        return
+    divisions = []
+    real = ratcore._exact_quotient
+
+    def quotient(A, B):
+        divisions.append(list(A) == list(B))
+        return real(A, B)
+
+    for f, h in ((pa, pa * pb), (pa.scale(-6), (pa * pb).scale(4))):
+        want = poly_gcd(f, h).scale(math.gcd(f.content(), h.content()))
+        with contextlib.ExitStack() as stack:
+            for name, kwargs in _GCD_ROUTES[route]:
+                stack.enter_context(mock.patch.object(ratcore, name, **kwargs))
+            stack.enter_context(mock.patch.object(ratcore, "_exact_quotient", quotient))
+            g, qf, qh = _gcd_full(f, h)
+        assert g == want
+        assert g * qf == f and g * qh == h
+        assert not any(divisions)
+
+
 def _balanced_reference(value, base):
     digits = []
     while value:
