@@ -17,8 +17,8 @@ shift, and the whole step is one shift-and-add.  Evaluation at x is a ring
 homomorphism, so S(x) is exact however the digits carry; ``ratcore._unpack``
 reads back the coefficients of S, which is right when each of them is below
 x/2 in absolute value.  Every 1 + s q^m has 1-norm 2, so a 1-norm bound on
-the result, known before the pass, fixes w (``_width``): the read-back needs
-no further check, and only the result is unpacked.
+the result, known before the pass, fixes w (``ratcore._width``): the
+read-back needs no further check, and only the result is unpacked.
 
 **The recursions.**  Carlitz's recursion for epsilon_n,
 
@@ -76,20 +76,13 @@ N / (P_n (1-q)^r) serves the value.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import comb
 from typing import Callable, Iterable
 
 from .qkit import parity_sign
-from .ratcore import QPoly, RatFuncQ, _pack, _unpack, mul_binomial
-
-
-def _width(bound: int) -> int:
-    """The fewest bytes w with 2 * bound < 256**w: at x = 256**w, balanced
-    digits hold every coefficient of absolute value at most bound."""
-    return (2 * bound).bit_length() // 8 + 1
+from .ratcore import QPoly, RatFuncQ, _pack, _unpack, _width, mul_binomial
 
 
 def _horner(steps: Iterable[tuple], sign: int, width: int, acc: int = 0) -> int:
@@ -236,18 +229,3 @@ def q_bernoulli_recursive(n: int) -> RatFuncQ:
     for k in range(n):
         q_bernoulli_recursive(k)
     return _served(_bernoulli_scaled(n), _binomial_product(n, -1))
-
-
-_LIMIT_FNS = {
-    "qeuler": q_euler_recursive,
-    "qbernoulli": q_bernoulli_recursive,
-}
-
-
-def limit_q1(seq_id: str, n: int) -> Fraction:
-    """Value of the n-th sequence entry at q = 1 (always finite here)."""
-    try:
-        fn = _LIMIT_FNS[seq_id]
-    except KeyError:
-        raise ValueError(f"unknown sequence {seq_id!r}") from None
-    return fn(n).eval_at(Fraction(1))

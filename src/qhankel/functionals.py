@@ -28,6 +28,7 @@ from .ratcore import (
     _digits,
     _norm,
     _pack,
+    _width,
     clear_denominators,
     const,
     qpow,
@@ -98,14 +99,6 @@ def from_diagonal_basis(coeffs: List[RatFuncQ]) -> ZPoly:
     return out
 
 
-@lru_cache(maxsize=None)
-def phi_on_basis(n: int) -> RatFuncQ:
-    """phi of the diagonal basis element: 1 / (-q^2; q)_n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return Q_ONE / poch(-qpow(2), n)
-
-
 def phi_closed_m_n(m: int, n: int) -> RatFuncQ:
     """phi([m, z choose n]_q) = (-1)^{n-m} q^{n-m} / (-q^2; q)_n for 0 <= m <= n."""
     if not 0 <= m <= n:
@@ -130,7 +123,7 @@ def phi_via_basis(p: ZPoly) -> RatFuncQ:
     out = Q_ZERO
     for n, c in enumerate(to_diagonal_basis(p)):
         if not c.is_zero:
-            out = out + c * phi_on_basis(n)
+            out = out + c * theta_on_basis(0, n)
     return out
 
 
@@ -352,7 +345,7 @@ def _pairing_failures(moments: Sequence[RatFuncQ],
     norm_p = max([sum(map(abs, c.coeffs)) for _, P in cleared for c in P] + [1])
     norm_m = max([_norm(c.coeffs) for c in nums if c.coeffs] + [1])
     top = max(len(P) for _, P in cleared)
-    width = (2 * top * top * norm_p * norm_p * norm_m).bit_length() // 8 + 1
+    width = _width(top * top * norm_p * norm_p * norm_m)
     mx = [_pack(c.coeffs, width) for c in nums]
     px = [[_pack(c.coeffs, width) for c in P] for _, P in cleared]
     failures: List[Tuple[int, int, RatFuncQ]] = []

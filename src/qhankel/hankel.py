@@ -43,6 +43,7 @@ from .ratcore import (
     _norm,
     _pack,
     _split_content,
+    _width,
     clear_denominators,
     const,
     qpow,
@@ -108,7 +109,10 @@ def _eliminate_row(pivot: QPoly, lead: QPoly, row_i: Sequence[QPoly],
         (norm_p * _norm(a) * min(len(P), len(a)) if a else 0)
         + (norm_l * _norm(b) * min(len(L), len(b)) if b else 0)
         for a, b in pairs])
-    width = (2 * bound + 1).bit_length() // 8 + 1
+    # x > 4N, one bit more than the digits need: with that headroom fewer
+    # quotients in _quotients miss their certificate and fall back to
+    # _exact_quotient
+    width = _width(2 * bound)
     xp, xl = _pack(P, width), _pack(L, width)
     values = [xp * _pack(a, width) - xl * _pack(b, width) for a, b in pairs]
     h = gcd(*values)

@@ -52,15 +52,13 @@ def q_binom(m: int, n: int) -> RatFuncQ:
 
 
 @lru_cache(maxsize=None)
-def poch(base: Union[RatFuncQ, int], length: int, step: int = 1) -> RatFuncQ:
-    """(base; q^step)_length = prod_{k<length} (1 - base*q^(step*k))."""
-    if step < 1:
-        raise ValueError("poch step must be >= 1")
+def poch(base: Union[RatFuncQ, int], length: int) -> RatFuncQ:
+    """(base; q)_length = prod_{k<length} (1 - base*q^k)."""
     if length < 0:
         raise ValueError("poch length must be >= 0")
     out = Q_ONE
     for k in range(length):
-        out = out * (Q_ONE - base * qpow(step * k))
+        out = out * (Q_ONE - base * qpow(k))
     return out
 
 

@@ -12,7 +12,8 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from itertools import count
+from typing import Iterable, Optional, Sequence, Union
 
 
 class DivisionByZeroError(ZeroDivisionError):
@@ -48,6 +49,12 @@ def _norm(coeffs: Sequence[int]) -> int:
     return max(max(coeffs), -min(coeffs))
 
 
+def _width(bound: int) -> int:
+    """The fewest bytes w with bound < 256**w / 2: at x = 256**w, balanced
+    digits hold every coefficient of absolute value at most bound."""
+    return bound.bit_length() // 8 + 1
+
+
 def _pack(coeffs: Sequence[int], width: int) -> int:
     """Sum of c_i * 256**(width * i), for |c_i| < 256**width."""
     zero = bytes(width)
@@ -80,7 +87,7 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list:
     # Pack each polynomial into one big integer with signed byte-aligned
     # blocks; CPython multiplies huge ints subquadratically, which beats
     # pure-Python convolution by a wide margin at these sizes.
-    width = (_norm(a) * _norm(b) * min(len(a), len(b))).bit_length() // 8 + 1
+    width = _width(_norm(a) * _norm(b) * min(len(a), len(b)))
     return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
@@ -279,10 +286,6 @@ def _split_content(coeffs: Sequence[int]) -> tuple:
     return u, (coeffs if u == 1 else [c // u for c in coeffs])
 
 
-class _HeuristicFailed(Exception):
-    pass
-
-
 def _int_eval(coeffs: Sequence[int], x: int) -> int:
     acc = 0
     for c in reversed(coeffs):
@@ -334,7 +337,7 @@ def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
         bound = 2 * (na + nb * nc * terms)
         if cand is not None and bound < 1 << (8 * width):
             return cand
-        width = max(bound.bit_length() // 8 + 1, 2 * width if attempt else 0)
+        width = max(_width(bound), 2 * width if attempt else 0)
     return _exact_quotient_schoolbook(A, B)
 
 
@@ -375,15 +378,15 @@ def _cofactors(f: Sequence[int], g: Sequence[int], h: Sequence[int]) -> Optional
 
 
 def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
-    """Heuristic gcd (GCDHEU) of primitive polynomials with positive leading
-    term, returned as (gcd, f / gcd, g / gcd).
+    """(G, f / G, g / G) for nonzero primitive f, g with positive leading
+    terms and G = gcd(f, g), by the heuristic gcd GCDHEU.
 
-    Evaluates both at x = 256**w, takes the integer gcd, and reads a
-    candidate divisor h back off its balanced base-x digits with _unpack.
-    The trial divisions that test h also give the two cofactors.  The first
-    five retries multiply x by 256 and the last two square it, for gcds whose
-    coefficients outgrow a few bytes; raises _HeuristicFailed when all eight
-    evaluation points produce nothing that divides both inputs.
+    A constant input is 1, so G = 1.  Otherwise both inputs are evaluated at
+    x = 256**w, and a candidate divisor h is read back off the balanced
+    base-x digits of the integer gcd of the values with _digits.  The trial
+    divisions that test h also give the two cofactors.  The first five
+    retries multiply x by 256 and every later one squares it, for gcds whose
+    coefficients outgrow a few bytes, until a candidate divides both inputs.
 
     Theorem (Char, Geddes & Gonnet, 1989): for primitive f, g and
     x >= 2 * min(|f|_inf, |g|_inf) + 2, the primitive part of h is gcd(f, g)
@@ -397,9 +400,22 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
     that an integer gcd of 1, or a constant h, means gcd(f, g) = 1.  The first
     x below meets the bound and each retry only enlarges it, so a candidate
     that passes trial division into both inputs is returned as it stands.
+
+    Termination: write f = G * F and g = G * H with F, H coprime.  Then
+    gcd(f(x), g(x)) = k * |G(x)| with k = gcd(F(x), H(x)).  If F or H is
+    constant, it is 1 (f and g are primitive with positive leading terms),
+    and k = 1; let R = 1.  Otherwise s * F + t * H = R = Res(F, H) for some
+    s, t in Z[q], so k divides the nonzero integer R.  Once
+    x > 2 * |R| * |G|_inf and neither input vanishes at x, the integer gcd
+    is the value at x of +-k * G, whose coefficients are below x/2 in
+    absolute value.  Balanced base-x digits are unique, so the digits read
+    back are +-k * G; their primitive part is G, and trial division accepts
+    it.  Squaring x at every later retry passes any such bound.
     """
+    if len(f_coeffs) == 1 or len(g_coeffs) == 1:
+        return _ONE_TUPLE, f_coeffs, g_coeffs
     width = (2 * min(_norm(f_coeffs), _norm(g_coeffs)) + 29).bit_length() // 8 + 1
-    for attempt in range(8):
+    for attempt in count():
         x = 1 << (8 * width)
         fv = _int_eval(f_coeffs, x)
         gv = _int_eval(g_coeffs, x)
@@ -414,109 +430,6 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
             if found is not None:
                 return found
         width = width + 1 if attempt < 5 else 2 * width
-    raise _HeuristicFailed
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 37 with the twelve prime bases 2..37, which
-    no composite below 3.1 * 10**23 passes (Sorenson & Webster, 2015)."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _gcd_primes() -> Iterator[int]:
-    """The primes below 2**63, largest first, drawn on demand."""
-    return filter(_is_prime, range(2 ** 63 - 1, 37, -2))
-
-
-def _gcd_mod(a: list, b: list, p: int) -> list:
-    """Monic gcd over GF(p), by Euclid, of two polynomials whose leading
-    coefficients are nonzero mod p; a is consumed."""
-    while b:
-        inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
-        db = len(b) - 1
-        low = b[:-1]
-        while len(a) > db:
-            t = a.pop()
-            if t:
-                s = len(a) - db
-                a[s:] = [(x - t * y) % p for x, y in zip(a[s:], low)]
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return a
-
-
-def _modular_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
-    """Gcd of primitive polynomials with positive leading term, by images
-    mod the primes of _gcd_primes (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, ch. 6), returned as (gcd, f / gcd, g / gcd).
-
-    For a prime p dividing neither leading coefficient, the gcd mod p has
-    degree at least that of G = gcd(f, g), with equality for all but finitely
-    many p.  So an image of degree 0 proves G = 1, and only the images of the
-    smallest degree seen are combined.  Scaled to leading coefficient
-    b = gcd(lc f, lc g), they are the residues of (b / lc G) * G, which the
-    Chinese remainder theorem lifts once the modulus exceeds twice its
-    coefficients.  A lifted primitive part that divides both inputs divides
-    G and has at least its degree, so it is G.
-
-    Termination: the primes skipped (they divide lc f * lc g) and the unlucky
-    ones (their image has degree above deg G, and each divides the nonzero
-    resultant of f / G and g / G) are finitely many.  Once a lucky image is
-    seen, only lucky images are combined; once their primes multiply past
-    twice the coefficients of (b / lc G) * G, the lift is exact and trial
-    division passes.  The primes below 2**63, about 2 * 10**17 of them, last
-    far longer, so no bound on the coefficients of G is needed.
-    """
-    b = math.gcd(f_coeffs[-1], g_coeffs[-1])
-    residues, modulus = None, 1  # CRT image of the lowest degree seen so far
-    for p in _gcd_primes():
-        if f_coeffs[-1] % p == 0 or g_coeffs[-1] % p == 0:
-            continue
-        image = _gcd_mod([c % p for c in f_coeffs], [c % p for c in g_coeffs], p)
-        if len(image) == 1:
-            return _ONE_TUPLE, f_coeffs, g_coeffs
-        image = [c * b % p for c in image]
-        if residues is None or len(image) < len(residues):
-            residues, modulus = image, p
-        elif len(image) > len(residues):
-            continue
-        else:
-            m_inv = pow(modulus, -1, p)
-            residues = [r + modulus * ((c - r) * m_inv % p) for r, c in zip(residues, image)]
-            modulus *= p
-        half = modulus // 2
-        found = _cofactors(f_coeffs, g_coeffs,
-                           _split_content([r - modulus if r > half else r for r in residues])[1])
-        if found is not None:
-            return found
-    raise ArithmeticError("internal: the primes below 2**63 ran out")
-
-
-def _primitive_gcd(f: Sequence[int], g: Sequence[int]) -> tuple:
-    """(G, f / G, g / G) for nonzero primitive f, g with positive leading
-    terms and G = gcd(f, g): heuristic, then modular; each certifies what it
-    returns."""
-    if len(f) == 1 or len(g) == 1:
-        return _ONE_TUPLE, f, g
-    try:
-        return _heu_gcd(f, g)
-    except _HeuristicFailed:
-        return _modular_gcd(f, g)
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
@@ -527,7 +440,7 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
         return QPoly(_split_content(b.coeffs)[1])
     if b.is_zero:
         return QPoly(_split_content(a.coeffs)[1])
-    return QPoly(_primitive_gcd(_split_content(a.coeffs)[1], _split_content(b.coeffs)[1])[0])
+    return QPoly(_heu_gcd(_split_content(a.coeffs)[1], _split_content(b.coeffs)[1])[0])
 
 
 def _gcd_full(a: QPoly, b: QPoly) -> tuple:
@@ -541,7 +454,7 @@ def _gcd_full(a: QPoly, b: QPoly) -> tuple:
     ua, fa = _split_content(a.coeffs)
     ub, fb = _split_content(b.coeffs)
     c = math.gcd(ua, ub)
-    G, qa, qb = _primitive_gcd(fa, fb)
+    G, qa, qb = _heu_gcd(fa, fb)
     if c == 1 and len(G) == 1:
         return _P_ONE, a, b
     ka, kb = ua // c, ub // c

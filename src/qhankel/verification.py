@@ -21,7 +21,6 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .carlitz import (
-    limit_q1,
     q_bernoulli_explicit,
     q_bernoulli_recursive,
     q_euler_explicit,
@@ -261,7 +260,7 @@ def _check_qeuler_q1(max_n: int) -> CheckResult:
     failures: List[str] = []
     top = min(9, 2 * max_n)
     for n in range(top + 1):
-        got = limit_q1("qeuler", n)
+        got = q_euler_recursive(n).eval_at(Fraction(1))
         if got != _EPS_AT_ONE[n]:
             failures.append(f"limit at n={n}: got {got}, want {_EPS_AT_ONE[n]}")
     return _done("qeuler-q1-limit", top + 1, failures)

@@ -11,7 +11,6 @@ from functools import partial
 from math import comb, factorial
 
 from qhankel.carlitz import (
-    limit_q1,
     q_bernoulli_explicit,
     q_bernoulli_recursive,
     q_euler_explicit,
@@ -118,7 +117,7 @@ def test_criterion_05_two_definitions_agree():
         if q_bernoulli_explicit(n) != q_bernoulli_recursive(n):
             bad.append(f"beta n={n}")
     for n, want in enumerate(eps_at_one):
-        if limit_q1("qeuler", n) != want:
+        if q_euler_recursive(n).eval_at(Fraction(1)) != want:
             bad.append(f"eps at q=1, n={n}")
     _line(5, "explicit and recursive q-sequences agree, with known q=1 values", bad)
 

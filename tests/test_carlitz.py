@@ -12,7 +12,6 @@ from click.testing import CliRunner
 
 from qhankel import carlitz, ratcore
 from qhankel.carlitz import (
-    limit_q1,
     q_bernoulli_explicit,
     q_bernoulli_recursive,
     q_euler_explicit,
@@ -22,6 +21,7 @@ from qhankel.cli import main
 from qhankel.functionals import theta_moment
 from qhankel.hankel import hankel_matrix
 from qhankel.ratcore import Q_ONE, QPoly, RatFuncQ, serialize
+from qhankel.verification import run_checks
 
 
 def P(*coeffs):
@@ -57,7 +57,7 @@ class TestQEuler:
 
     def test_values_at_one(self):
         for n, want in enumerate(EPS_AT_ONE):
-            assert limit_q1("qeuler", n) == want
+            assert q_euler_recursive(n).eval_at(Fraction(1)) == want
 
     def test_negative_index(self):
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestQBernoulli:
             Fraction(1, 42),
         ]
         for n, b in enumerate(want):
-            assert limit_q1("qbernoulli", n) == b
+            assert q_bernoulli_recursive(n).eval_at(Fraction(1)) == b
 
 
 def _seq_json(seq_id, max_n):
@@ -119,11 +119,6 @@ class TestMomentSeq:
             q_euler_recursive(-1)
         with pytest.raises(ValueError):
             q_bernoulli_recursive(-1)
-
-
-def test_limit_q1_rejects_unknown_id():
-    with pytest.raises(ValueError):
-        limit_q1("fibonacci", 3)
 
 
 def _in_threads(fns, timeout):
@@ -198,15 +193,29 @@ def test_cold_recursion_stays_shallow():
 
 def test_beta_49_needs_no_modular_fallback(monkeypatch):
     # The heuristic gcd once gave up on the reduction of beta_49 (a gcd of
-    # degree 519 outgrew its evaluation points) and left it to the modular
-    # gcd; now the heuristic must answer every gcd on the way.
-    def refuse(f, g):
-        raise AssertionError("modular gcd reached")
+    # degree 519 outgrew its evaluation points) and left it to a modular gcd
+    # after eight points.  That fallback is gone and the heuristic widens
+    # until it answers, but every gcd of the cold beta_49 reduction and of
+    # run_checks(2) must still answer within those first eight points.
+    real_gcd, real_eval = ratcore._heu_gcd, ratcore._int_eval
+    points = []  # per _heu_gcd call, the evaluation points it used
+
+    def gcd(f, g):
+        points.append(set())
+        return real_gcd(f, g)
+
+    def evaluate(coeffs, x):
+        points[-1].add(x)
+        return real_eval(coeffs, x)
 
     q_bernoulli_recursive.cache_clear()
     carlitz._bernoulli_scaled.cache_clear()
-    monkeypatch.setattr(ratcore, "_modular_gcd", refuse)
+    monkeypatch.setattr(ratcore, "_heu_gcd", gcd)
+    monkeypatch.setattr(ratcore, "_int_eval", evaluate)
     assert q_bernoulli_recursive(49) == q_bernoulli_explicit(49)
+    assert all(r.passed for r in run_checks(2))
+    assert len(points) > 1000
+    assert max(map(len, points)) <= 8
 
 
 _MEMOS = (q_euler_recursive, q_bernoulli_recursive,

@@ -22,7 +22,6 @@ from qhankel.functionals import (
     phi,
     phi_closed_m_n,
     phi_closed_n1_n,
-    phi_on_basis,
     phi_via_basis,
     qbinom_basis,
     theta_moment,
@@ -105,9 +104,9 @@ class TestPhi:
             assert phi(ZPoly.monomial(n)) == q_euler_recursive(n)
 
     def test_on_basis_values(self):
-        assert phi_on_basis(0) == Q_ONE
-        assert phi_on_basis(1) == RatFuncQ(P(1), P(1, 0, 1))
-        assert phi_on_basis(2) == RatFuncQ(P(1), P(1, 0, 1) * P(1, 0, 0, 1))
+        assert theta_on_basis(0, 0) == Q_ONE
+        assert theta_on_basis(0, 1) == RatFuncQ(P(1), P(1, 0, 1))
+        assert theta_on_basis(0, 2) == RatFuncQ(P(1), P(1, 0, 1) * P(1, 0, 0, 1))
 
     def test_two_routes_agree(self):
         rng = random.Random(21)

@@ -82,9 +82,6 @@ class TestPochhammer:
     def test_single_factor(self):
         assert poch(qpow(2), 1) == RatFuncQ(P(1, 0, -1))
 
-    def test_step_two(self):
-        assert poch(-Q, 2, step=2) == RatFuncQ(P(1, 1) * P(1, 0, 0, 1))
-
     def test_vanishing(self):
         # (q^-2; q)_3 hits the factor 1 - q^-2 * q^2 = 0
         assert poch(qpow(-2), 3) == Q_ZERO
@@ -103,8 +100,6 @@ class TestPochhammer:
         assert poch(Q, 3) == (Q_ONE - Q) * (Q_ONE - qpow(2)) * (Q_ONE - qpow(3))
 
     def test_bad_spec(self):
-        with pytest.raises(ValueError):
-            poch(Q, 1, step=0)
         with pytest.raises(ValueError):
             poch(Q, -1)
 

@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -396,7 +395,7 @@ _COPRIME_G = (
 )
 
 
-# Coefficients of about 143 bits: the modular lift needs three primes.
+# Coefficients of about 143 bits.
 _BIG_GCD = (5 ** 50, -(2 ** 130 + 1), 3 ** 90)
 
 # (a, b, c) for the gcd of a*c and b*c: fixed inputs that every gcd route and
@@ -426,20 +425,10 @@ def test_heuristic_gcd_matches_subresultant(a, b, c):
     _check_gcd_against_subresultant(a, b, c)
 
 
-@settings(max_examples=150, deadline=None)
-@_gcd_inputs
-def test_modular_gcd_matches_subresultant(a, b, c):
-    # The heuristic always fails, so every gcd here comes from the modular
-    # route; the oracle is the test-local subresultant chain above.
-    with mock.patch.object(ratcore, "_heu_gcd", side_effect=ratcore._HeuristicFailed):
-        _check_gcd_against_subresultant(a, b, c)
-
-
-# Patches that force each gcd route: as it stands, or with the heuristic
-# failing so that the modular gcd answers.
+# Patches that force each gcd route.  GCDHEU is the only one, so it runs
+# as it stands.
 _GCD_ROUTES = {
     "heuristic": (),
-    "modular": (("_heu_gcd", {"side_effect": ratcore._HeuristicFailed}),),
 }
 
 
@@ -474,13 +463,13 @@ def test_gcd_cofactors_through_each_route(route, a, b, c):
 @_gcd_inputs
 def test_gcd_of_equal_inputs_needs_no_gcd(a, b, c):
     # g = a with its content and a positive leading coefficient, and the
-    # cofactors are +-1, without a call into the primitive gcd.
+    # cofactors are +-1, without a call into the heuristic gcd.
     f = QPoly(a) * QPoly(c)
     if f.is_zero:
         return
     for p in (f, -f, f.scale(6), f.scale(-10)):
         want = poly_gcd(p, p).scale(p.content())
-        with mock.patch.object(ratcore, "_primitive_gcd", side_effect=AssertionError):
+        with mock.patch.object(ratcore, "_heu_gcd", side_effect=AssertionError):
             g, qa, qb = _gcd_full(p, QPoly(p.coeffs))
         assert g == want and g.leading > 0
         assert qa == qb == QPoly.const(1 if p.leading > 0 else -1)
@@ -566,81 +555,56 @@ def test_heuristic_gcd_answers_a_coprime_pair_it_used_to_give_up_on():
                    tuple(QPoly(g).exact_div(want).coeffs))
 
 
-# The sixteen fixed primes the modular gcd used before it drew them on demand.
-_OLD_GCD_PRIMES = tuple(2 ** 63 - d for d in (
-    25, 165, 259, 301, 375, 387, 391, 409, 457, 471, 517, 529, 549, 627, 649, 669))
-
-
-class TestModularGcd:
-    P0, P1 = islice(ratcore._gcd_primes(), 2)
+class TestLargeGcd:
     BIG = P(*_BIG_GCD)
-    # Coefficients of about 1,130 bits: sixteen primes do not lift it.
+    # Coefficients of about 1,130 bits.
     HUGE = P(5 ** 480, -(2 ** 1130 + 1), 3 ** 700)
 
-    def _primes_used(self, f, g):
-        with mock.patch.object(ratcore, "_gcd_mod", wraps=ratcore._gcd_mod) as spy:
-            got, qf, qg = ratcore._modular_gcd(f.coeffs, g.coeffs)
-        assert P(*got) * P(*qf) == f and P(*got) * P(*qg) == g
-        return tuple(got), [call.args[2] for call in spy.call_args_list]
-
-    def test_first_primes_are_the_old_fixed_ones(self):
-        assert tuple(islice(ratcore._gcd_primes(), 16)) == _OLD_GCD_PRIMES
-
-    def test_prime_dividing_a_leading_coefficient_is_skipped(self):
-        f = P(1, 1) * P(1, 3 * self.P0)
-        g = P(1, 1) * P(2, 1)
-        got, primes = self._primes_used(f, g)
-        assert got == (1, 1)
-        assert primes == [self.P1]
-
-    def test_unlucky_prime_gives_way_to_a_lower_degree(self):
-        # mod P0 the two inputs coincide, so that image has degree 2
-        f = P(2, 1) * P(1, 1)
-        g = P(2, 1) * P(1 + self.P0, 1)
-        got, primes = self._primes_used(f, g)
-        assert got == (2, 1)
-        assert primes == [self.P0, self.P1]
-
-    def test_large_gcd_lifts_over_several_primes(self):
-        f, g = self.BIG * P(7, 0, 0, 1), self.BIG * P(9, 2)
-        got, primes = self._primes_used(f, g)
-        assert got == self.BIG.coeffs
-        assert len(primes) == 3
-        assert got == _subresultant_gcd(f, g).coeffs
-
-    def test_gcd_past_sixteen_primes_is_certified(self):
-        # The old fixed primes ran out on this gcd; drawn on demand, they
-        # lift it, with both cofactors certified by _primes_used.
-        f, g = self.HUGE * P(7, 0, 0, 1), self.HUGE * P(9, 2)
-        got, primes = self._primes_used(f, g)
-        assert got == self.HUGE.coeffs == _subresultant_gcd(f, g).coeffs
-        assert len(primes) > 16
-        assert primes == list(islice(ratcore._gcd_primes(), len(primes)))
-        with mock.patch.object(ratcore, "_heu_gcd", side_effect=ratcore._HeuristicFailed), \
-                mock.patch.object(ratcore, "_modular_gcd", wraps=ratcore._modular_gcd) as spy:
-            assert poly_gcd(f, g) == self.HUGE
-            g_full, qf, qg = _gcd_full(f.scale(6), g.scale(-4))
-        assert spy.call_count == 2
-        assert g_full == self.HUGE.scale(2)
+    @staticmethod
+    def _check_against_subresultant(G):
+        f, g = G * P(7, 0, 0, 1), G * P(9, 2)
+        assert poly_gcd(f, g) == G == _subresultant_gcd(f, g)
+        g_full, qf, qg = _gcd_full(f.scale(6), g.scale(-4))
+        assert g_full == G.scale(2)
         assert qf == P(7, 0, 0, 1).scale(3) and qg == P(9, 2).scale(-2)
 
-    def test_gcd_past_sixteen_primes_matches_sympy(self):
+    def test_big_gcd_matches_subresultant(self):
+        self._check_against_subresultant(self.BIG)
+
+    def test_huge_gcd_is_certified(self):
+        self._check_against_subresultant(self.HUGE)
+
+    def test_huge_gcd_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         q = sympy.Symbol("q")
         f, g = self.HUGE * P(7, 0, 0, 1), self.HUGE * P(9, 2)
-        with mock.patch.object(ratcore, "_heu_gcd", side_effect=ratcore._HeuristicFailed):
-            got = poly_gcd(f, g)
         want = sympy.Poly(sympy.gcd(sympy.Poly(f.coeffs[::-1], q), sympy.Poly(g.coeffs[::-1], q)), q)
-        assert got.coeffs == tuple(int(c) for c in want.all_coeffs()[::-1])
+        assert poly_gcd(f, g).coeffs == tuple(int(c) for c in want.all_coeffs()[::-1])
 
-    def test_generated_primes_match_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        got = list(islice(ratcore._gcd_primes(), 300))
-        want, p = [], 2 ** 63
-        for _ in got:
-            p = sympy.prevprime(p)
-            want.append(p)
-        assert got == want
+    def test_gcd_keeps_widening_until_a_candidate_divides(self):
+        # With its first twelve candidates refused, the heuristic goes on to
+        # a thirteenth evaluation point: five one-byte steps, then the width
+        # doubles at every retry, and the certified gcd comes back.
+        f, g = self.BIG * P(7, 0, 0, 1), self.BIG * P(9, 2)
+        real_cofactors, real_eval = ratcore._cofactors, ratcore._int_eval
+        candidates, points = [], set()
+
+        def refuse_twelve(f, g, h):
+            candidates.append(h)
+            return None if len(candidates) <= 12 else real_cofactors(f, g, h)
+
+        def evaluate(coeffs, x):
+            points.add(x)
+            return real_eval(coeffs, x)
+
+        with mock.patch.object(ratcore, "_cofactors", refuse_twelve), \
+                mock.patch.object(ratcore, "_int_eval", evaluate):
+            got, qf, qg = ratcore._heu_gcd(f.coeffs, g.coeffs)
+        assert (P(*got), P(*qf), P(*qg)) == (self.BIG, P(7, 0, 0, 1), P(9, 2))
+        assert len(candidates) == 13
+        widths = [x.bit_length() // 8 for x in sorted(points)]
+        w = widths[0]
+        assert widths == [w + k for k in range(6)] + [(w + 5) << k for k in range(1, 8)]
 
 
 def test_verify_runs_with_sympy_blocked():
