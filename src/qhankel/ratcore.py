@@ -167,12 +167,23 @@ class QPoly:
         return self + (-other)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
+        """q**(i + j) * (a / q**i) * (b / q**j) for i = val a and j = val b:
+        the multiplication sees only the parts that q does not divide, and
+        an operand left with one term is a constant."""
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _P_ZERO
-        if min(len(a), len(b)) < _KRONECKER_CUTOFF:
-            return QPoly(_mul_schoolbook(a, b))
-        return QPoly(_mul_kronecker(a, b))
+        i, j = _val(a), _val(b)
+        a, b = a[i:], b[j:]
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            prod = b if a[0] == 1 else [a[0] * c for c in b]
+        elif len(a) < _KRONECKER_CUTOFF:
+            prod = _mul_schoolbook(a, b)
+        else:
+            prod = _mul_kronecker(a, b)
+        return _shifted(prod, i + j)
 
     def scale(self, k: int) -> "QPoly":
         if k == 0:
@@ -196,7 +207,7 @@ class QPoly:
 
         Small operands run the schoolbook loop; above the Kronecker cutoff
         both are packed into integers and divided once, and a norm bound
-        certifies the unpacked quotient (see _exact_quotient)."""
+        certifies the unpacked quotient (see _exact_quotient_q_free)."""
         if other.is_zero:
             raise DivisionByZeroError("polynomial division by zero")
         if self.is_zero:
@@ -228,6 +239,24 @@ class QPoly:
 _P_ZERO = QPoly()
 _P_ONE = QPoly((1,))
 _P_MINUS_ONE = QPoly((-1,))
+
+
+def _val(coeffs: Sequence[int]) -> int:
+    """The q-adic valuation of a nonzero polynomial: its number of leading
+    zero coefficients."""
+    if coeffs[0]:
+        return 0
+    # the first nonzero coefficient, then its first occurrence: every
+    # earlier entry is 0
+    return coeffs.index(next(filter(None, coeffs)))
+
+
+def _shifted(coeffs: Sequence[int], k: int) -> QPoly:
+    """q**k times the polynomial whose coefficients, last one nonzero, are
+    given."""
+    p = object.__new__(QPoly)
+    p.coeffs = (0,) * k + tuple(coeffs) if k else tuple(coeffs)
+    return p
 
 
 # CPython refuses str(int) and int(str) past 4,300 digits by default (and the
@@ -287,13 +316,52 @@ def _split_content(coeffs: Sequence[int]) -> tuple:
 
 
 def _int_eval(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    """The value of coeffs at x, a power of two."""
+    return _eval_halves(coeffs, 0, len(coeffs), x.bit_length() - 1)
+
+
+def _eval_halves(coeffs: Sequence[int], lo: int, hi: int, bits: int) -> int:
+    """The value of coeffs[lo:hi] at x = 2**bits, by halves:
+    f(x) = low(x) + (high(x) << bits * len low), with short Horner runs of
+    shifts at the leaves.  Each level of the halving adds numbers of the full
+    size once, so the cost is O(size * log len) where Horner with one
+    multiply per coefficient is quadratic in the length.  (A nested helper
+    would hold coeffs in a reference cycle until the garbage collector ran.)"""
+    if hi - lo <= 16:
+        acc = 0
+        for c in reversed(coeffs[lo:hi]):
+            acc = (acc << bits) + c
+        return acc
+    mid = (lo + hi) // 2
+    return (_eval_halves(coeffs, lo, mid, bits)
+            + (_eval_halves(coeffs, mid, hi, bits) << bits * (mid - lo)))
 
 
 def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
+    """Quotient of nonzero A by nonzero B over Z if B divides A exactly,
+    else None.
+
+    Powers of q come off first.  With j = val B, q**j must divide A, and then
+    A / B = (A / q**j) / (B / q**j).  The divisor left has a nonzero constant
+    term, so q does not divide it.  As q is prime in Z[q], A = q**i * A' with
+    q not dividing A' is then divisible by it exactly when A' is, and the
+    quotient is q**i * (A' / B): the dividend's own valuation comes back as
+    zero padding.  A constant divisor divides coefficient by coefficient.
+    """
+    j = _val(B)
+    if j:
+        if any(A[:j]):
+            return None
+        A, B = A[j:], B[j:]
+    if len(B) == 1:
+        b = B[0]
+        return None if any(c % b for c in A) else [c // b for c in A]
+    i = _val(A)
+    quot = _exact_quotient_q_free(A[i:] if i else A, B)
+    return [0] * i + quot if i and quot is not None else quot
+
+
+def _exact_quotient_q_free(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
     """Quotient of A by B over Z if B divides A exactly, else None.
 
     Above the Kronecker cutoff both are packed at x = 256**w and divided as
@@ -433,34 +501,41 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Gcd in Z[q], normalized primitive with positive leading coefficient."""
-    if a.is_zero and b.is_zero:
-        return _P_ZERO
-    if a.is_zero:
-        return QPoly(_split_content(b.coeffs)[1])
-    if b.is_zero:
-        return QPoly(_split_content(a.coeffs)[1])
-    return QPoly(_heu_gcd(_split_content(a.coeffs)[1], _split_content(b.coeffs)[1])[0])
+    """Gcd in Z[q], normalized primitive with positive leading coefficient:
+    the primitive part of _gcd_full's g, and of the other input if one is
+    zero."""
+    g = b if a.is_zero else a if b.is_zero else _gcd_full(a, b)[0]
+    return QPoly(_split_content(g.coeffs)[1]) if g.coeffs else _P_ZERO
 
 
 def _gcd_full(a: QPoly, b: QPoly) -> tuple:
     """(g, a / g, b / g) for nonzero a, b and their gcd g in Z[q], integer
     content included and leading coefficient positive; equal inputs need
-    no gcd."""
+    no gcd.
+
+    The power of q comes off before any work.  Lemma: q is prime in Z[q]
+    (Z[q]/(q) = Z is a domain), so for f and g that q does not divide,
+    gcd(q**i * f, q**j * g) = q**min(i, j) * gcd(f, g): q divides no common
+    factor of f and g, and every prime other than q divides q**i * f exactly
+    as often as it divides f.  So GCDHEU runs on the q-free primitive parts,
+    q**min(i, j) joins g and the rest of each power joins its cofactor.  A
+    monomial input leaves a constant, which _heu_gcd answers at once."""
     if a == b:
         if a.leading > 0:
             return a, _P_ONE, _P_ONE
         return -a, _P_MINUS_ONE, _P_MINUS_ONE
-    ua, fa = _split_content(a.coeffs)
-    ub, fb = _split_content(b.coeffs)
+    i, j = _val(a.coeffs), _val(b.coeffs)
+    ua, fa = _split_content(a.coeffs[i:])
+    ub, fb = _split_content(b.coeffs[j:])
     c = math.gcd(ua, ub)
     G, qa, qb = _heu_gcd(fa, fb)
-    if c == 1 and len(G) == 1:
+    k = min(i, j)
+    if c == 1 and k == 0 and len(G) == 1:
         return _P_ONE, a, b
     ka, kb = ua // c, ub // c
-    return (QPoly(G).scale(c),
-            QPoly(qa if ka == 1 else [x * ka for x in qa]),
-            QPoly(qb if kb == 1 else [x * kb for x in qb]))
+    return (_shifted(G if c == 1 else [x * c for x in G], k),
+            _shifted(qa if ka == 1 else [x * ka for x in qa], i - k),
+            _shifted(qb if kb == 1 else [x * kb for x in qb], j - k))
 
 
 def clear_denominators(values: Sequence[RatFuncQ]) -> tuple:
@@ -549,6 +624,9 @@ class RatFuncQ:
         if o.is_zero:
             return self
         na, da, nb, db = self.num, self.den, o.num, o.den
+        if da.coeffs == db.coeffs == _ONE_TUPLE:
+            # a polynomial over 1 is already reduced
+            return RatFuncQ._raw(na + nb, _P_ONE)
         # Fraction-style reduced addition: only gcds of structured pieces.
         g, sa, sb = _gcd_full(da, db)
         t = na * sb + nb * sa
@@ -585,6 +663,8 @@ class RatFuncQ:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return Q_ZERO
+        if self.den.coeffs == o.den.coeffs == _ONE_TUPLE:
+            return RatFuncQ._raw(self.num * o.num, _P_ONE)
         _, na, db = _gcd_full(self.num, o.den)
         _, nb, da = _gcd_full(o.num, self.den)
         return RatFuncQ._raw(na * nb, da * db)

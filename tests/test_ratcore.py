@@ -42,6 +42,7 @@ from qhankel.ratcore import (
     qpow,
     serialize,
 )
+from qhankel.verification import run_checks
 
 
 def P(*coeffs):
@@ -605,6 +606,113 @@ class TestLargeGcd:
         widths = [x.bit_length() // 8 for x in sorted(points)]
         w = widths[0]
         assert widths == [w + k for k in range(6)] + [(w + 5) << k for k in range(1, 8)]
+
+
+def test_evaluation_by_halves_matches_horner():
+    rng = random.Random(0xE7A1)
+    for _ in range(200):
+        coeffs = [rng.randrange(-2 ** 300, 2 ** 300) >> rng.randrange(300)
+                  for _ in range(rng.randrange(1, 90))]
+        x = 1 << (8 * rng.randrange(1, 12))
+        want = 0
+        for c in reversed(coeffs):
+            want = want * x + c
+        assert ratcore._int_eval(coeffs, x) == want
+
+
+# The kernel takes the power of q out of every operand before it multiplies,
+# divides or takes a gcd.  These inputs carry a random q**i in front.
+_Q_FREE = st.lists(st.integers(-9, 9), min_size=1, max_size=30).filter(lambda cs: cs[0] and cs[-1])
+_Q_POWER = st.integers(0, 12)
+
+
+def _times_q(k, coeffs):
+    return [0] * k + list(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_Q_FREE, _Q_FREE, _Q_POWER, _Q_POWER)
+@example([3], [1, 1], 5, 0)
+@example([1], [-1], 2, 7)
+def test_product_of_q_power_multiples_matches_schoolbook(a, b, i, j):
+    pa, pb = _times_q(i, a), _times_q(j, b)
+    assert (QPoly(pa) * QPoly(pb)).coeffs == tuple(_mul_schoolbook(pa, pb))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_Q_FREE, _Q_FREE, _Q_POWER, _Q_POWER, st.integers(2, 7))
+@example([2, 1], [5], 3, 4, 3)
+def test_exact_quotient_of_q_power_multiples(b, c, i, j, d):
+    a = _mul_schoolbook(_times_q(j, b), _times_q(i, c))
+    assert _exact_quotient(a, _times_q(j, b)) == _times_q(i, c)
+    # the dividend lacks the divisor's power of q
+    assert _exact_quotient(a, _times_q(i + j + 1, b)) is None
+    # a constant times a power of q divides coefficient by coefficient, or
+    # not at all
+    scaled = [d * x for x in a]
+    assert _exact_quotient(scaled, [d]) == a
+    assert _exact_quotient(scaled, _times_q(i + j, [d])) == _mul_schoolbook(b, c)
+    if any(x % d for x in a):
+        assert _exact_quotient(a, [d]) is None
+        assert _exact_quotient(a, _times_q(j, [d])) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_Q_FREE, _Q_FREE, _Q_FREE, _Q_POWER, _Q_POWER, _Q_POWER)
+@example([1], [1, -1], [1, 1], 4, 0, 3)
+@example([2], [6], [1], 3, 5, 0)
+def test_gcd_of_q_power_multiples_matches_subresultant(a, b, c, i, j, k):
+    f = QPoly(_times_q(i + k, _mul_schoolbook(a, c)))
+    h = QPoly(_times_q(j + k, _mul_schoolbook(b, c)))
+    g, qf, qh = _gcd_full(f, h)
+    assert g * qf == f and g * qh == h
+    pf, ph = (QPoly(_split_content(p.coeffs)[1]) for p in (f, h))
+    if pf.degree < ph.degree:
+        pf, ph = ph, pf
+    want = P(1) if ph.degree == 0 else _subresultant_gcd(pf, ph)
+    assert g == want.scale(math.gcd(f.content(), h.content()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_Q_FREE, _Q_FREE, _Q_FREE, _Q_FREE, _Q_POWER, _Q_POWER, _Q_POWER, _Q_POWER)
+@example([1], [1], [2], [1], 3, 0, 0, 0)
+@example([1, 1], [1], [1, -1], [1], 2, 0, 1, 0)
+def test_ratfunc_arithmetic_with_q_powers_matches_a_reduction(n1, d1, n2, d2, i, j, k, m):
+    u = RatFuncQ(QPoly(_times_q(i, n1)), QPoly(_times_q(j, d1)))
+    v = RatFuncQ(QPoly(_times_q(k, n2)), QPoly(_times_q(m, d2)))
+    for x, y in ((u, v), (u, RatFuncQ(u.num)), (RatFuncQ(u.num), RatFuncQ(v.num)),
+                 (qpow(i - j), v)):
+        total, prod = x + y, x * y
+        assert (total.num, total.den) == _reduced(x.num * y.den + y.num * x.den, x.den * y.den)
+        assert (prod.num, prod.den) == _reduced(x.num * y.num, x.den * y.den)
+
+
+def test_kernel_multiplies_and_takes_gcds_only_on_q_free_parts():
+    # Every schoolbook product in a verify pass has two operands of two or
+    # more terms whose constant terms are nonzero: powers of q and constant
+    # factors never reach the loop.
+    operands = []
+
+    def record(a, b):
+        operands.append((tuple(a), tuple(b)))
+        return _mul_schoolbook(a, b)
+
+    with mock.patch.object(ratcore, "_mul_schoolbook", record):
+        assert all(r.passed for r in run_checks(2))
+    assert operands
+    assert all(len(p) >= 2 and p[0] for pair in operands for p in pair)
+    # Multiplying or dividing by a power of q evaluates no gcd, and two
+    # polynomials take no gcd at all.
+    r = RatFuncQ(P(0, 0, 2, 1), P(1, 1, 0, 3))
+    s, t = RatFuncQ(P(0, 0, 1, 4)), RatFuncQ(P(3, 0, 5))
+    want = [RatFuncQ(P(0, 0, 2, 1) * QPoly.q_power(7), P(1, 1, 0, 3)),
+            RatFuncQ(P(2, 1), P(0, 1, 1, 0, 3)),
+            RatFuncQ(P(0, 0, 3, 12, 5, 20)), RatFuncQ(P(3, 0, 6, 4))]
+    with mock.patch.object(ratcore, "_int_eval", side_effect=AssertionError("gcd evaluated")):
+        got = [qpow(7) * r, r / qpow(3)]
+        with mock.patch.object(ratcore, "_gcd_full", side_effect=AssertionError("gcd taken")):
+            got += [s * t, s + t]
+    assert got == want
 
 
 def test_verify_runs_with_sympy_blocked():
