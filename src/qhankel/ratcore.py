@@ -207,7 +207,7 @@ class QPoly:
 
         Small operands run the schoolbook loop; above the Kronecker cutoff
         both are packed into integers and divided once, and a norm bound
-        certifies the unpacked quotient (see _exact_quotient_q_free)."""
+        certifies the unpacked quotient (see _exact_quotient)."""
         if other.is_zero:
             raise DivisionByZeroError("polynomial division by zero")
         if self.is_zero:
@@ -327,6 +327,8 @@ def _eval_halves(coeffs: Sequence[int], lo: int, hi: int, bits: int) -> int:
     size once, so the cost is O(size * log len) where Horner with one
     multiply per coefficient is quadratic in the length.  (A nested helper
     would hold coeffs in a reference cycle until the garbage collector ran.)"""
+    # Leaves of 16 coefficients timed fastest of 4, 8, 16, 32 and 64 on
+    # inputs of 10 to 160 coefficients; up to 16 this is plain Horner.
     if hi - lo <= 16:
         acc = 0
         for c in reversed(coeffs[lo:hi]):
@@ -338,30 +340,6 @@ def _eval_halves(coeffs: Sequence[int], lo: int, hi: int, bits: int) -> int:
 
 
 def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
-    """Quotient of nonzero A by nonzero B over Z if B divides A exactly,
-    else None.
-
-    Powers of q come off first.  With j = val B, q**j must divide A, and then
-    A / B = (A / q**j) / (B / q**j).  The divisor left has a nonzero constant
-    term, so q does not divide it.  As q is prime in Z[q], A = q**i * A' with
-    q not dividing A' is then divisible by it exactly when A' is, and the
-    quotient is q**i * (A' / B): the dividend's own valuation comes back as
-    zero padding.  A constant divisor divides coefficient by coefficient.
-    """
-    j = _val(B)
-    if j:
-        if any(A[:j]):
-            return None
-        A, B = A[j:], B[j:]
-    if len(B) == 1:
-        b = B[0]
-        return None if any(c % b for c in A) else [c // b for c in A]
-    i = _val(A)
-    quot = _exact_quotient_q_free(A[i:] if i else A, B)
-    return [0] * i + quot if i and quot is not None else quot
-
-
-def _exact_quotient_q_free(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
     """Quotient of A by B over Z if B divides A exactly, else None.
 
     Above the Kronecker cutoff both are packed at x = 256**w and divided as
