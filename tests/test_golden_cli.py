@@ -69,6 +69,11 @@ def _cases():
     cases.append(["det", "--id", "theta", "--shift", "1", "--n", "2"])
     # A shift past the rows of ROUTES is a usage error, not a range error.
     cases.append(["det", "--id", "qeuler", "--shift", "3", "--n", "1"])
+    # Usage errors the sequence table must keep: no J-fraction for qbernoulli,
+    # the eps J-fraction only at ell 0 and 1, and --ell only for theta and xi.
+    cases.append(["jfrac", "--id", "qbernoulli", "--depth", "2"])
+    cases.append(["jfrac", "--id", "qeuler", "--ell", "2", "--depth", "2"])
+    cases.append(["seq", "--id", "qeuler", "--ell", "1", "--max-n", "2"])
     return cases
 
 
