@@ -22,27 +22,22 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import click
 
-from .hankel import (
-    ROUTES,
-    JFraction,
-    HankelResult,
-    hankel_product,
-    jfraction_expand,
-    jfraction_for_eps,
-    jfraction_for_theta,
-    jfraction_for_xi,
-)
+from .functionals import SEQUENCES, jfraction_for, moments_for
+from .hankel import ROUTES, hankel_product, jfraction_expand
 from .orthopoly import build_j_via_phi2, build_jtilde_via_phi2, build_p_via_phi2
 from .ratcore import PoleError, RatFuncQ, int_to_decimal, poly_text, serialize
 from .verification import available_checks, run_checks
 
 _FORMATS = ("json", "text", "latex")
 _VERIFY_FORMATS = ("json", "text")
-_ELL_IDS = ("theta", "xi")  # the sequences that take --ell
-# The choices of seq and det come from ROUTES, so a new route needs no edit here.
-_SEQ_IDS = list(dict.fromkeys(seq for seq, _ in ROUTES))
-_DET_METHODS = list(dict.fromkeys(m for row in ROUTES.values() for m in row.routes)) + ["all"]
-_JFRACTIONS = {"qeuler": jfraction_for_eps, "theta": jfraction_for_theta, "xi": jfraction_for_xi}
+# The sequences whose ell is the functional's parameter take --ell; for the
+# others ell shifts the sequence, which det spells --shift.
+_ELL_IDS = ("theta", "xi")
+# The choices come from functionals.SEQUENCES and hankel.ROUTES, so a new
+# sequence, J-fraction or route needs no edit here.
+_SEQ_IDS = list(SEQUENCES)
+_JFRAC_IDS = [seq for seq, entry in SEQUENCES.items() if entry.jfraction is not None]
+_DET_METHODS = list(dict.fromkeys(m for routes in ROUTES.values() for m in routes)) + ["all"]
 
 _SEQ_SYMBOLS = {
     "qeuler": r"\varepsilon",
@@ -162,7 +157,7 @@ def cmd_seq(seq_id, ell, max_n, fmt, at_q, out) -> None:
     fmt = _pick_format(fmt)
     point = _parse_at_q(at_q)
     ell_value = _check_ell(seq_id, ell)
-    moment = ROUTES[(seq_id, 0)].moments(ell_value)
+    moment = moments_for(seq_id, ell_value)
     label = f"{seq_id}_ell({ell_value})" if seq_id in _ELL_IDS else seq_id
     try:
         values = [_at(moment(n), point) for n in range(max_n + 1)]
@@ -247,12 +242,12 @@ def cmd_det(seq_id, ell, shift, n, method, fmt, at_q, out) -> None:
     fmt = _pick_format(fmt)
     point = _parse_at_q(at_q)
     ell_value = _check_ell(seq_id, ell)
-    row = ROUTES.get((seq_id, shift))
-    if row is None:
+    routes = ROUTES.get((seq_id, shift))
+    if routes is None:
         raise click.UsageError(f"--shift {shift} is not available for --id {seq_id}")
-    if method != "all" and method not in row.routes:
+    if method != "all" and method not in routes:
         raise click.UsageError(f"no {method} route is wired up for --id {seq_id}")
-    wanted = row.routes if method == "all" else {method: row.routes[method]}
+    wanted = routes if method == "all" else {method: routes[method]}
 
     try:
         lists = {m: tuple(fn(ell_value, n)) for m, fn in sorted(wanted.items())}
@@ -268,16 +263,12 @@ def cmd_det(seq_id, ell, shift, n, method, fmt, at_q, out) -> None:
     label = seq_id if ell is None else f"{seq_id}({ell})"
     agree = len(products) == 1
     if fmt == "json":
+        payload: Dict[str, object] = {"seq": label, "shift": shift, "n": n}
         if method == "all":
-            payload: Dict[str, object] = {
-                "seq": label,
-                "shift": shift,
-                "n": n,
-                "results": {m: _json_value(v) for m, v in shown.items()},
-                "equal": agree,
-            }
+            payload["results"] = {m: _json_value(v) for m, v in shown.items()}
+            payload["equal"] = agree
         else:
-            payload = HankelResult(label, shift, n, method, values[method]).to_json_dict()
+            payload["method"] = method
             payload["value"] = _json_value(shown[method])
         if point is not None:
             payload["at_q"] = str(point)
@@ -302,7 +293,7 @@ def cmd_det(seq_id, ell, shift, n, method, fmt, at_q, out) -> None:
 @click.option(
     "--id",
     "seq_id",
-    type=click.Choice(list(_JFRACTIONS)),
+    type=click.Choice(_JFRAC_IDS),
     required=True,
 )
 @click.option("--ell", type=click.IntRange(min=0), default=0)
@@ -315,11 +306,12 @@ def cmd_jfrac(seq_id, ell, depth, order, fmt, out) -> None:
     fmt = _pick_format(fmt)
     if depth is None and order is None:
         raise click.UsageError("need --depth and/or --expand")
-    if seq_id == "qeuler" and ell not in (0, 1):
-        raise click.UsageError("--id qeuler supports only --ell 0 or 1")
+    try:  # the J-fraction reads a(n), b(n) only when asked, so this checks ell alone
+        jf = jfraction_for(seq_id, ell)
+    except ValueError as exc:
+        raise click.UsageError(f"--id {seq_id} --ell {ell}: {exc}")
 
     try:
-        jf: JFraction = _JFRACTIONS[seq_id](ell)
         a_vals = [] if depth is None else [jf.a(k) for k in range(depth)]
         b_vals = [] if depth is None else [jf.b(k) for k in range(1, depth)]
         expansion = None if order is None else jfraction_expand(jf, order)

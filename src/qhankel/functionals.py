@@ -1,24 +1,26 @@
 """Moment functionals on polynomials in z.
 
-Every functional is applied through its monomial moments: expand the input,
-pair coefficient k with the k-th moment.  The q-binomial diagonal basis is
-used to *define* the phi and theta moments.  The theta moments are served by
-a closed q-binomial sum (theta_moment) and the xi moments by one ratio step
-each (xi_moment); the basis routes (phi_via_basis, theta_moment_via_basis)
-are kept as independent cross-checks.  An orthogonality check takes only the
-functional and pairs its Favard family (favard_family) with the moments in
-Z[q], one packed integer per L(p_m p_n), reducing only the pairings that do
-not vanish (_pairing_failures).
+SEQUENCES is the one table of moment sequences: for each sequence id and
+each ell it gives the moment map n -> mu_n and the J-fraction that pairs
+with it.  A functional is named by its (sequence id, ell) and applied
+through its monomial moments: expand the input, pair coefficient k with the
+k-th moment.  The q-binomial diagonal basis is used to *define* the phi and
+theta moments.  The theta moments are served by a closed q-binomial sum
+(theta_moment) and the xi moments by one ratio step each (xi_moment); the
+basis routes (phi_via_basis, theta_moment_via_basis) are kept as independent
+cross-checks.  An orthogonality check takes only the (sequence id, ell) and
+pairs its Favard family (favard_family) with the moments in Z[q], one packed
+integer per L(p_m p_n), reducing only the pairings that do not vanish
+(_pairing_failures).
 """
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from math import comb
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .carlitz import q_euler_recursive
+from .carlitz import q_bernoulli_recursive, q_euler_recursive
 from .qkit import parity_sign, poch, q_factorial, q_int
 from .ratcore import (
     Q_ONE,
@@ -32,31 +34,15 @@ from .ratcore import (
     clear_denominators,
     const,
     qpow,
-    serialize,
 )
-from .orthopoly import ZPoly, jfraction_for_theta, jfraction_for_xi, three_term_build
-from .record import FrozenRecord, Record
-
-
-class FunctionalId(FrozenRecord):
-    """Which functional: plain phi, shifted phi, theta, or xi."""
-
-    __slots__ = ("kind", "ell")
-    _KINDS = ("phi", "phi_ell", "theta_ell", "xi_ell")
-
-    def __init__(self, kind: str, ell: int = 0) -> None:
-        if kind not in self._KINDS:
-            raise ValueError(f"unknown functional kind {kind!r}")
-        if ell < 0:
-            raise ValueError("ell must be >= 0")
-        if kind == "phi_ell" and ell not in (0, 1):
-            raise ValueError("phi_ell is only defined for ell in {0, 1}")
-        self._init(kind, ell)
-
-    def __str__(self) -> str:
-        if self.kind == "phi":
-            return "phi"
-        return f"{self.kind}({self.ell})"
+from .orthopoly import (
+    JFraction,
+    ZPoly,
+    jfraction_for_eps,
+    jfraction_for_theta,
+    jfraction_for_xi,
+    three_term_build,
+)
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +101,7 @@ def phi_closed_n1_n(n: int) -> RatFuncQ:
 
 def phi(p: ZPoly) -> RatFuncQ:
     """phi through monomial moments phi(z^k) = epsilon_k."""
-    return apply_functional(FunctionalId("phi"), p)
+    return apply_functional("qeuler", 0, p)
 
 
 def phi_via_basis(p: ZPoly) -> RatFuncQ:
@@ -261,21 +247,56 @@ def xi_moment(ell: int, n: int) -> RatFuncQ:
     return prev * step
 
 
-def moments_for(functional: FunctionalId) -> Callable[[int], RatFuncQ]:
-    """The monomial moment map n -> L(z^n) of the functional."""
-    if functional.kind == "phi":
-        return q_euler_recursive
-    if functional.kind == "phi_ell":
-        shift = functional.ell
-        return lambda n: q_euler_recursive(n + shift)
-    if functional.kind == "theta_ell":
-        return lambda n: theta_moment(functional.ell, n)
-    return lambda n: xi_moment(functional.ell, n)
+class MomentSequence(NamedTuple):
+    """One entry of SEQUENCES."""
+
+    moment: Callable[[int, int], RatFuncQ]  # (ell, n) -> mu_n
+    jfraction: Optional[Callable[[int], JFraction]]  # ell -> its J-fraction
 
 
-def apply_functional(functional: FunctionalId, p: ZPoly) -> RatFuncQ:
-    """L(p) = sum_k coeff_k * L(z^k)."""
-    moments = moments_for(functional)
+# Sequence id -> its moments and J-fraction at each ell.  For qeuler and
+# qbernoulli ell shifts the sequence (mu_n = eps_{n+ell}, beta_{n+ell}); for
+# theta and xi it is the functional's parameter.  The J-fraction's a(n), b(n) generate the
+# monic family orthogonal for the moments (Favard), which is the paper's big
+# q-Jacobi specialization: coeffs_p for qeuler and theta, coeffs_monic for xi.
+# None means no J-fraction is wired up.  The moment maps call the
+# module-level functions by name at call time, so a wrapper put in their
+# place (a tracer, a test double) is used.
+SEQUENCES: Dict[str, MomentSequence] = {
+    "qeuler": MomentSequence(lambda ell, n: q_euler_recursive(n + ell), jfraction_for_eps),
+    "qbernoulli": MomentSequence(lambda ell, n: q_bernoulli_recursive(n + ell), None),
+    "theta": MomentSequence(lambda ell, n: theta_moment(ell, n), jfraction_for_theta),
+    "xi": MomentSequence(lambda ell, n: xi_moment(ell, n), jfraction_for_xi),
+}
+
+
+def _sequence(seq: str, ell: int) -> MomentSequence:
+    entry = SEQUENCES.get(seq)
+    if entry is None:
+        raise ValueError(f"unknown sequence id {seq!r}")
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    return entry
+
+
+def moments_for(seq: str, ell: int) -> Callable[[int], RatFuncQ]:
+    """The monomial moment map n -> L(z^n) of the functional (seq, ell)."""
+    moment = _sequence(seq, ell).moment
+    return lambda n: moment(ell, n)
+
+
+def jfraction_for(seq: str, ell: int) -> JFraction:
+    """The J-fraction of the moments of (seq, ell); ValueError if the table
+    has none, or none at this ell."""
+    jfraction = _sequence(seq, ell).jfraction
+    if jfraction is None:
+        raise ValueError(f"no J-fraction is known for {seq!r}")
+    return jfraction(ell)
+
+
+def apply_functional(seq: str, ell: int, p: ZPoly) -> RatFuncQ:
+    """L(p) = sum_k coeff_k * L(z^k) for the functional (seq, ell)."""
+    moments = moments_for(seq, ell)
     out = Q_ZERO
     for k, c in enumerate(p.coeffs):
         if not c.is_zero:
@@ -283,38 +304,13 @@ def apply_functional(functional: FunctionalId, p: ZPoly) -> RatFuncQ:
     return out
 
 
-def favard_family(functional: FunctionalId, upto: int) -> List[ZPoly]:
-    """p_0 .. p_upto of the monic family orthogonal for the functional.
-
-    By Favard's theorem it is the family its J-fraction's a(n), b(n) generate:
-    coeffs_monic for xi_ell, coeffs_p for phi, phi_ell and theta_ell.  It never
-    reads the moments, so an orthogonality check compares independent routes.
+def favard_family(seq: str, ell: int, upto: int) -> List[ZPoly]:
+    """p_0 .. p_upto of the monic family orthogonal for the functional
+    (seq, ell): by Favard's theorem, the family its J-fraction's a(n), b(n)
+    generate.  It never reads the moments, so an orthogonality check
+    compares independent routes.
     """
-    if functional.kind == "xi_ell":
-        return three_term_build(jfraction_for_xi(functional.ell), upto)
-    return three_term_build(jfraction_for_theta(functional.ell), upto)
-
-
-class OrthogonalityReport(Record):
-    __slots__ = ("functional", "upto", "failures")
-
-    def __init__(self, functional: FunctionalId, upto: int,
-                 failures: List[Tuple[int, int, RatFuncQ]]) -> None:
-        self._init(functional, upto, failures)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "functional": str(self.functional),
-            "upto": self.upto,
-            "failures": [
-                {"m": m, "n": n, "value": json.loads(serialize(v))}
-                for m, n, v in self.failures
-            ],
-        }
+    return three_term_build(jfraction_for(seq, ell), upto)
 
 
 def _pairing_failures(moments: Sequence[RatFuncQ],
@@ -363,10 +359,12 @@ def _pairing_failures(moments: Sequence[RatFuncQ],
 
 
 def verify_orthogonality(
-    functional: FunctionalId, upto: int, polys: Optional[Sequence[ZPoly]] = None,
-) -> OrthogonalityReport:
-    """Exhaustive orthogonality check L(p_m p_n) = 0 for m != n, L(p_0) != 0,
-    on the functional's Favard family p_0..p_upto (favard_family).
+    seq: str, ell: int, upto: int, polys: Optional[Sequence[ZPoly]] = None,
+) -> List[Tuple[int, int, RatFuncQ]]:
+    """The failures of the exhaustive orthogonality check L(p_m p_n) = 0 for
+    m != n, L(p_0) != 0, on the Favard family p_0..p_upto of the functional
+    (seq, ell) (favard_family), as _pairing_failures lists them; empty when
+    the family is orthogonal.
 
     ``polys`` may pass p_0..p_k (k >= upto) of that family when the caller
     has built them already.  Each pairing is tested exactly in Z[q]; see
@@ -374,8 +372,7 @@ def verify_orthogonality(
     """
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    polys = favard_family(functional, upto) if polys is None else polys[:upto + 1]
-    moments = moments_for(functional)
+    polys = favard_family(seq, ell, upto) if polys is None else polys[:upto + 1]
+    moments = moments_for(seq, ell)
     top = max(p.degree for p in polys)
-    failures = _pairing_failures([moments(k) for k in range(2 * top + 1)], polys)
-    return OrthogonalityReport(functional, upto, failures)
+    return _pairing_failures([moments(k) for k in range(2 * top + 1)], polys)

@@ -16,17 +16,15 @@ expands them back, and the shifted quotients need only p_k(0).
 
 from __future__ import annotations
 
-import json
 from functools import reduce
 from itertools import accumulate
 from math import comb, gcd
 from operator import mul
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .carlitz import q_bernoulli_recursive, q_euler_recursive
-from .functionals import theta_moment, xi_moment
+from .functionals import jfraction_for, moments_for
 from .qkit import parity_sign, q_factorial
-from .orthopoly import (
+from .orthopoly import (  # the J-fractions are also reached through this module
     JFraction,
     jfraction_for_eps,
     jfraction_for_theta,
@@ -47,9 +45,7 @@ from .ratcore import (
     clear_denominators,
     const,
     qpow,
-    serialize,
 )
-from .record import FrozenRecord
 
 
 class InsufficientMomentsError(ValueError):
@@ -407,78 +403,36 @@ def chapoton_zeng_quotients(n: int) -> List[RatFuncQ]:
 Route = Callable[[int, int], List[RatFuncQ]]  # (ell, n) -> d_0..d_n
 
 
-class DetRoutes(NamedTuple):
-    """One row of :data:`ROUTES`: the moments and their determinant routes."""
-
-    moments: Callable[[int], Moments]  # ell -> (n -> mu_n)
-    routes: Dict[str, Route]  # route name -> fn(ell, n)
-
-
-def _row(moments: Callable[[int], Moments], shift: int, closed: Route, recurrence: Optional[Route] = None) -> DetRoutes:
+def _row(seq: str, shift: int, closed: Route,
+         recurrence: Optional[Route] = None) -> Tuple[Tuple[str, int], Dict[str, Route]]:
     routes = {
-        "bruteforce": lambda ell, n: minor_quotients(hankel_matrix(moments(ell), shift, n)),
+        "bruteforce": lambda ell, n: minor_quotients(hankel_matrix(moments_for(seq, ell), shift, n)),
         "closedform": closed,
     }
     if recurrence is not None:
         routes["heilermann"] = recurrence
-    return DetRoutes(moments, routes)
+    return (seq, shift), routes
 
 
 # (sequence id, shift) -> its independent determinant routes, each returning
-# d_0..d_n from its own data; hankel_product expands them.  A new route is
-# one entry here: ``det`` derives its choices from this table and ``verify``
-# runs every route of a row.  A new row also needs one _register_routes line
-# in verification.py, which names its check.
-# Routes call the module-level functions by name at call time, so a wrapper
-# put in their place on this module (a tracer, a test double) is used.
-# Only theta and xi depend on ell; the other rows ignore it.
-ROUTES: Dict[Tuple[str, int], DetRoutes] = {
-    ("qeuler", 0): _row(
-        lambda ell: q_euler_recursive, 0,
-        lambda ell, n: theorem1_quotients(0, n),
-        lambda ell, n: heilermann_quotients(jfraction_for_eps(0), n),
-    ),
-    ("qeuler", 1): _row(
-        lambda ell: q_euler_recursive, 1,
-        lambda ell, n: theorem1_quotients(1, n),
-        lambda ell, n: favard_quotients(jfraction_for_eps(0), n),
-    ),
-    ("qeuler", 2): _row(
-        lambda ell: q_euler_recursive, 2,
-        lambda ell, n: theorem1_quotients(2, n),
-        lambda ell, n: favard_quotients(jfraction_for_eps(1), n),
-    ),
-    ("qbernoulli", 0): _row(
-        lambda ell: q_bernoulli_recursive, 0,
-        lambda ell, n: chapoton_zeng_quotients(n),
-    ),
-    ("theta", 0): _row(
-        lambda ell: lambda n: theta_moment(ell, n), 0,
-        lambda ell, n: theta_det_quotients(ell, n),
-        lambda ell, n: heilermann_quotients(jfraction_for_theta(ell), n),
-    ),
-    ("xi", 0): _row(
-        lambda ell: lambda n: xi_moment(ell, n), 0,
-        lambda ell, n: xi_det_quotients(ell, n),
-        lambda ell, n: heilermann_quotients(jfraction_for_xi(ell), n),
-    ),
-}
-
-
-class HankelResult(FrozenRecord):
-    """One computed determinant, tagged with how it was obtained: method is
-    "bruteforce", "heilermann" or "closedform"."""
-
-    __slots__ = ("seq_id", "shift", "n", "method", "value")
-
-    def __init__(self, seq_id: str, shift: int, n: int, method: str, value: RatFuncQ) -> None:
-        self._init(seq_id, shift, n, method, value)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seq": self.seq_id,
-            "shift": self.shift,
-            "n": self.n,
-            "method": self.method,
-            "value": json.loads(serialize(self.value)),
-        }
+# d_0..d_n from its own data; hankel_product expands them.  Brute force reads
+# the sequence's moments and the recurrence routes its J-fraction, both from
+# functionals.SEQUENCES.  A new route is one entry here: ``det`` derives its
+# choices from this table and ``verify`` runs every route of a row.  A new row
+# also needs one _register_routes line in verification.py, which names its
+# check.  Routes call the module-level functions by name at call time, so a
+# wrapper put in their place on this module (a tracer, a test double) is used.
+# Only theta and xi depend on ell; the other rows are called with ell = 0.
+ROUTES: Dict[Tuple[str, int], Dict[str, Route]] = dict([
+    _row("qeuler", 0, lambda ell, n: theorem1_quotients(0, n),
+         lambda ell, n: heilermann_quotients(jfraction_for("qeuler", 0), n)),
+    _row("qeuler", 1, lambda ell, n: theorem1_quotients(1, n),
+         lambda ell, n: favard_quotients(jfraction_for("qeuler", 0), n)),
+    _row("qeuler", 2, lambda ell, n: theorem1_quotients(2, n),
+         lambda ell, n: favard_quotients(jfraction_for("qeuler", 1), n)),
+    _row("qbernoulli", 0, lambda ell, n: chapoton_zeng_quotients(n)),
+    _row("theta", 0, lambda ell, n: theta_det_quotients(ell, n),
+         lambda ell, n: heilermann_quotients(jfraction_for("theta", ell), n)),
+    _row("xi", 0, lambda ell, n: xi_det_quotients(ell, n),
+         lambda ell, n: heilermann_quotients(jfraction_for("xi", ell), n)),
+])

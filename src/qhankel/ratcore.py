@@ -369,7 +369,7 @@ def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
         return None
     na, nb = _norm(A), _norm(B)
     terms = min(len(B), n)
-    width = (max(na, nb) * len(A)).bit_length() // 8 + 1
+    width = _width(max(na, nb) * len(A))
     for attempt in range(4):
         qv, r = divmod(_pack(A, width), _pack(B, width))
         if r:
@@ -460,7 +460,7 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
     """
     if len(f_coeffs) == 1 or len(g_coeffs) == 1:
         return _ONE_TUPLE, f_coeffs, g_coeffs
-    width = (2 * min(_norm(f_coeffs), _norm(g_coeffs)) + 29).bit_length() // 8 + 1
+    width = _width(2 * min(_norm(f_coeffs), _norm(g_coeffs)) + 29)
     for attempt in count():
         x = 1 << (8 * width)
         fv = _int_eval(f_coeffs, x)

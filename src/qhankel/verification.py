@@ -5,11 +5,12 @@ CheckResult.  The bounds inside each check are scaled so that ``max_n = 5``
 reproduces the battery this library was built to pass; smaller values give a
 quick smoke run, larger ones a deeper sweep.  All comparisons are structural
 equalities of canonical RatFuncQ values, never numeric tolerance.  An
-orthogonality check names only the functional; its family is the Favard
-family of the functional's J-fraction (functionals.favard_family).  Its zero
-test is exact too, on the cleared numerator of L(p_m p_n) in Z[q]: its value
-at one packing point is zero only for the zero polynomial, as the packing
-bound certifies (functionals._pairing_failures).
+orthogonality check names only the functional, as a (sequence id, ell) key
+of functionals.SEQUENCES; its family is the Favard family of that entry's
+J-fraction (functionals.favard_family).  Its zero test is exact too, on the
+cleared numerator of L(p_m p_n) in Z[q]: its value at one packing point is
+zero only for the zero polynomial, as the packing bound certifies
+(functionals._pairing_failures).
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .carlitz import (
     q_euler_recursive,
 )
 from .functionals import (
-    FunctionalId,
     apply_functional,
     favard_family,
     from_diagonal_basis,
+    jfraction_for,
+    moments_for,
     phi,
     phi_closed_m_n,
     phi_closed_n1_n,
@@ -46,8 +48,6 @@ from .hankel import (
     ROUTES,
     hankel_product,
     jfraction_expand,
-    jfraction_for_eps,
-    jfraction_for_xi,
     jfraction_from_moments,
     verify_exponent_integrality,
 )
@@ -60,9 +60,7 @@ from .orthopoly import (
     coeffs_monic,
     coeffs_p,
     affine_transform,
-    jfraction_for_theta,
     p1_at_zero_closed,
-    three_term_build,
 )
 from .qkit import (
     parity_sign,
@@ -274,7 +272,7 @@ def _check_cross_route(max_n: int) -> CheckResult:
     v = qpow(1)
     for ell in range(4):
         series = [build_p_via_phi2(ell, n) for n in range(max_n + 1)]
-        recur = three_term_build(jfraction_for_theta(ell), max_n)
+        recur = favard_family("theta", ell, max_n)
         jtilde = [build_jtilde_via_phi2(ell, n) for n in range(max_n + 1)]
         affine = affine_transform(jtilde, u, v)
         for n in range(max_n + 1):
@@ -375,40 +373,37 @@ def _check_phi_orthogonality(max_n: int) -> CheckResult:
     failures: List[str] = []
     cases = 0
     for ell in (0, 1):
-        functional = FunctionalId("phi") if ell == 0 else FunctionalId("phi_ell", 1)
-        polys = favard_family(functional, max_n + 3)
-        report = verify_orthogonality(functional, max_n + 1, polys)
+        polys = favard_family("qeuler", ell, max_n + 3)
         cases += (max_n + 1) * (max_n + 2) // 2 + 1
-        for m, n, value in report.failures:
+        for m, n, value in verify_orthogonality("qeuler", ell, max_n + 1, polys):
             failures.append(f"ell={ell}: pairing ({m},{n}) gave {value}")
         for n in range(1, max_n + 4):
             cases += 1
-            value = apply_functional(functional, polys[n])
+            value = apply_functional("qeuler", ell, polys[n])
             if not value.is_zero:
                 failures.append(f"ell={ell}: single n={n} gave {value}")
     return _done("phi-orthogonality", cases, failures)
 
 
-def _register_orthogonality(name: str, functional: str) -> None:
+def _register_orthogonality(name: str, seq: str) -> None:
     """Register a check that, for each ell in 0..3, the Favard family of the
-    ``functional`` kind at ell (functionals.favard_family, built from the
-    paper's a(n), b(n)) is orthogonal for its moments up to degree max_n + 1."""
+    functional (seq, ell) (functionals.favard_family, built from the paper's
+    a(n), b(n)) is orthogonal for its moments up to degree max_n + 1."""
 
     def check(max_n: int) -> CheckResult:
         failures: List[str] = []
         cases = 0
         for ell in range(4):
-            report = verify_orthogonality(FunctionalId(functional, ell), max_n + 1)
             cases += (max_n + 1) * (max_n + 2) // 2 + 1
-            for m, n, value in report.failures:
+            for m, n, value in verify_orthogonality(seq, ell, max_n + 1):
                 failures.append(f"ell={ell}: pairing ({m},{n}) gave {value}")
         return _done(name, cases, failures)
 
     CHECKS[name] = check
 
 
-_register_orthogonality("theta-orthogonality", "theta_ell")
-_register_orthogonality("xi-orthogonality", "xi_ell")
+_register_orthogonality("theta-orthogonality", "theta")
+_register_orthogonality("xi-orthogonality", "xi")
 
 
 @_register("intertwining")
@@ -429,7 +424,7 @@ def _register_routes(name: str, key: Tuple[str, int], ells: Sequence[int]) -> No
     H_n for n <= max_n, from one quotient list d_0..d_max_n per route."""
 
     def check(max_n: int) -> CheckResult:
-        routes = ROUTES[key].routes
+        routes = ROUTES[key]
         failures: List[str] = []
         for ell in ells:
             lists = [fn(ell, max_n) for fn in routes.values()]
@@ -457,7 +452,7 @@ def _check_theorem1_q1(max_n: int) -> CheckResult:
     # H_n(1) is the product of d_k(1), each value finite: d_k(1) = (-1/4)^k k!^2
     failures: List[str] = []
     got = want = Fraction(1)
-    for n, d in enumerate(ROUTES[("qeuler", 0)].routes["closedform"](0, max_n)):
+    for n, d in enumerate(ROUTES[("qeuler", 0)]["closedform"](0, max_n)):
         got *= d.eval_at(Fraction(1))
         want *= Fraction(-1, 4) ** n * Fraction(math.factorial(n)) ** 2
         if got != want:
@@ -471,10 +466,11 @@ def _check_jfraction_eps(max_n: int) -> CheckResult:
     cases = 0
     order = 2 * max_n + 2
     for ell in (0, 1):
-        expansion = jfraction_expand(jfraction_for_eps(ell), order)
+        moments = moments_for("qeuler", ell)
+        expansion = jfraction_expand(jfraction_for("qeuler", ell), order)
         for k in range(order + 1):
             cases += 1
-            if expansion[k] != q_euler_recursive(k + ell):
+            if expansion[k] != moments(k):
                 failures.append(f"coefficient {k} broke at ell={ell}")
     return _done("jfraction-eps", cases, failures)
 
@@ -485,7 +481,7 @@ def _check_jfraction_roundtrip(max_n: int) -> CheckResult:
     cases = 0
     runs = [("eps", [q_euler_recursive(k) for k in range(2 * max_n + 3)], partial(coeffs_p, 0))]
     runs += [
-        (f"xi(ell={ell})", jfraction_expand(jfraction_for_xi(ell), 2 * max_n + 2),
+        (f"xi(ell={ell})", jfraction_expand(jfraction_for("xi", ell), 2 * max_n + 2),
          partial(coeffs_monic, ell))
         for ell in range(4)
     ]

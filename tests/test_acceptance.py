@@ -17,7 +17,6 @@ from qhankel.carlitz import (
     q_euler_recursive,
 )
 from qhankel.functionals import (
-    FunctionalId,
     apply_functional,
     phi_closed_m_n,
     phi_closed_n1_n,
@@ -140,26 +139,22 @@ def test_criterion_07_jfraction_generates_moments():
 
 def test_criterion_08_orthogonality_suites():
     bad = []
-    phi0 = FunctionalId("phi")
-    phi1 = FunctionalId("phi_ell", 1)
     for n in range(1, 9):
-        if not apply_functional(phi0, build_p_via_phi2(0, n)).is_zero:
+        if not apply_functional("qeuler", 0, build_p_via_phi2(0, n)).is_zero:
             bad.append(f"phi kills P(0,{n})")
-        if not apply_functional(phi1, build_p_via_phi2(1, n)).is_zero:
+        if not apply_functional("qeuler", 1, build_p_via_phi2(1, n)).is_zero:
             bad.append(f"phi_1 kills P(1,{n})")
     for ell in range(4):
-        theta = FunctionalId("theta_ell", ell)
         polys = [build_p_via_phi2(ell, n) for n in range(7)]
         for n in range(1, 7):
-            if not apply_functional(theta, polys[n]).is_zero:
+            if not apply_functional("theta", ell, polys[n]).is_zero:
                 bad.append(f"theta_{ell} kills P({ell},{n})")
         for n in range(6):
             for m in range(n):
-                if not apply_functional(theta, polys[m] * polys[n]).is_zero:
+                if not apply_functional("theta", ell, polys[m] * polys[n]).is_zero:
                     bad.append(f"theta_{ell} pairwise ({m},{n})")
-        xi = FunctionalId("xi_ell", ell)
         for n in range(1, 7):
-            if not apply_functional(xi, build_jtilde_via_phi2(ell, n)).is_zero:
+            if not apply_functional("xi", ell, build_jtilde_via_phi2(ell, n)).is_zero:
                 bad.append(f"xi_{ell} kills Jt({ell},{n})")
     _line(8, "orthogonality of each functional against its family", bad)
 

@@ -8,7 +8,8 @@ from click.testing import CliRunner
 
 from qhankel import hankel
 from qhankel.carlitz import q_euler_recursive
-from qhankel.cli import _json_value, _render, cmd_det, cmd_seq, main
+from qhankel.cli import _json_value, _render, cmd_det, cmd_jfrac, cmd_seq, main
+from qhankel.functionals import SEQUENCES
 from qhankel.hankel import ROUTES, hankel_matrix, hankel_product, minor_quotients
 from qhankel.ratcore import Q_ONE, int_to_decimal, qpow
 from qhankel.verification import run_checks
@@ -187,10 +188,12 @@ class TestDet:
         def choices(command, name):
             return list(next(p.type.choices for p in command.params if p.name == name))
 
-        ids = list(dict.fromkeys(seq for seq, _ in ROUTES))
-        methods = list(dict.fromkeys(m for row in ROUTES.values() for m in row.routes))
+        ids = list(SEQUENCES)
+        methods = list(dict.fromkeys(m for routes in ROUTES.values() for m in routes))
+        assert ids == list(dict.fromkeys(seq for seq, _ in ROUTES))
         assert choices(cmd_seq, "seq_id") == ids
         assert choices(cmd_det, "seq_id") == ids
+        assert choices(cmd_jfrac, "seq_id") == ["qeuler", "theta", "xi"]
         assert choices(cmd_det, "method") == methods + ["all"]
         assert set(methods) == {"bruteforce", "closedform", "heilermann"}
 

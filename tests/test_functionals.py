@@ -9,15 +9,15 @@ import pytest
 from click.testing import CliRunner
 
 from qhankel import functionals
-from qhankel.carlitz import q_euler_explicit, q_euler_recursive
+from qhankel.carlitz import q_bernoulli_recursive, q_euler_explicit, q_euler_recursive
 from qhankel.cli import main
 from qhankel.functionals import (
-    FunctionalId,
-    OrthogonalityReport,
+    SEQUENCES,
     _pairing_failures,
     apply_functional,
     favard_family,
     from_diagonal_basis,
+    jfraction_for,
     moments_for,
     phi,
     phi_closed_m_n,
@@ -32,6 +32,7 @@ from qhankel.functionals import (
     verify_phi_relation,
     xi_moment,
 )
+from qhankel.hankel import jfraction_expand
 from qhankel.orthopoly import (
     ZPoly,
     build_jtilde_via_phi2,
@@ -174,11 +175,10 @@ class TestThetaAndXi:
     def test_xi_on_pochhammer_polys(self):
         # Xi_ell((z; q)_n) = (q^{ell+1}; q)_n / (-q^{ell+2}; q)_n
         for ell in range(4):
-            f = FunctionalId("xi_ell", ell)
             prod = ZPoly.one()
             for n in range(9):
                 want = poch(qpow(ell + 1), n) / poch(-qpow(ell + 2), n)
-                assert apply_functional(f, prod) == want
+                assert apply_functional("xi", ell, prod) == want
                 prod = prod * ZPoly([Q_ONE, -qpow(n)])
 
     def test_moment_seq_ids(self):
@@ -251,61 +251,88 @@ class TestThetaAndXi:
         assert q_euler_recursive(1) * theta == q_euler_explicit(31)
 
 
+# The J-fractions the table pairs with its moments, and the ells they are
+# pinned at: the eps J-fraction is stated for ell in {0, 1} only.
+_TABLE_ELLS = {"qeuler": (0, 1), "theta": (0, 1, 2), "xi": (0, 1, 2)}
+
+
 class TestFunctionalId:
-    def test_str(self):
-        assert str(FunctionalId("phi")) == "phi"
-        assert str(FunctionalId("theta_ell", 2)) == "theta_ell(2)"
+    """A functional is named by its (sequence id, ell), a key of SEQUENCES."""
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FunctionalId("psi")
+            moments_for("theta", -1)
         with pytest.raises(ValueError):
-            FunctionalId("phi_ell", 2)
-        with pytest.raises(ValueError):
-            FunctionalId("theta_ell", -1)
+            favard_family("qeuler", 2, 3)  # no eps J-fraction at ell = 2
+        with pytest.raises(ValueError, match="qbernoulli"):
+            favard_family("qbernoulli", 0, 3)
+        assert SEQUENCES["qbernoulli"].jfraction is None
+
+    def test_an_unknown_id_is_a_value_error_naming_it(self):
+        for call in (lambda: moments_for("psi", 0), lambda: favard_family("psi", 0, 3),
+                     lambda: apply_functional("psi", 0, ZPoly.one()),
+                     lambda: verify_orthogonality("psi", 0, 2)):
+            with pytest.raises(ValueError, match="'psi'"):
+                call()
 
     def test_moments_for_shift(self):
-        shifted = moments_for(FunctionalId("phi_ell", 1))
+        # for qeuler and qbernoulli, ell shifts the sequence
+        shifted = moments_for("qeuler", 1)
+        beta = moments_for("qbernoulli", 2)
         for n in range(6):
             assert shifted(n) == q_euler_recursive(n + 1)
+            assert beta(n) == q_bernoulli_recursive(n + 2)
+
+    @pytest.mark.parametrize("seq, ell", [(seq, ell) for seq, ells in _TABLE_ELLS.items()
+                                          for ell in ells])
+    def test_each_jfraction_expands_to_its_moments(self, seq, ell):
+        moments = moments_for(seq, ell)
+        assert jfraction_expand(jfraction_for(seq, ell), 8) == [moments(n) for n in range(9)]
+
+    def test_every_jfraction_is_pinned(self):
+        assert set(_TABLE_ELLS) == {seq for seq, entry in SEQUENCES.items()
+                                    if entry.jfraction is not None}
 
 
-def _orthogonality_oracle(functional, upto):
+def _orthogonality_oracle(seq, ell, upto):
     """The per-pair route over Q(q): expand each product p_m p_n as a ZPoly
     and sum the functional over its monomial moments, reducing at every
     step.  The oracle for verify_orthogonality's packed pairing in Z[q]."""
-    polys = functionals.favard_family(functional, upto)
+    polys = functionals.favard_family(seq, ell, upto)
     failures = []
-    head = apply_functional(functional, polys[0])
+    head = apply_functional(seq, ell, polys[0])
     if head.is_zero:
         failures.append((0, 0, head))
     for n in range(1, upto + 1):
         for m in range(n):
-            value = apply_functional(functional, polys[m] * polys[n])
+            value = apply_functional(seq, ell, polys[m] * polys[n])
             if not value.is_zero:
                 failures.append((m, n, value))
     return failures
 
 
 _ALL_PAIRS = (
-    [FunctionalId("phi"), FunctionalId("phi_ell", 1)]
-    + [FunctionalId("theta_ell", ell) for ell in range(4)]
-    + [FunctionalId("xi_ell", ell) for ell in range(4)]
+    [("qeuler", 0), ("qeuler", 1)]
+    + [("theta", ell) for ell in range(4)]
+    + [("xi", ell) for ell in range(4)]
 )
 
 
-def _pair_id(functional):
-    """The functional and the name of its Favard family, e.g. theta_ell(2)-p_family(2)."""
-    family = "monic_big_q_jacobi" if functional.kind == "xi_ell" else "p_family"
-    return f"{functional}-{family}({functional.ell})"
+def _pair_id(pair):
+    """The functional, as the paper names it, and the name of its Favard
+    family, e.g. theta_ell(2)-p_family(2)."""
+    seq, ell = pair
+    name = {("qeuler", 0): "phi", ("qeuler", 1): "phi_ell(1)"}.get(pair, f"{seq}_ell({ell})")
+    family = "monic_big_q_jacobi" if seq == "xi" else "p_family"
+    return f"{name}-{family}({ell})"
 
 
 def _with_member(index, change):
     """A favard_family double whose member p_index is change(p_index)."""
     real = functionals.favard_family
 
-    def polys(functional, upto):
-        out = real(functional, upto)
+    def polys(seq, ell, upto):
+        out = real(seq, ell, upto)
         out[index] = change(out)
         return out
 
@@ -314,57 +341,50 @@ def _with_member(index, change):
 
 class TestFavardFamily:
     def test_equals_the_recurrence_and_series_families(self):
-        # The recurrence of each functional's own J-fraction (phi and phi_1
-        # read the eps J-fractions), and the 2phi1 series family it must equal.
-        for functional in _ALL_PAIRS:
-            ell = functional.ell
-            if functional.kind == "xi_ell":
+        # The recurrence of each functional's own J-fraction (qeuler reads the
+        # eps J-fractions), and the 2phi1 series family it must equal.
+        for seq, ell in _ALL_PAIRS:
+            if seq == "xi":
                 jf, series = jfraction_for_xi(ell), build_jtilde_via_phi2
-            elif functional.kind == "theta_ell":
+            elif seq == "theta":
                 jf, series = jfraction_for_theta(ell), build_p_via_phi2
             else:
                 jf, series = jfraction_for_eps(ell), build_p_via_phi2
-            got = favard_family(functional, 5)
-            assert got == three_term_build(jf, 5), functional
-            assert got == [series(ell, n) for n in range(6)], functional
+            got = favard_family(seq, ell, 5)
+            assert got == three_term_build(jf, 5), (seq, ell)
+            assert got == [series(ell, n) for n in range(6)], (seq, ell)
 
 
 class TestPackedPairing:
-    @pytest.mark.parametrize("functional", _ALL_PAIRS, ids=_pair_id)
-    def test_matches_the_oracle_on_every_pair(self, functional):
-        report = verify_orthogonality(functional, 4)
-        assert report.failures == _orthogonality_oracle(functional, 4) == []
+    @pytest.mark.parametrize("pair", _ALL_PAIRS, ids=_pair_id)
+    def test_matches_the_oracle_on_every_pair(self, pair):
+        assert verify_orthogonality(*pair, 4) == _orthogonality_oracle(*pair, 4) == []
 
-    @pytest.mark.parametrize("functional", [
-        FunctionalId("theta_ell", 2), FunctionalId("xi_ell", 1),
-    ], ids=_pair_id)
-    def test_a_changed_coefficient_fails_as_the_oracle_says(self, monkeypatch, functional):
+    @pytest.mark.parametrize("pair", [("theta", 2), ("xi", 1)], ids=_pair_id)
+    def test_a_changed_coefficient_fails_as_the_oracle_says(self, monkeypatch, pair):
         # p_3's z^1 coefficient gains c = q / (1 + q^2), a factor that no
         # denominator of the family holds; L(p_m p_3) moves by c L(z p_m),
         # which is nonzero for m <= 1 only
         bump = ZPoly([Q_ZERO, qpow(1) / (Q_ONE + qpow(2))])
         monkeypatch.setattr(functionals, "favard_family",
                             _with_member(3, lambda ps: ps[3] + bump))
-        report = verify_orthogonality(functional, 5)
-        want = _orthogonality_oracle(functional, 5)
+        failures = verify_orthogonality(*pair, 5)
+        want = _orthogonality_oracle(*pair, 5)
         assert [(m, n) for m, n, _ in want] == [(0, 3), (1, 3)]
-        assert report.failures == want
-        assert [serialize(v) for *_, v in report.failures] == [
-            serialize(v) for *_, v in want]
+        assert failures == want
+        assert [serialize(v) for *_, v in failures] == [serialize(v) for *_, v in want]
 
     def test_a_vanishing_head_is_reported(self, monkeypatch):
-        functional = FunctionalId("theta_ell", 1)
         monkeypatch.setattr(functionals, "favard_family", _with_member(0, lambda ps: ps[1]))
-        report = verify_orthogonality(functional, 3)
-        want = _orthogonality_oracle(functional, 3)
+        failures = verify_orthogonality("theta", 1, 3)
+        want = _orthogonality_oracle("theta", 1, 3)
         assert want[0] == (0, 0, Q_ZERO)
-        assert report.failures == want
+        assert failures == want
 
     def test_prebuilt_polys_are_cut_to_upto(self):
-        polys = favard_family(FunctionalId("phi"), 6)
+        polys = favard_family("qeuler", 0, 6)
         polys[5] = polys[5] + ZPoly.one()  # beyond upto, so never paired
-        report = verify_orthogonality(FunctionalId("phi"), 3, polys)
-        assert report.passed and report.upto == 3
+        assert verify_orthogonality("qeuler", 0, 3, polys) == []
 
     @pytest.mark.parametrize("moments, p1", [
         # (128 - q) + 128, from moments that each fit one byte
@@ -383,40 +403,17 @@ class TestPackedPairing:
 
 class TestOrthogonality:
     def test_phi_pairs(self):
-        report = verify_orthogonality(FunctionalId("phi"), 5)
-        assert report.passed
-        assert report.upto == 5
+        assert verify_orthogonality("qeuler", 0, 5) == []
 
     def test_phi_shifted_pairs(self):
-        report = verify_orthogonality(FunctionalId("phi_ell", 1), 4)
-        assert report.passed
+        assert verify_orthogonality("qeuler", 1, 4) == []
 
     def test_theta_pairs(self):
-        report = verify_orthogonality(FunctionalId("theta_ell", 2), 5)
-        assert report.passed
+        assert verify_orthogonality("theta", 2, 5) == []
 
     def test_xi_pairs(self):
-        report = verify_orthogonality(FunctionalId("xi_ell", 1), 4)
-        assert report.passed
-
-    def test_failure_recorded(self):
-        # A report built by hand with one failing pairing: it fails, and its
-        # JSON carries the pair and the canonical value.
-        report = OrthogonalityReport(FunctionalId("phi"), 1, [(0, 1, Q_ONE)])
-        assert not report.passed
-        d = report.to_json_dict()
-        assert d["failures"][0]["m"] == 0
-        assert d["failures"][0]["value"] == {"num": ["1"], "den": ["1"]}
-
-    def test_report_json_shape(self):
-        report = verify_orthogonality(FunctionalId("theta_ell", 0), 2)
-        d = report.to_json_dict()
-        assert d == {
-            "functional": "theta_ell(0)",
-            "upto": 2,
-            "failures": [],
-        }
+        assert verify_orthogonality("xi", 1, 4) == []
 
     def test_negative_upto(self):
         with pytest.raises(ValueError):
-            verify_orthogonality(FunctionalId("phi"), -1)
+            verify_orthogonality("qeuler", 0, -1)

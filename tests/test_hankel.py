@@ -1,18 +1,20 @@
 """Hankel determinants by brute force, recurrence data, and closed forms."""
 
+import json
 import random
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial
 
 import pytest
+from click.testing import CliRunner
 
 from qhankel import hankel
+from qhankel.cli import main
 from qhankel.carlitz import q_bernoulli_recursive, q_euler_recursive
-from qhankel.functionals import theta_moment, xi_moment
+from qhankel.functionals import moments_for, theta_moment, xi_moment
 from qhankel.hankel import (
     ROUTES,
-    HankelResult,
     InsufficientMomentsError,
     JFraction,
     NotQuasiDefiniteError,
@@ -43,7 +45,9 @@ from qhankel.orthopoly import (
     three_term_build,
 )
 from qhankel.qkit import parity_sign
-from qhankel.ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, clear_denominators, const, qpow
+from qhankel.ratcore import (
+    Q_ONE, Q_ZERO, QPoly, RatFuncQ, clear_denominators, const, qpow, serialize,
+)
 
 
 def P(*coeffs):
@@ -226,7 +230,7 @@ ROUTE_ROWS = [(key, ell) for key in ROUTES for ell in ((0, 1) if key[0] in ("the
 
 
 def _route_matrix(key, ell, n):
-    return hankel_matrix(ROUTES[key].moments(ell), key[1], n)
+    return hankel_matrix(moments_for(key[0], ell), key[1], n)
 
 
 class TestPrimitiveRows:
@@ -715,11 +719,17 @@ class TestExponents:
 
 
 def test_hankel_result_json():
-    r = HankelResult("qeuler", 0, 1, "closedform", q_euler_recursive(1))
-    assert r.to_json_dict() == {
+    # det --method X -f json: one route's H_n, tagged with how it was obtained;
+    # the value is eps_0 eps_2 - eps_1^2 = -q / ((1 + q^2)^2 (1 - q + q^2))
+    result = CliRunner().invoke(
+        main, ["det", "--id", "qeuler", "--n", "1", "--method", "closedform", "-f", "json"])
+    assert result.exit_code == 0
+    value = {"num": ["0", "-1"], "den": ["1", "-1", "3", "-2", "3", "-1", "1"]}
+    assert json.loads(result.output) == {
         "seq": "qeuler",
         "shift": 0,
         "n": 1,
         "method": "closedform",
-        "value": {"num": ["0", "-1"], "den": ["1", "0", "1"]},
+        "value": value,
     }
+    assert value == json.loads(serialize(q_euler_recursive(2) - q_euler_recursive(1) ** 2))

@@ -8,13 +8,23 @@ from pathlib import Path
 
 import pytest
 
-from qhankel.functionals import FunctionalId, OrthogonalityReport
-from qhankel.hankel import HankelResult
 from qhankel.orthopoly import JFraction
 from qhankel.ratcore import Q, Q_ONE
+from qhankel.record import FrozenRecord
 from qhankel.verification import CheckResult
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class Ell(FrozenRecord):
+    """A frozen record whose constructor validates, as a value class may."""
+
+    __slots__ = ("kind", "ell")
+
+    def __init__(self, kind: str, ell: int = 0) -> None:
+        if ell < 0:
+            raise ValueError("ell must be >= 0")
+        self._init(kind, ell)
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -28,37 +38,39 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 def test_fields_defaults_and_repr():
     assert CheckResult("c", True, 2).detail == ""
-    assert FunctionalId("phi").ell == 0
-    assert repr(FunctionalId("theta_ell", 2)) == "FunctionalId(kind='theta_ell', ell=2)"
+    assert Ell("qeuler").ell == 0
+    assert repr(Ell("theta", 2)) == "Ell(kind='theta', ell=2)"
     jf = JFraction(Q_ONE, a=len, b=len)
     assert jf.a_list is None and jf.b_list is None
 
 
 def test_equality_is_by_type_and_fields():
-    assert HankelResult("qeuler", 0, 1, "heilermann", Q) == HankelResult("qeuler", 0, 1, "heilermann", Q)
-    assert HankelResult("qeuler", 0, 1, "heilermann", Q) != HankelResult("qeuler", 0, 1, "closedform", Q)
-    assert FunctionalId("phi") != HankelResult("qeuler", 0, 1, "heilermann", Q)
-    assert FunctionalId("phi") != ("phi", 0)
+    assert JFraction(Q, len, len) == JFraction(Q, len, len)
+    assert JFraction(Q, len, len) != JFraction(Q_ONE, len, len)
+    assert CheckResult("c", True, 2) == CheckResult("c", True, 2)
+    assert CheckResult("c", True, 2) != CheckResult("c", False, 2)
+    assert Ell("c") != CheckResult("c", True, 0)
+    assert Ell("qeuler") != ("qeuler", 0)
 
 
 def test_frozen_records_hash_and_refuse_assignment():
-    a, b = FunctionalId("theta_ell", 1), FunctionalId(kind="theta_ell", ell=1)
-    assert len({a, b, FunctionalId("xi_ell", 1)}) == 2
+    a, b = Ell("theta", 1), Ell(kind="theta", ell=1)
+    assert len({a, b, Ell("xi", 1)}) == 2
     with pytest.raises(AttributeError):
         a.ell = 2
     with pytest.raises(TypeError):
-        hash(OrthogonalityReport(a, 2, []))
+        hash(JFraction(Q, len, len))
 
 
 def test_copy_and_pickle_keep_the_value():
-    for value in (CheckResult("c", False, 3, "why"), FunctionalId("phi_ell", 1),
-                  OrthogonalityReport(FunctionalId("phi"), 2, [])):
+    for value in (CheckResult("c", False, 3, "why"), Ell("qeuler", 1),
+                  JFraction(Q, len, len, [Q], [])):
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
 
 
 def test_validation_still_runs():
     with pytest.raises(ValueError):
-        FunctionalId("phi_ell", 2)
+        Ell("theta", -1)
     with pytest.raises(ValueError):
-        FunctionalId("theta_ell", -1)
+        Ell(kind="theta", ell=-1)
