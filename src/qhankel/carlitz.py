@@ -14,11 +14,12 @@ route reads the other's values, denominators or memo.
 on integers: at x = 256^w a polynomial P becomes the integer P(x)
 (``ratcore._pack``), multiplying by 1 + s q^m becomes P(x) + s P(x) x^m, a
 shift, and the whole step is one shift-and-add.  Evaluation at x is a ring
-homomorphism, so S(x) is exact however the digits carry; ``ratcore._unpack``
+homomorphism, so S(x) is exact however the digits carry; ``ratcore._digits``
 reads back the coefficients of S, which is right when each of them is below
 x/2 in absolute value.  Every 1 + s q^m has 1-norm 2, so a 1-norm bound on
 the result, known before the pass, fixes w (``ratcore._width``): the
-read-back needs no further check, and only the result is unpacked.
+read-back needs no further check, and only the result is read back.  The
+products prod_{m=2}^{n+1} (1 + s q^m), of 1-norm 2^n, are such passes too.
 
 **The recursions.**  Carlitz's recursion for epsilon_n,
 
@@ -43,10 +44,10 @@ D_n = prod_{m=2}^{n+1} (1 - q^m) and B_n = beta_n D_n the same steps run with
 value is one certified reduction RatFuncQ(E_n, M_n) or RatFuncQ(B_n, D_n).
 The bound is |S|_inf <= sum_{k<n} C(n,k) |E_k|_1 2^{n-k-1}.
 
-The memos hold each E_n as the tuple (E_n(x), w, length, |E_n|_1) at the
-width of the pass that made it; one integer per entry takes far less memory
-than one object per coefficient.  A pass needs every earlier entry at its
-own width, so pass widths are rounded up to a multiple of 8 bytes, and each
+The memos hold each E_n as the tuple (E_n(x), w, |E_n|_1) at the width of
+the pass that made it; one integer per entry takes far less memory than one
+object per coefficient.  A pass needs every earlier entry at its own
+width, so pass widths are rounded up to a multiple of 8 bytes, and each
 sequence keeps one copy of its prefix packed at the current width
 (``_PASS_PREFIX``).  A pass extends the copy by the entries it lacks and
 repacks the whole prefix only when its width grows, a few times up to
@@ -71,7 +72,8 @@ as often as it divides, up to n times: the quotient's coefficients are the
 prefix sums of N's, and the division is exact exactly when the last of them,
 N(1), is 0.  The factors that do not divide stay in the denominator (for
 both sums and every n <= 60, all n divide), and one reduction of
-N / (P_n (1-q)^r) serves the value.
+N / (P_n (1-q)^r) serves the value; the pass multiplies P_n by the r
+factors 1 - q, at a width that also holds 2^{2n} >= |P_n (1-q)^r|_1.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from math import comb
 from typing import Callable, Iterable
 
 from .qkit import parity_sign
-from .ratcore import QPoly, RatFuncQ, _pack, _unpack, _width, mul_binomial
+from .ratcore import QPoly, RatFuncQ, _digits, _pack, _width
 
 
 def _horner(steps: Iterable[tuple], sign: int, width: int, acc: int = 0) -> int:
@@ -94,18 +96,10 @@ def _horner(steps: Iterable[tuple], sign: int, width: int, acc: int = 0) -> int:
     return acc
 
 
-def _stripped(coeffs: list) -> list:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _binomial_product(n: int, sign: int) -> tuple:
-    """prod_{m=2}^{n+1} (1 + sign q^m)."""
-    p = (1,)
-    for m in range(2, n + 2):
-        p = mul_binomial(p, m, sign)
-    return p
+def _binomial_product(n: int, sign: int) -> list:
+    """prod_{m=2}^{n+1} (1 + sign q^m), whose 1-norm is 2^n."""
+    width = _width(1 << n)
+    return _digits(_horner(((m, 0, 0, 0) for m in range(2, n + 2)), sign, width, 1), width)
 
 
 def _alternating_sum(n: int, sign: int, weight: Callable[[int], int]) -> RatFuncQ:
@@ -114,23 +108,21 @@ def _alternating_sum(n: int, sign: int, weight: Callable[[int], int]) -> RatFunc
     if n < 0:
         raise ValueError("n must be >= 0")
     c = [parity_sign(k) * comb(n, k) * weight(k) for k in range(n + 1)]
-    width = _width(sum(map(abs, c)) << n)
+    # |N|_1 <= 2^n sum |c_k|, and the denominator's 1-norm is at most 2^{2n}
+    width = _width(max(sum(map(abs, c)), 1 << n) << n)
     prefix = [1]  # P_0..P_n, each step a multiply by 1 + sign q^m alone
     for m in range(2, n + 2):
         prefix.append(_horner([(m, 0, 0, 0)], sign, width, prefix[-1]))
     steps = [(j + 1, c[j], 0, prefix[j - 1]) for j in range(1, n + 1)]
     steps.append((1, c[0], 0, prefix[n]))
-    size = n * (n + 3) // 2 + 1  # deg P_n + 1, which N does not exceed
-    num = _stripped(_unpack(_horner(steps, sign, width), width, size))
+    num = _digits(_horner(steps, sign, width), width)
     left = n
     while left:
         sums = list(accumulate(num))
         if sums[-1]:
             break
         num, left = sums[:-1], left - 1
-    den = _unpack(prefix[n], width, size)
-    for _ in range(left):
-        den = mul_binomial(den, 1, -1)
+    den = _digits(_horner([(1, 0, 0, 0)] * left, -1, width, prefix[n]), width)
     return RatFuncQ(QPoly(num), QPoly(den))
 
 
@@ -144,11 +136,10 @@ def q_bernoulli_explicit(n: int) -> RatFuncQ:
     return _alternating_sum(n, -1, lambda k: k + 1)
 
 
-def _scaled_entry(value: int, width: int, length: int) -> tuple:
-    """(value, width, len c, |c|_1) for the polynomial c packed as value at
-    x = 256**width in at most length digits, trailing zeros dropped."""
-    c = _stripped(_unpack(value, width, length))
-    return value, width, len(c), sum(map(abs, c))
+def _scaled_entry(value: int, width: int) -> tuple:
+    """(value, width, |c|_1) for the polynomial c packed as value at
+    x = 256**width."""
+    return value, width, sum(map(abs, _digits(value, width)))
 
 
 # Widths of the recursion passes are multiples of this many bytes, so the
@@ -162,11 +153,11 @@ _PASS_PREFIX: dict = {}
 
 
 def _horner_tail(scaled: Callable[[int], tuple], n: int, sign: int) -> tuple:
-    """(S(x), w, length) for S = sum_{k<n} C(n,k) q^{k+1} X_k
+    """(S(x), w) for S = sum_{k<n} C(n,k) q^{k+1} X_k
     prod_{m=k+2}^{n} (1 + sign q^m), the packed X_k = scaled(k) asked for
-    with k ascending, at x = 256**w, with S in at most length digits."""
+    with k ascending, at x = 256**w."""
     parts = [scaled(k) for k in range(n)]
-    bound = sum(comb(n, k) * l1 << (n - k - 1) for k, (_, _, _, l1) in enumerate(parts))
+    bound = sum(comb(n, k) * l1 << (n - k - 1) for k, (_, _, l1) in enumerate(parts))
     width = -(-_width(bound) // _GRID) * _GRID
     have_width, have = _PASS_PREFIX.get(scaled, (0, ()))
     if width > have_width:
@@ -174,13 +165,11 @@ def _horner_tail(scaled: Callable[[int], tuple], n: int, sign: int) -> tuple:
     else:
         width = have_width
     if len(have) < n:
-        have += tuple(v if w == width else _pack(_unpack(v, w, size), width)
-                      for v, w, size, _ in parts[len(have):])
+        have += tuple(v if w == width else _pack(_digits(v, w), width)
+                      for v, w, _ in parts[len(have):])
         _PASS_PREFIX[scaled] = width, have
-    length = max(k + 1 + size + (n * (n + 1) - (k + 1) * (k + 2)) // 2
-                 for k, (_, _, size, _) in enumerate(parts))
     acc = _horner(((k + 1, comb(n, k), k + 1, have[k]) for k in range(n)), sign, width)
-    return acc, width, length
+    return acc, width
 
 
 # Each memo asks for entries 0..n-1 in ascending order, so each entry it
@@ -191,24 +180,24 @@ def _horner_tail(scaled: Callable[[int], tuple], n: int, sign: int) -> tuple:
 def _euler_scaled(n: int) -> tuple:
     """E_n = eps_n * prod_{m=2}^{n+1} (1 + q^m) in Z[q], packed."""
     if n == 0:
-        return 1, 1, 1, 1
-    acc, width, length = _horner_tail(_euler_scaled, n, 1)
-    return _scaled_entry(-acc, width, length)
+        return 1, 1, 1
+    acc, width = _horner_tail(_euler_scaled, n, 1)
+    return _scaled_entry(-acc, width)
 
 
 @cache
 def _bernoulli_scaled(n: int) -> tuple:
     """B_n = beta_n * prod_{m=2}^{n+1} (1 - q^m) in Z[q], packed."""
     if n == 0:
-        return 1, 1, 1, 1
-    acc, width, length = _horner_tail(_bernoulli_scaled, n, -1)
-    return _scaled_entry(acc - (n == 1), width, length)
+        return 1, 1, 1
+    acc, width = _horner_tail(_bernoulli_scaled, n, -1)
+    return _scaled_entry(acc - (n == 1), width)
 
 
-def _served(scaled: tuple, den: tuple) -> RatFuncQ:
+def _served(scaled: tuple, den: list) -> RatFuncQ:
     """The packed scaled numerator over its product, by one certified gcd."""
-    value, width, size, _ = scaled
-    return RatFuncQ(QPoly(_unpack(value, width, size)), QPoly(den))
+    value, width, _ = scaled
+    return RatFuncQ(QPoly(_digits(value, width)), QPoly(den))
 
 
 @cache

@@ -27,7 +27,6 @@ from .qkit import parity_sign, q_factorial
 from .orthopoly import (  # the J-fractions are also reached through this module
     JFraction,
     jfraction_for_eps,
-    jfraction_for_theta,
     jfraction_for_xi,
 )
 from .ratcore import (

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from fractions import Fraction
 from itertools import count
 from typing import Iterable, Optional, Sequence, Union
@@ -56,28 +55,22 @@ def _width(bound: int) -> int:
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
-    """Sum of c_i * 256**(width * i), for |c_i| < 256**width."""
-    zero = bytes(width)
-    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
-    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _unpack(value: int, width: int, count: int) -> list:
-    """The `count` digits of value in base B = 256**width, lowest first, each
-    in [-B/2, B/2).  Adding B/2 at every digit place turns them into the
-    plain base-B digits of a nonnegative integer, which to_bytes slices out
-    in one linear pass."""
-    half = 1 << (8 * width - 1)
-    shifted = value + int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    raw = shifted.to_bytes(width * count, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, width * count, width)]
+    """The value of coeffs at x = 256**width, for integer coefficients of any
+    size and sign; the empty list packs to 0."""
+    return _eval_halves(coeffs, 0, len(coeffs), 8 * width)
 
 
 def _digits(value: int, width: int) -> list:
-    """The balanced base-256**width digits of value, trailing zeros dropped."""
-    out = _unpack(value, width, abs(value).bit_length() // (8 * width) + 2)
+    """The balanced base-B digits of value, B = 256**width, lowest first,
+    each in [-B/2, B/2), trailing zeros dropped.  Adding B/2 at every digit
+    place turns them into the plain base-B digits of a nonnegative integer,
+    which to_bytes slices out in one linear pass."""
+    count = abs(value).bit_length() // (8 * width) + 2
+    half = 1 << (8 * width - 1)
+    shifted = value + int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = shifted.to_bytes(width * count, "little")
+    out = [int.from_bytes(raw[i:i + width], "little") - half
+           for i in range(0, width * count, width)]
     while out and not out[-1]:
         out.pop()
     return out
@@ -88,24 +81,7 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list:
     # blocks; CPython multiplies huge ints subquadratically, which beats
     # pure-Python convolution by a wide margin at these sizes.
     width = _width(_norm(a) * _norm(b) * min(len(a), len(b)))
-    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
-
-
-def mul_binomial(coeffs: Sequence[int], m: int, sign: int) -> tuple:
-    """coeffs * (1 + sign * q**m) for m >= 1 and sign = +1 or -1.
-
-    Coefficient i of the product is c_i + sign * c_{i-m}: one linear pass of
-    additions and no multiplication.  A canonical input (no trailing zeros)
-    gives a canonical output."""
-    if m < 1 or sign not in (1, -1):
-        raise ValueError("mul_binomial wants m >= 1 and sign = +1 or -1")
-    c = tuple(coeffs)
-    if not c:
-        return c
-    n = len(c)
-    top = c[max(n - m, 0):]
-    op, top = (operator.add, top) if sign > 0 else (operator.sub, tuple(-x for x in top))
-    return c[:m] + (0,) * (m - n) + tuple(map(op, c[m:], c)) + top
+    return _digits(_pack(a, width) * _pack(b, width), width)
 
 
 class QPoly:
@@ -315,11 +291,6 @@ def _split_content(coeffs: Sequence[int]) -> tuple:
     return u, (coeffs if u == 1 else [c // u for c in coeffs])
 
 
-def _int_eval(coeffs: Sequence[int], x: int) -> int:
-    """The value of coeffs at x, a power of two."""
-    return _eval_halves(coeffs, 0, len(coeffs), x.bit_length() - 1)
-
-
 def _eval_halves(coeffs: Sequence[int], lo: int, hi: int, bits: int) -> int:
     """The value of coeffs[lo:hi] at x = 2**bits, by halves:
     f(x) = low(x) + (high(x) << bits * len low), with short Horner runs of
@@ -344,9 +315,10 @@ def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
 
     Above the Kronecker cutoff both are packed at x = 256**w and divided as
     integers.  A nonzero remainder proves that B does not divide A, since
-    A = B * C in Z[q] gives A(x) = B(x) * C(x).  Otherwise the
-    n = len A - len B + 1 balanced digits of the integer quotient are the
-    candidate C, and C is returned only under a norm certificate.
+    A = B * C in Z[q] gives A(x) = B(x) * C(x).  Otherwise the balanced
+    digits of the integer quotient (_digits) are the candidate C, and C is
+    returned only under a norm certificate, taken with C's own length as
+    the theorem states it.
 
     Theorem: if A(x) = B(x) * C(x) and
     |A|_inf + |B|_inf * |C|_inf * min(len B, len C) < x/2, then A = B * C.
@@ -355,12 +327,11 @@ def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
     d_k, then x^k * d_k = -(sum over i > k of d_i * x^i) is a multiple of
     x^(k+1), so x divides d_k, which is impossible for 0 < |d_k| < x/2.
 
-    A candidate that fails the bound, or a quotient that does not fit in n
-    digits, is tried again at the width the bound asks for.  A wrapped
-    candidate can understate the norm of the true quotient, which may exceed
-    the dividend's by far (a denominator divided by a gcd, say), so that
-    width can fall short again; the next two tries at least double it.  If
-    every try fails, the schoolbook loop decides.
+    A candidate that fails the bound is tried again at the width the bound
+    asks for.  A wrapped candidate can understate the norm of the true
+    quotient, which may exceed the dividend's by far (a denominator divided
+    by a gcd, say), so that width can fall short again; the next two tries
+    at least double it.  If every try fails, the schoolbook loop decides.
     """
     n = len(A) - len(B) + 1
     if min(len(B), n) < _KRONECKER_CUTOFF:
@@ -368,20 +339,14 @@ def _exact_quotient(A: Sequence[int], B: Sequence[int]) -> Optional[list]:
     if A[-1] % B[-1]:
         return None
     na, nb = _norm(A), _norm(B)
-    terms = min(len(B), n)
     width = _width(max(na, nb) * len(A))
     for attempt in range(4):
         qv, r = divmod(_pack(A, width), _pack(B, width))
         if r:
             return None
-        try:
-            cand = _unpack(qv, width, n)
-        except OverflowError:
-            cand, nc = None, 1 << (8 * width - 1)
-        else:
-            nc = _norm(cand)
-        bound = 2 * (na + nb * nc * terms)
-        if cand is not None and bound < 1 << (8 * width):
+        cand = _digits(qv, width)
+        bound = 2 * (na + nb * _norm(cand) * min(len(B), len(cand)))
+        if bound < 1 << (8 * width):
             return cand
         width = max(_width(bound), 2 * width if attempt else 0)
     return _exact_quotient_schoolbook(A, B)
@@ -427,12 +392,14 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
     """(G, f / G, g / G) for nonzero primitive f, g with positive leading
     terms and G = gcd(f, g), by the heuristic gcd GCDHEU.
 
-    A constant input is 1, so G = 1.  Otherwise both inputs are evaluated at
-    x = 256**w, and a candidate divisor h is read back off the balanced
-    base-x digits of the integer gcd of the values with _digits.  The trial
-    divisions that test h also give the two cofactors.  The first five
-    retries multiply x by 256 and every later one squares it, for gcds whose
-    coefficients outgrow a few bytes, until a candidate divides both inputs.
+    A constant input is 1, so G = 1.  Otherwise both inputs are packed at
+    x = 256**w, w set by the smaller norm (so x may sit below the larger
+    input's norm, which _pack allows), and a candidate divisor h is read
+    back off the balanced base-x digits of the integer gcd of the values
+    with _digits.  The trial divisions that test h also give the two
+    cofactors.  The first five retries multiply x by 256 and every later one
+    squares it, for gcds whose coefficients outgrow a few bytes, until a
+    candidate divides both inputs.
 
     Theorem (Char, Geddes & Gonnet, 1989): for primitive f, g and
     x >= 2 * min(|f|_inf, |g|_inf) + 2, the primitive part of h is gcd(f, g)
@@ -462,9 +429,8 @@ def _heu_gcd(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> tuple:
         return _ONE_TUPLE, f_coeffs, g_coeffs
     width = _width(2 * min(_norm(f_coeffs), _norm(g_coeffs)) + 29)
     for attempt in count():
-        x = 1 << (8 * width)
-        fv = _int_eval(f_coeffs, x)
-        gv = _int_eval(g_coeffs, x)
+        fv = _pack(f_coeffs, width)
+        gv = _pack(g_coeffs, width)
         if fv and gv:
             h = math.gcd(fv, gv)
             if h == 1:

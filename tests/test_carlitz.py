@@ -197,21 +197,24 @@ def test_beta_49_needs_no_modular_fallback(monkeypatch):
     # after eight points.  That fallback is gone and the heuristic widens
     # until it answers, but every gcd of the cold beta_49 reduction and of
     # run_checks(2) must still answer within those first eight points.
-    real_gcd, real_eval = ratcore._heu_gcd, ratcore._int_eval
+    real_gcd, real_pack = ratcore._heu_gcd, ratcore._pack
     points = []  # per _heu_gcd call, the evaluation points it used
 
     def gcd(f, g):
         points.append(set())
         return real_gcd(f, g)
 
-    def evaluate(coeffs, x):
-        points[-1].add(x)
-        return real_eval(coeffs, x)
+    def evaluate(coeffs, width):
+        # the gcd's own evaluations, not the packs of products or of the
+        # trial divisions inside _cofactors
+        if sys._getframe(1).f_code.co_name == "_heu_gcd":
+            points[-1].add(width)
+        return real_pack(coeffs, width)
 
     q_bernoulli_recursive.cache_clear()
     carlitz._bernoulli_scaled.cache_clear()
     monkeypatch.setattr(ratcore, "_heu_gcd", gcd)
-    monkeypatch.setattr(ratcore, "_int_eval", evaluate)
+    monkeypatch.setattr(ratcore, "_pack", evaluate)
     assert q_bernoulli_recursive(49) == q_bernoulli_explicit(49)
     assert all(r.passed for r in run_checks(2))
     assert len(points) > 1000
@@ -274,15 +277,21 @@ def _binomial_product(n, sign):
     return p
 
 
+def test_binomial_product_matches_multiplication():
+    for n in range(41):
+        for sign in (1, -1):
+            assert tuple(carlitz._binomial_product(n, sign)) == _binomial_product(n, sign).coeffs
+
+
 def test_scaled_numerators_are_the_values_times_their_denominators():
     # E_n = eps_n * prod (1 + q^m) and B_n = beta_n * prod (1 - q^m),
     # m = 2..n+1, are integer polynomials, each memoized packed into one
-    # integer with its width, length and 1-norm.
+    # integer with its width and 1-norm.
     for n in range(16):
         for scaled, sign, explicit in ((carlitz._euler_scaled, 1, q_euler_explicit),
                                        (carlitz._bernoulli_scaled, -1, q_bernoulli_explicit)):
-            value, width, size, l1 = scaled(n)
-            num = ratcore._unpack(value, width, size)
+            value, width, l1 = scaled(n)
+            num = ratcore._digits(value, width)
             assert num[-1] != 0 and l1 == sum(map(abs, num))
             assert 2 * max(map(abs, num)) < 256 ** width
             assert RatFuncQ(QPoly(num), _binomial_product(n, sign)) == explicit(n)
@@ -330,9 +339,9 @@ def test_cold_recursion_repacks_each_entry_once_per_width(monkeypatch):
     _clear_carlitz_memos()
     monkeypatch.setattr(carlitz, "_PASS_PREFIX", {})
     monkeypatch.setattr(carlitz, "_pack", counting)
-    value, width, size, _ = carlitz._euler_scaled(top)
+    value, width, _ = carlitz._euler_scaled(top)
     steps = len(set(widths))
     assert 1 <= steps <= 4
     assert len(widths) <= top * steps < top * top // 4
-    num = ratcore._unpack(value, width, size)
+    num = ratcore._digits(value, width)
     assert RatFuncQ(QPoly(num), _binomial_product(top, 1)) == q_euler_explicit(top)

@@ -26,7 +26,6 @@ from qhankel.hankel import (
     heilermann_quotients,
     jfraction_expand,
     jfraction_for_eps,
-    jfraction_for_theta,
     jfraction_for_xi,
     jfraction_from_moments,
     minor_quotients,
@@ -42,6 +41,7 @@ from qhankel.orthopoly import (
     ZPoly,
     coeffs_monic,
     coeffs_p,
+    jfraction_for_theta,
     three_term_build,
 )
 from qhankel.qkit import parity_sign

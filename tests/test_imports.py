@@ -1,0 +1,28 @@
+"""Every name a library module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qhankel"
+
+# Re-exports that callers outside the package reach through the module.
+REEXPORTS = {("hankel.py", "jfraction_for_eps"), ("hankel.py", "jfraction_for_xi")}
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_library_modules_use_every_name_they_import():
+    unused = sorted((path.name, name)
+                    for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+                    for name in _unused_imports(path))
+    assert [entry for entry in unused if entry not in REEXPORTS] == []

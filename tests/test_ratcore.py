@@ -23,19 +23,19 @@ from qhankel.ratcore import (
     Q_ZERO,
     QPoly,
     RatFuncQ,
+    _digits,
     _exact_quotient,
     _exact_quotient_schoolbook,
     _gcd_full,
     _mul_kronecker,
     _mul_schoolbook,
+    _norm,
     _pack,
-    _unpack,
     _split_content,
     clear_denominators,
     const,
     decimal_to_int,
     deserialize,
-    mul_binomial,
     int_to_decimal,
     poly_gcd,
     poly_text,
@@ -235,20 +235,24 @@ def test_packed_division_certifies_a_quotient_larger_than_its_dividend():
 
 
 def test_packed_division_survives_a_quotient_too_wide_to_unpack():
-    # _unpack raises OverflowError when the integer quotient needs more
-    # digits than the polynomial quotient has; that candidate is dropped.
+    # A candidate with more digits than the quotient can have is dropped and
+    # the division retried wider.  The wrong candidate here has the right
+    # value at x, its top digit carried into one more place, so only the
+    # norm certificate can refuse it.
     rng = random.Random(31)
     b = [rng.randrange(-2 ** 80, 2 ** 80) for _ in range(30)] + [1]
     c = [rng.randrange(-2 ** 80, 2 ** 80) for _ in range(30)] + [1]
     calls = []
 
-    def first_overflows(value, width, count):
+    def first_too_long(value, width):
         calls.append(width)
+        got = _digits(value, width)
         if len(calls) == 1:
-            raise OverflowError
-        return _unpack(value, width, count)
+            got[-1:] = [got[-1] - 256 ** width, 1]
+            assert _pack(got, width) == value
+        return got
 
-    with mock.patch.object(ratcore, "_unpack", first_overflows):
+    with mock.patch.object(ratcore, "_digits", first_too_long):
         assert _exact_quotient(_mul_schoolbook(b, c), b) == c
     assert len(calls) == 2 and calls[1] > calls[0]
 
@@ -264,34 +268,6 @@ def test_packed_division_needs_no_schoolbook_fallback():
     with mock.patch.object(ratcore, "_exact_quotient_schoolbook",
                            side_effect=AssertionError("schoolbook fallback")):
         assert _exact_quotient(a, b) == want
-
-
-_BINOMIAL_COEFFS = st.one_of(st.integers(-10**6, 10**6), st.integers(-2**4100, 2**4100))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_BINOMIAL_COEFFS, max_size=30), st.integers(1, 40), st.sampled_from((1, -1)))
-def test_mul_binomial_matches_multiplication(c, m, sign):
-    p = QPoly(c)
-    want = (p * QPoly((1,) + (0,) * (m - 1) + (sign,))).coeffs
-    assert mul_binomial(p.coeffs, m, sign) == want
-
-
-def test_mul_binomial_on_huge_coefficients_and_zero():
-    rng = random.Random(41)
-    for m in (1, 2, 7, 60, 61, 200):
-        for sign in (1, -1):
-            c = [rng.randrange(2 ** 4000, 2 ** 4001) * rng.choice((1, -1)) for _ in range(60)]
-            want = (QPoly(c) * QPoly((1,) + (0,) * (m - 1) + (sign,))).coeffs
-            got = mul_binomial(c, m, sign)
-            assert got == want and isinstance(got, tuple)
-            assert mul_binomial((), m, sign) == ()
-
-
-@pytest.mark.parametrize("m, sign", [(0, 1), (-3, -1), (2, 0), (2, 2), (1, -2)])
-def test_mul_binomial_rejects_other_binomials(m, sign):
-    with pytest.raises(ValueError):
-        mul_binomial((1, 2, 3), m, sign)
 
 
 class TestPolyGcd:
@@ -538,13 +514,14 @@ def _balanced_reference(value, base):
 
 def test_balanced_digits_match_the_digit_loop():
     rng = random.Random(7)
+    cases = [(0, 1), (128, 1), (-128, 1), (256 ** 5, 2), (-(256 ** 9) // 2, 3)]
     for _ in range(300):
         value = rng.randrange(10 ** rng.randrange(3001)) * rng.choice((1, -1))
-        width = rng.randrange(1, 41)
-        want = _balanced_reference(value, 256 ** width)
-        count = len(want) + rng.randrange(3)
-        got = _unpack(value, width, count)
-        assert got == want + [0] * (count - len(want))
+        cases.append((value, rng.randrange(1, 41)))
+    for value, width in cases:
+        # the reference ends on a nonzero digit, as _digits does
+        got = _digits(value, width)
+        assert got == _balanced_reference(value, 256 ** width)
         assert _pack(got, width) == value
 
 
@@ -605,39 +582,50 @@ class TestLargeGcd:
     def test_gcd_keeps_widening_until_a_candidate_divides(self):
         # With its first twelve candidates refused, the heuristic goes on to
         # a thirteenth evaluation point: five one-byte steps, then the width
-        # doubles at every retry, and the certified gcd comes back.
+        # doubles at every retry, and the certified gcd comes back.  Only
+        # the gcd's own evaluations count, not the packs of the trial
+        # divisions inside _cofactors.
         f, g = self.BIG * P(7, 0, 0, 1), self.BIG * P(9, 2)
-        real_cofactors, real_eval = ratcore._cofactors, ratcore._int_eval
+        real_cofactors, real_pack = ratcore._cofactors, ratcore._pack
         candidates, points = [], set()
 
         def refuse_twelve(f, g, h):
             candidates.append(h)
             return None if len(candidates) <= 12 else real_cofactors(f, g, h)
 
-        def evaluate(coeffs, x):
-            points.add(x)
-            return real_eval(coeffs, x)
+        def evaluate(coeffs, width):
+            if sys._getframe(1).f_code.co_name == "_heu_gcd":
+                points.add(width)
+            return real_pack(coeffs, width)
 
         with mock.patch.object(ratcore, "_cofactors", refuse_twelve), \
-                mock.patch.object(ratcore, "_int_eval", evaluate):
+                mock.patch.object(ratcore, "_pack", evaluate):
             got, qf, qg = ratcore._heu_gcd(f.coeffs, g.coeffs)
         assert (P(*got), P(*qf), P(*qg)) == (self.BIG, P(7, 0, 0, 1), P(9, 2))
         assert len(candidates) == 13
-        widths = [x.bit_length() // 8 for x in sorted(points)]
+        widths = sorted(points)
         w = widths[0]
         assert widths == [w + k for k in range(6)] + [(w + 5) << k for k in range(1, 8)]
 
 
 def test_evaluation_by_halves_matches_horner():
+    # _pack takes any integer coefficients: negative ones, and ones wider
+    # than the width, as GCDHEU packs below the larger input's norm.
+    assert _pack([], 1) == _pack((), 5) == 0
     rng = random.Random(0xE7A1)
+    negative = wide = 0
     for _ in range(200):
         coeffs = [rng.randrange(-2 ** 300, 2 ** 300) >> rng.randrange(300)
                   for _ in range(rng.randrange(1, 90))]
-        x = 1 << (8 * rng.randrange(1, 12))
+        width = rng.randrange(1, 12)
+        x = 256 ** width
         want = 0
         for c in reversed(coeffs):
             want = want * x + c
-        assert ratcore._int_eval(coeffs, x) == want
+        assert _pack(coeffs, width) == _pack(tuple(coeffs), width) == want
+        negative += min(coeffs) < 0
+        wide += 2 * _norm(coeffs) >= x
+    assert negative > 100 and wide > 100
 
 
 # The kernel takes the power of q out of every operand before it multiplies,
@@ -724,7 +712,14 @@ def test_kernel_multiplies_and_takes_gcds_only_on_q_free_parts():
     want = [RatFuncQ(P(0, 0, 2, 1) * QPoly.q_power(7), P(1, 1, 0, 3)),
             RatFuncQ(P(2, 1), P(0, 1, 1, 0, 3)),
             RatFuncQ(P(0, 0, 3, 12, 5, 20)), RatFuncQ(P(3, 0, 6, 4))]
-    with mock.patch.object(ratcore, "_int_eval", side_effect=AssertionError("gcd evaluated")):
+    real_pack = ratcore._pack
+
+    def pack_outside_gcd(coeffs, width):
+        if sys._getframe(1).f_code.co_name == "_heu_gcd":
+            raise AssertionError("gcd evaluated")
+        return real_pack(coeffs, width)
+
+    with mock.patch.object(ratcore, "_pack", pack_outside_gcd):
         got = [qpow(7) * r, r / qpow(3)]
         with mock.patch.object(ratcore, "_gcd_full", side_effect=AssertionError("gcd taken")):
             got += [s * t, s + t]
