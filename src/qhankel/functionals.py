@@ -11,12 +11,14 @@ basis routes (phi_via_basis, theta_moment_via_basis) are kept as independent
 cross-checks.  An orthogonality check takes only the (sequence id, ell) and
 pairs its Favard family (favard_family) with the moments in Z[q], one packed
 integer per L(p_m p_n), reducing only the pairings that do not vanish
-(_pairing_failures).
+(_pairing_failures).  Only the moments are cleared of denominators there: a
+ZPoly already holds integer numerators over one denominator, so the family
+is read as it is held.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -106,11 +108,8 @@ def phi(p: ZPoly) -> RatFuncQ:
 
 def phi_via_basis(p: ZPoly) -> RatFuncQ:
     """Independent route: expand in the diagonal basis, apply phi there."""
-    out = Q_ZERO
-    for n, c in enumerate(to_diagonal_basis(p)):
-        if not c.is_zero:
-            out = out + c * theta_on_basis(0, n)
-    return out
+    den, coords = clear_denominators(to_diagonal_basis(p))
+    return _weighted_sum(coords, den, partial(theta_on_basis, 0), clear_denominators)
 
 
 def verify_phi_relation(p: ZPoly) -> bool:
@@ -130,22 +129,21 @@ def theta_on_basis(ell: int, n: int) -> RatFuncQ:
 
 
 @lru_cache(maxsize=None)
-def _monomial_diag_coeffs(n: int) -> Tuple[RatFuncQ, ...]:
-    return tuple(to_diagonal_basis(ZPoly.monomial(n)))
+def _monomial_diag_coeffs(n: int) -> Tuple[QPoly, Tuple[QPoly, ...]]:
+    """The diagonal basis coordinates of z^n cleared to one denominator."""
+    den, coords = clear_denominators(to_diagonal_basis(ZPoly.monomial(n)))
+    return den, tuple(coords)
 
 
 def theta_moment_via_basis(ell: int, n: int) -> RatFuncQ:
     """theta_ell(z^n) through the diagonal basis expansion of z^n.
 
-    This is the definition of theta_ell; it costs O(n^2) reduced RatFuncQ
+    This is the definition of theta_ell; the expansion costs O(n) ZPoly
     operations, so it serves only as the cross-check of theta_moment."""
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
-    out = Q_ZERO
-    for j, c in enumerate(_monomial_diag_coeffs(n)):
-        if not c.is_zero:
-            out = out + c * theta_on_basis(ell, j)
-    return out
+    den, coords = _monomial_diag_coeffs(n)
+    return _weighted_sum(coords, den, partial(theta_on_basis, ell), clear_denominators)
 
 
 def _gaussian_rows(n: int) -> List[List[List[int]]]:
@@ -294,14 +292,35 @@ def jfraction_for(seq: str, ell: int) -> JFraction:
     return jfraction(ell)
 
 
+@lru_cache(maxsize=None)
+def _cleared_moments(values: Tuple[RatFuncQ, ...]) -> Tuple[QPoly, Tuple[QPoly, ...]]:
+    """clear_denominators(values) for a list of moments, kept because the
+    same moments come back (a verify pass clears eps_0..eps_8 two hundred
+    times); the basis routes' values seldom repeat, so they are not kept.
+    The key is the values themselves, so a moment map put in place of
+    another (a tracer, a test double) never meets a stale entry."""
+    E, nums = clear_denominators(values)
+    return E, tuple(nums)
+
+
+def _weighted_sum(nums: Sequence[QPoly], den: QPoly, values: Callable[[int], RatFuncQ],
+                  clear: Callable[[Sequence[RatFuncQ]], tuple]) -> RatFuncQ:
+    """sum_k nums[k] values(k) / den, reading values(k) only where nums[k]
+    is nonzero.  With those values cleared to V_k / E by ``clear``
+    (clear_denominators or _cleared_moments) the sum is
+    sum_k nums[k] V_k / (den E): one sum in Z[q] and one reduction."""
+    used = [k for k, t in enumerate(nums) if t.coeffs]
+    E, cleared = clear(tuple(values(k) for k in used))
+    total = QPoly()
+    for k, v in zip(used, cleared):
+        total = total + nums[k] * v
+    return RatFuncQ(total, den * E)
+
+
 def apply_functional(seq: str, ell: int, p: ZPoly) -> RatFuncQ:
-    """L(p) = sum_k coeff_k * L(z^k) for the functional (seq, ell)."""
-    moments = moments_for(seq, ell)
-    out = Q_ZERO
-    for k, c in enumerate(p.coeffs):
-        if not c.is_zero:
-            out = out + c * moments(k)
-    return out
+    """L(p) = sum_k coeff_k * L(z^k) for the functional (seq, ell), summed
+    over p's numerators with its one denominator (_weighted_sum)."""
+    return _weighted_sum(p.nums, p.den, moments_for(seq, ell), _cleared_moments)
 
 
 def favard_family(seq: str, ell: int, upto: int) -> List[ZPoly]:
@@ -319,8 +338,10 @@ def _pairing_failures(moments: Sequence[RatFuncQ],
     L(p_m p_n) != 0, in the order n, then m; moments[k] = L(z^k) for every
     k up to twice the largest degree.
 
-    The bilinear form runs in Z[q].  With the moments cleared to M_k / E and
-    p_n to sum_i P_{n,i} z^i / d_n (ratcore.clear_denominators),
+    The bilinear form runs in Z[q].  With the moments cleared to M_k / E
+    (ratcore.clear_denominators) and p_n read as its ZPoly holds it,
+    p_n = sum_i P_{n,i} z^i / d_n for P_n = p_n.nums and d_n = p_n.den, with
+    no clearing,
 
         L(p_m p_n) d_m d_n E = N_{mn} = sum_{i,j} P_{m,i} P_{n,j} M_{i+j},
 
@@ -337,13 +358,12 @@ def _pairing_failures(moments: Sequence[RatFuncQ],
     only those pairs are expanded and reduced.
     """
     E, nums = clear_denominators(moments)
-    cleared = [clear_denominators(p.coeffs) for p in polys]
-    norm_p = max([sum(map(abs, c.coeffs)) for _, P in cleared for c in P] + [1])
+    norm_p = max([sum(map(abs, c.coeffs)) for p in polys for c in p.nums] + [1])
     norm_m = max([_norm(c.coeffs) for c in nums if c.coeffs] + [1])
-    top = max(len(P) for _, P in cleared)
+    top = max(len(p.nums) for p in polys)
     width = _width(top * top * norm_p * norm_p * norm_m)
     mx = [_pack(c.coeffs, width) for c in nums]
-    px = [[_pack(c.coeffs, width) for c in P] for _, P in cleared]
+    px = [[_pack(c.coeffs, width) for c in p.nums] for p in polys]
     failures: List[Tuple[int, int, RatFuncQ]] = []
     if not sum(a * b for a, b in zip(px[0], mx)):
         failures.append((0, 0, Q_ZERO))
@@ -353,7 +373,7 @@ def _pairing_failures(moments: Sequence[RatFuncQ],
         for m in range(n):
             packed = sum(a * b for a, b in zip(px[m], w_n))
             if packed:
-                den = cleared[m][0] * cleared[n][0] * E
+                den = polys[m].den * polys[n].den * E
                 failures.append((m, n, RatFuncQ(QPoly(_digits(packed, width)), den)))
     return failures
 
@@ -367,12 +387,17 @@ def verify_orthogonality(
     the family is orthogonal.
 
     ``polys`` may pass p_0..p_k (k >= upto) of that family when the caller
-    has built them already.  Each pairing is tested exactly in Z[q]; see
-    _pairing_failures.
+    has built them already; fewer than upto + 1 raise ValueError.  Each
+    pairing is tested exactly in Z[q]; see _pairing_failures.
     """
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    polys = favard_family(seq, ell, upto) if polys is None else polys[:upto + 1]
+    if polys is None:
+        polys = favard_family(seq, ell, upto)
+    elif len(polys) <= upto:
+        raise ValueError(f"polys holds {len(polys)} polynomials, fewer than the "
+                         f"{upto + 1} that upto = {upto} needs")
+    polys = polys[:upto + 1]
     moments = moments_for(seq, ell)
     top = max(p.degree for p in polys)
     return _pairing_failures([moments(k) for k in range(2 * top + 1)], polys)

@@ -1,15 +1,28 @@
-"""Polynomials in z over Q(q): three-term recurrences and the specialized
-big q-Jacobi families (series route, recurrence route, affine route).
+"""Polynomials in z over Q(q), each held as integer numerators over one
+denominator (ZPoly): three-term recurrences and the specialized big q-Jacobi
+families (series route, recurrence route, affine route).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .carlitz import q_euler_recursive
 from .qkit import parity_sign, poch
-from .ratcore import Q_ONE, Q_ZERO, RatFuncQ, const, qpow
+from .ratcore import (
+    _P_ONE,
+    _P_ZERO,
+    Q_ONE,
+    Q_ZERO,
+    QPoly,
+    RatFuncQ,
+    _gcd_full,
+    clear_denominators,
+    const,
+    qpow,
+)
 from .record import Record
 
 
@@ -22,16 +35,59 @@ class DegenerateRecurrenceError(ValueError):
 
 
 class ZPoly:
-    """Dense polynomial in z with RatFuncQ coefficients, ascending order."""
+    """Dense polynomial in z over Q(q), ascending order, held as integer
+    numerators over one denominator: p = sum_k nums[k] z^k / den, with
+    ``nums`` a tuple of QPoly and ``den`` a QPoly.
 
-    __slots__ = ("coeffs", "_hash")
+    Canonical form: den has a positive leading coefficient, the last
+    numerator is nonzero, and gcd(den, nums[0], ..., nums[-1]) = 1 in Z[q],
+    integer content included.  The zero polynomial is no numerators over 1.
 
-    def __init__(self, coeffs: Iterable[RatFuncQ] = ()) -> None:
-        cs = [c if isinstance(c, RatFuncQ) else const(c) for c in coeffs]
+    Lemma: each polynomial has exactly one canonical pair, and its den is
+    the lcm L of the reduced coefficients' denominators b_k.  For
+    coefficients a_k / b_k, each nums[k] = den * a_k / b_k lies in Z[q] with
+    a_k and b_k coprime, so b_k divides den, and den = L * u.  Then u
+    divides den and every nums[k] = u * (L a_k / b_k), so u = +-1, and the
+    sign of the leading coefficient makes u = 1.  Conversely (L, L a_k / b_k)
+    is canonical: a prime power p^e exactly dividing L exactly divides some
+    b_j, and p divides neither a_j nor L / b_j.  So ``==`` and ``hash`` read
+    (nums, den) and mean the same as comparing reduced coefficients.
+
+    ``coeffs`` is the tuple of reduced RatFuncQ coefficients, built on first
+    use; ``coeff(k)`` reduces entry k alone.  Each operation reduces its
+    result once, by the only factor it can leave (see ``__add__``,
+    ``__mul__`` and ``scale``).
+    """
+
+    __slots__ = ("nums", "den", "_coeffs", "_content", "_hash")
+
+    def __init__(self, coeffs: Iterable[Union[RatFuncQ, int, Fraction]] = ()) -> None:
+        cs = []
+        for c in coeffs:
+            r = RatFuncQ._coerce(c)
+            if r is NotImplemented:
+                raise TypeError("ZPoly coefficients are int, Fraction or RatFuncQ, "
+                                f"not {type(c).__name__}")
+            cs.append(r)
         while cs and cs[-1].is_zero:
             cs.pop()
-        self.coeffs = tuple(cs)
+        den, nums = clear_denominators(cs)  # the canonical pair, by the lemma
+        self.nums = tuple(nums)
+        self.den = den
+        self._coeffs = tuple(cs)
+        self._content = None
         self._hash = None
+
+    @classmethod
+    def _raw(cls, nums: Tuple[QPoly, ...], den: QPoly) -> "ZPoly":
+        # Internal: caller certifies the pair is already canonical.
+        self = object.__new__(cls)
+        self.nums = nums
+        self.den = den
+        self._coeffs = None
+        self._content = None
+        self._hash = None
+        return self
 
     @staticmethod
     def zero() -> "ZPoly":
@@ -47,99 +103,224 @@ class ZPoly:
 
     @staticmethod
     def monomial(n: int) -> "ZPoly":
-        return ZPoly([Q_ZERO] * n + [Q_ONE])
+        return _Z_ONE.shift_up(n)
+
+    @property
+    def coeffs(self) -> Tuple[RatFuncQ, ...]:
+        cs = self._coeffs
+        if cs is None:
+            cs = self._coeffs = tuple(self.coeff(k) for k in range(len(self.nums)))
+        return cs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self) -> RatFuncQ:
-        return self.coeffs[-1] if self.coeffs else Q_ZERO
+        return self.coeff(len(self.nums) - 1)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1].is_one
+        return bool(self.nums) and self.nums[-1] == self.den
 
     def coeff(self, k: int) -> RatFuncQ:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Q_ZERO
+        if not 0 <= k < len(self.nums):
+            return Q_ZERO
+        if self._coeffs is not None:
+            return self._coeffs[k]
+        if self.den.coeffs == _ONE:
+            return RatFuncQ._raw(self.nums[k], _P_ONE)
+        return RatFuncQ(self.nums[k], self.den)
+
+    def _cont(self) -> QPoly:
+        """The content of the numerators, gcd(nums...) in Z[q], up to sign;
+        1 with no gcd for a monic polynomial, whose last numerator is den."""
+        c = self._content
+        if c is None:
+            if self.nums[-1] == self.den:
+                c = _P_ONE
+            else:
+                for t in self.nums:
+                    if t.coeffs:
+                        c = t if c is None else _gcd_full(c, t)[0]
+                        if c.coeffs == _ONE:
+                            break
+            self._content = c
+        return c
 
     def __add__(self, other: "ZPoly") -> "ZPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return ZPoly(out)
+        """Over L = lcm(da, db) = da * sb, for g = gcd(da, db), sa = da / g and
+        sb = db / g, the numerators are T = na * sb + nb * sa.  A prime
+        dividing L and every T_k divides g: if it divided sa, it would not
+        divide sb (sa and sb are coprime), so it would divide every na_k and
+        da, which canonical form rules out; likewise for sb.  So the factor
+        to cancel is gcd(g, T...), sought only while it is not 1."""
+        if not self.nums:
+            return other
+        if not other.nums:
+            return self
+        da, db = self.den, other.den
+        g, sa, sb = _gcd_full(da, db)
+        na, nb = self.nums, other.nums
+        if sb.coeffs != _ONE:
+            na = tuple(t * sb for t in na)
+        if sa.coeffs != _ONE:
+            nb = tuple(t * sa for t in nb)
+        if len(na) < len(nb):
+            na, nb = nb, na
+        total = list(na)
+        for i, t in enumerate(nb):
+            total[i] = total[i] + t
+        while total and not total[-1].coeffs:
+            total.pop()
+        if not total:
+            return _Z_ZERO
+        return _cancel(total, da * sb, g)
 
     def __neg__(self) -> "ZPoly":
-        return ZPoly([-c for c in self.coeffs])
+        return ZPoly._raw(tuple(-t for t in self.nums), self.den)
 
     def __sub__(self, other: "ZPoly") -> "ZPoly":
         return self + (-other)
 
     def __mul__(self, other: "ZPoly") -> "ZPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        """Gauss's lemma: cont(Na * Nb) = cont Na * cont Nb in Z[q], so with
+        each input canonical the product's common factor is
+        gcd(da, cont Nb) * gcd(db, cont Na), and each part cancels before
+        the product is formed."""
+        if not self.nums or not other.nums:
             return _Z_ZERO
-        out = [Q_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai.is_zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj.is_zero:
-                    continue
-                out[i + j] = out[i + j] + ai * bj
-        return ZPoly(out)
+        g1, g2 = _gcd_cont(self.den, other), _gcd_cont(other.den, self)
+        nums = _convolve([_quo(t, g2) for t in self.nums], [_quo(t, g1) for t in other.nums])
+        return ZPoly._raw(tuple(nums), _quo(self.den, g1) * _quo(other.den, g2))
 
     def scale(self, s: RatFuncQ) -> "ZPoly":
-        if s.is_zero:
+        """s * self; by Gauss's lemma, as for ``__mul__`` with the constant
+        s.num / s.den, the common factor is gcd(den, s.num) * gcd(s.den, cont)."""
+        if s.is_zero or not self.nums:
             return _Z_ZERO
-        return ZPoly([c * s for c in self.coeffs])
+        g1 = _P_ONE if self.den.coeffs == _ONE else _gcd_full(self.den, s.num)[0]
+        g2 = _gcd_cont(s.den, self)
+        factor = _quo(s.num, g1)
+        nums = [_quo(t, g2) for t in self.nums]
+        if factor.coeffs != _ONE:
+            nums = [t * factor for t in nums]
+        return ZPoly._raw(tuple(nums), _quo(self.den, g1) * _quo(s.den, g2))
 
     def shift_up(self, k: int = 1) -> "ZPoly":
         """Multiply by z**k."""
-        if self.is_zero:
+        if not self.nums:
             return self
-        return ZPoly([Q_ZERO] * k + list(self.coeffs))
+        return ZPoly._raw((_P_ZERO,) * k + self.nums, self.den)
 
     def compose(self, inner: "ZPoly") -> "ZPoly":
-        """Substitute ``inner`` for z."""
-        out = _Z_ZERO
-        for c in reversed(self.coeffs):
-            out = out * inner + ZPoly([c])
-        return out
+        """Substitute ``inner`` = I / e for z: Horner on the numerators,
+        sum_k nums[k] I^k e^(d-k) over den e^d for d the degree, reduced once."""
+        if not self.nums or not inner.nums:
+            return ZPoly([self.coeff(0)])
+        e = inner.den
+        acc = [self.nums[-1]]
+        e_pow = _P_ONE
+        for t in reversed(self.nums[:-1]):
+            e_pow = e_pow * e
+            acc = _convolve(acc, inner.nums)
+            if acc:
+                acc[0] = acc[0] + t * e_pow
+            else:
+                acc = [t * e_pow]
+            while acc and not acc[-1].coeffs:
+                acc.pop()
+        if not acc:
+            return _Z_ZERO
+        den = self.den * e_pow
+        return _cancel(acc, den, den)
 
     def __call__(self, point: RatFuncQ) -> RatFuncQ:
-        acc = Q_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """p(x / y) = sum_k nums[k] x^k y^(d-k) / (den y^d) for d the
+        degree, reduced once."""
+        if not self.nums:
+            return Q_ZERO
+        point = RatFuncQ._coerce(point)
+        x, y = point.num, point.den
+        acc = self.nums[-1]
+        y_pow = _P_ONE
+        for t in reversed(self.nums[:-1]):
+            y_pow = y_pow * y
+            acc = acc * x + t * y_pow
+        return RatFuncQ(acc, self.den * y_pow)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ZPoly) and self.coeffs == other.coeffs
+        return isinstance(other, ZPoly) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(self.coeffs)
-            self._hash = h
+            h = self._hash = hash((self.nums, self.den))
         return h
 
     def __repr__(self) -> str:
         return f"ZPoly({[str(c) for c in self.coeffs]})"
 
 
-_Z_ZERO = ZPoly()
-_Z_ONE = ZPoly([Q_ONE])
-_Z_VAR = ZPoly([Q_ZERO, Q_ONE])
+def _quo(t: QPoly, g: QPoly) -> QPoly:
+    """t / g for g dividing t."""
+    return t if g.coeffs == _ONE else t.exact_div(g)
+
+
+def _gcd_cont(d: QPoly, p: ZPoly) -> QPoly:
+    """gcd(d, cont p), with no gcd when d is 1 or p is monic."""
+    if d.coeffs == _ONE:
+        return _P_ONE
+    c = p._cont()
+    return _P_ONE if c.coeffs == _ONE else _gcd_full(d, c)[0]
+
+
+def _convolve(a: Sequence[QPoly], b: Sequence[QPoly]) -> List[QPoly]:
+    """The numerators of the product of two polynomials in z over Z[q]."""
+    if not a or not b:
+        return []
+    out = [_P_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.coeffs:
+            for j, y in enumerate(b):
+                if y.coeffs:
+                    out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _cancel(nums: List[QPoly], den: QPoly, g: QPoly) -> ZPoly:
+    """The canonical ZPoly of nums / den, for nums with a nonzero last
+    entry, den with a positive leading coefficient, and g a divisor of den
+    that every common factor of den and the nums divides.
+
+    One gcd per numerator narrows g to the common factor, and stops once it
+    is 1.  Each gcd's cofactors give the numerators divided by it: a
+    quotient by the old g times the old g over the new one is the quotient
+    by the new g."""
+    if g.coeffs == _ONE:
+        return ZPoly._raw(tuple(nums), den)
+    quots: List[QPoly] = []
+    for t in nums:
+        if t.coeffs:
+            g_new, shrink, t = _gcd_full(g, t)
+            if g_new.coeffs == _ONE:
+                return ZPoly._raw(tuple(nums), den)
+            if shrink.coeffs != _ONE:
+                quots = [x * shrink for x in quots]
+            g = g_new
+        quots.append(t)
+    return ZPoly._raw(tuple(quots), den.exact_div(g))
+
+
+_ONE = (1,)
+_Z_ZERO = ZPoly._raw((), _P_ONE)
+_Z_ONE = ZPoly._raw((_P_ONE,), _P_ONE)
+_Z_VAR = ZPoly._raw((_P_ZERO, _P_ONE), _P_ONE)
 
 
 def _indexed(values: List[RatFuncQ], first: int) -> Callable[[int], RatFuncQ]:
@@ -266,22 +447,20 @@ def _series_family_sum(ell: int, n: int, w: ZPoly) -> ZPoly:
     sum_{k=0}^n (q^{-n};q)_k (-q^{n+ell+1};q)_k (w;q)_k q^k
                 / ((q;q)_k (q^{ell+1};q)_k)
     where (w;q)_k is the running product of (1 - w q^j) over j < k.
+
+    The k-th term is the (k-1)-th times r_k (1 - w q^{k-1}), with
+    r_k = (1 - q^{k-1-n}) (1 + q^{n+ell+k}) q / ((1 - q^k) (1 - q^{ell+k}))
+        = (q^{n-k+1} - 1) (1 + q^{n+ell+k}) / (q^{n-k} (1 - q^k) (1 - q^{ell+k})),
+    built in Z[q] and reduced once, so the sum runs by Horner's rule from
+    the inside out:
+    1 + r_1 (1 - w) (1 + r_2 (1 - w q) (1 + ... (1 + r_n (1 - w q^{n-1})))).
     """
-    total = _Z_ZERO
-    poch_w = _Z_ONE
-    coef = Q_ONE
-    for k in range(n + 1):
-        if k:
-            qk1 = qpow(k - 1)
-            coef = (
-                coef
-                * (Q_ONE - qpow(-n) * qk1)
-                * (Q_ONE + qpow(n + ell + 1) * qk1)
-                * qpow(1)
-                / ((Q_ONE - qpow(k)) * (Q_ONE - qpow(ell + 1) * qk1))
-            )
-            poch_w = poch_w * (_Z_ONE - w.scale(qpow(k - 1)))
-        total = total + poch_w.scale(coef)
+    q_pow = QPoly.q_power
+    total = _Z_ONE
+    for k in range(n, 0, -1):
+        ratio = RatFuncQ((q_pow(n - k + 1) - _P_ONE) * (_P_ONE + q_pow(n + ell + k)),
+                         q_pow(n - k) * (_P_ONE - q_pow(k)) * (_P_ONE - q_pow(ell + k)))
+        total = _Z_ONE + ((_Z_ONE - w.scale(qpow(k - 1))) * total).scale(ratio)
     return total
 
 

@@ -294,18 +294,29 @@ class TestFunctionalId:
                                     if entry.jfraction is not None}
 
 
+def _functional_oracle(seq, ell, p):
+    """L(p) summed over p's reduced coefficients, one RatFuncQ product and
+    sum per coefficient: the oracle for apply_functional's one reduction."""
+    moments = moments_for(seq, ell)
+    out = Q_ZERO
+    for k, c in enumerate(p.coeffs):
+        if not c.is_zero:
+            out = out + c * moments(k)
+    return out
+
+
 def _orthogonality_oracle(seq, ell, upto):
     """The per-pair route over Q(q): expand each product p_m p_n as a ZPoly
     and sum the functional over its monomial moments, reducing at every
     step.  The oracle for verify_orthogonality's packed pairing in Z[q]."""
     polys = functionals.favard_family(seq, ell, upto)
     failures = []
-    head = apply_functional(seq, ell, polys[0])
+    head = _functional_oracle(seq, ell, polys[0])
     if head.is_zero:
         failures.append((0, 0, head))
     for n in range(1, upto + 1):
         for m in range(n):
-            value = apply_functional(seq, ell, polys[m] * polys[n])
+            value = _functional_oracle(seq, ell, polys[m] * polys[n])
             if not value.is_zero:
                 failures.append((m, n, value))
     return failures
@@ -385,6 +396,32 @@ class TestPackedPairing:
         polys = favard_family("qeuler", 0, 6)
         polys[5] = polys[5] + ZPoly.one()  # beyond upto, so never paired
         assert verify_orthogonality("qeuler", 0, 3, polys) == []
+
+    def test_a_short_family_is_rejected(self):
+        # three polynomials cannot check the pairings up to degree 6
+        with pytest.raises(ValueError, match=r"holds 3 polynomials, fewer than the 7"):
+            verify_orthogonality("theta", 0, 6, favard_family("theta", 0, 2))
+
+    @pytest.mark.parametrize("pair", _ALL_PAIRS, ids=_pair_id)
+    def test_apply_functional_matches_the_coefficient_sum(self, pair):
+        rng = random.Random(f"{pair[0]}-{pair[1]}")
+        polys = favard_family(*pair, 3)
+        for _ in range(4):
+            p = polys[rng.randrange(4)] * polys[rng.randrange(4)]
+            p = p.scale(RatFuncQ(P(rng.randint(1, 5), 1), P(1, rng.randint(-3, 3), 1)))
+            p = p + ZPoly([const(rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))])
+            assert apply_functional(*pair, p) == _functional_oracle(*pair, p)
+        assert apply_functional(*pair, ZPoly.zero()) == Q_ZERO
+
+    def test_apply_functional_reads_a_replaced_moment_map(self, monkeypatch):
+        # the cleared moments are kept by value, so a double put in place
+        # of theta_moment is read, not an earlier sum's moments
+        p = favard_family("theta", 1, 3)[3]
+        assert apply_functional("theta", 1, p) == Q_ZERO
+        monkeypatch.setattr(functionals, "theta_moment",
+                            lambda ell, n: theta_moment(ell, n) + const(n))
+        got = apply_functional("theta", 1, p)
+        assert got == _functional_oracle("theta", 1, p) != Q_ZERO
 
     @pytest.mark.parametrize("moments, p1", [
         # (128 - q) + 128, from moments that each fit one byte

@@ -1,7 +1,13 @@
 """Polynomial families in z and their three-term recurrences."""
 
+import random
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 
+from qhankel import orthopoly, ratcore
+from qhankel.functionals import jfraction_for
 from qhankel.orthopoly import (
     DegenerateRecurrenceError,
     JFraction,
@@ -19,10 +25,116 @@ from qhankel.orthopoly import (
     three_term_build,
 )
 from qhankel.ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow
+from test_ratcore import _oracle_gcd
 
 
 def P(*coeffs):
     return QPoly(coeffs)
+
+
+# Coefficient-wise arithmetic on tuples of reduced RatFuncQ, every step
+# reduced: the oracle for ZPoly's numerators over one denominator.
+def _o_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    return tuple(cs)
+
+
+def _o_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return _o_trim(out)
+
+
+def _o_neg(a):
+    return tuple(-c for c in a)
+
+
+def _o_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Q_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _o_trim(out)
+
+
+def _o_scale(a, s):
+    return _o_trim(c * s for c in a)
+
+
+def _o_compose(a, inner):
+    out = ()
+    for c in reversed(a):
+        out = _o_add(_o_mul(out, inner), _o_trim([c]))
+    return out
+
+
+def _o_call(a, x):
+    acc = Q_ZERO
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+# Small factors that the random coefficients share, so that sums and
+# products cancel often.
+_FACTORS = [P(1, 1), P(1, -1), P(0, 1), P(1, 0, 1), P(2), P(3), P(1, 1, 1), P(-1)]
+
+
+def _rand_qpoly(rng, factors):
+    out = QPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+    for _ in range(factors):
+        out = out * rng.choice(_FACTORS)
+    return out
+
+
+def _rand_scalar(rng, kind):
+    num = _rand_qpoly(rng, rng.randint(0, 2))
+    if kind == "integral":
+        return RatFuncQ(num)
+    if kind == "constant-den":
+        return RatFuncQ(num, P(rng.choice([1, 2, 3, 6])))
+    den = P(1)
+    for _ in range(rng.randint(0, 3)):
+        den = den * rng.choice(_FACTORS)
+    return RatFuncQ(num, den)
+
+
+_KINDS = ("zero", "integral", "constant-den", "monic", "general")
+
+
+def _rand_coeffs(rng, kind):
+    if kind == "zero":
+        return ()
+    scalar = "general" if kind == "monic" else kind
+    cs = [_rand_scalar(rng, scalar) for _ in range(rng.randint(1, 4))]
+    if kind == "monic":
+        cs.append(Q_ONE)
+    return _o_trim(cs)
+
+
+def _check_canonical(p, want):
+    """p holds the coefficients want, in canonical form."""
+    assert tuple(p.coeffs) == want
+    assert p == ZPoly(want) and hash(p) == hash(ZPoly(want))
+    assert p.degree == len(want) - 1 and p.is_zero == (not want)
+    assert p.leading == (want[-1] if want else Q_ZERO)
+    assert p.is_monic == (bool(want) and want[-1].is_one)
+    for k in range(-1, len(want) + 2):
+        assert p.coeff(k) == (want[k] if 0 <= k < len(want) else Q_ZERO)
+    assert p.den.leading > 0
+    assert len(p.nums) == len(want) and (not p.nums or not p.nums[-1].is_zero)
+    common = p.den
+    for t in p.nums:
+        if not t.is_zero:
+            common = _oracle_gcd(common, t)
+    assert common == P(1)
 
 
 class TestZPoly:
@@ -33,6 +145,16 @@ class TestZPoly:
 
     def test_int_coeffs_coerced(self):
         assert ZPoly([1, 2]) == ZPoly([Q_ONE, const(2)])
+
+    def test_fraction_coeffs_coerced(self):
+        p = ZPoly([Fraction(1, 2), 1])
+        assert p == ZPoly([RatFuncQ(P(1), P(2)), Q_ONE])
+        assert repr(p) == "ZPoly(['(1)/(2)', '1'])"
+
+    @pytest.mark.parametrize("entry", [0.5, "1", P(1, 1), None])
+    def test_other_entries_rejected(self, entry):
+        with pytest.raises(TypeError, match=type(entry).__name__):
+            ZPoly([Q_ONE, entry])
 
     def test_arithmetic(self):
         z = ZPoly.z()
@@ -68,6 +190,64 @@ class TestZPoly:
         assert not ZPoly.zero().is_monic
 
 
+class TestZPolyAgainstTheOracle:
+    """Seeded random inputs of each kind; every result is compared with the
+    coefficient-wise oracle and checked for canonical form."""
+
+    @pytest.mark.parametrize("kind_a", _KINDS)
+    @pytest.mark.parametrize("kind_b", _KINDS)
+    def test_ring_operations(self, kind_a, kind_b):
+        rng = random.Random(f"ring-{kind_a}-{kind_b}")
+        for _ in range(6):
+            a, b = _rand_coeffs(rng, kind_a), _rand_coeffs(rng, kind_b)
+            pa, pb = ZPoly(a), ZPoly(b)
+            _check_canonical(pa, a)
+            _check_canonical(pa + pb, _o_add(a, b))
+            _check_canonical(-pa, _o_neg(a))
+            _check_canonical(pa - pb, _o_add(a, _o_neg(b)))
+            _check_canonical(pa - pa, ())
+            _check_canonical(pa * pb, _o_mul(a, b))
+            _check_canonical(pa.shift_up(2), _o_mul(a, (Q_ZERO, Q_ZERO, Q_ONE)))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_scale_call_and_compose(self, kind):
+        rng = random.Random(f"scale-{kind}")
+        for _ in range(8):
+            a = _rand_coeffs(rng, kind)
+            s = _rand_scalar(rng, rng.choice(["integral", "constant-den", "general"]))
+            inner = _rand_coeffs(rng, rng.choice(_KINDS))[:3]
+            pa = ZPoly(a)
+            _check_canonical(pa.scale(s), _o_scale(a, s))
+            _check_canonical(pa.scale(Q_ZERO), ())
+            _check_canonical(pa.compose(ZPoly(inner)), _o_compose(a, inner))
+            assert pa(s) == _o_call(a, s)
+            assert pa(Q_ZERO) == _o_call(a, Q_ZERO)
+
+    def test_compose_with_a_constant_that_cancels(self):
+        # z^2 - z + 7 at z = 1: the Horner sum vanishes halfway
+        p = ZPoly([7, -1, 1])
+        _check_canonical(p.compose(ZPoly([1])), (const(7),))
+        _check_canonical(p.compose(ZPoly.zero()), (const(7),))
+
+    def test_equal_values_by_different_routes(self):
+        rng = random.Random("routes")
+        for _ in range(12):
+            a, b, c = (ZPoly(_rand_coeffs(rng, "general")) for _ in range(3))
+            s, t = (_rand_scalar(rng, "general") for _ in range(2))
+            pairs = [
+                ((a + b) + c, a + (c + b)),
+                (a * (b + c), b * a + c * a),
+                ((a - b) + b, a),
+                (a.scale(s).scale(t), a.scale(s * t)),
+                (a * ZPoly([s]), a.scale(s)),
+                (a.compose(b + c), ZPoly(_o_compose(a.coeffs, (b + c).coeffs))),
+                ((a * b).compose(c), a.compose(c) * b.compose(c)),
+            ]
+            for x, y in pairs:
+                assert x == y and hash(x) == hash(y)
+                assert (x.nums, x.den) == (y.nums, y.den)
+
+
 class TestThreeTermBuild:
     def test_constant_coefficient_toy(self):
         # a == 0, b == 1 gives p2 = z^2 - 1, p3 = z^3 - 2z
@@ -83,6 +263,26 @@ class TestThreeTermBuild:
         assert three_term_build(data, 0) == [ZPoly.one()]
         with pytest.raises(ValueError):
             three_term_build(data, -1)
+
+    def test_one_reduction_per_polynomial(self):
+        # p_{n+1} = (z + a(n)) p_n - b(n) p_{n-1}: the product of two monic
+        # polynomials takes no gcd, the scaling one, and the difference one
+        # for its denominators plus one per numerator while a common factor
+        # remains.  A coefficient-wise build takes one or two per coefficient.
+        jf = jfraction_for("theta", 0)
+        want = three_term_build(jf, 9)  # computes and caches a(n), b(n)
+        real = ratcore._gcd_full
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        with mock.patch.object(ratcore, "_gcd_full", counting), \
+                mock.patch.object(orthopoly, "_gcd_full", counting):
+            got = three_term_build(jf, 9)
+        assert got == want
+        assert 0 < len(calls) <= 100
 
     def test_degenerate_b_detected(self):
         data = JFraction(Q_ONE, a=lambda n: Q_ZERO, b=lambda n: Q_ZERO)
