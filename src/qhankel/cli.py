@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import click
 
@@ -61,9 +62,12 @@ def _dumps(obj: object) -> str:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         click.echo(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise click.BadParameter(f"cannot write {out!r}: {exc.strerror or exc}", param_hint="'--out'")
 
 
 def _parse_at_q(raw: Optional[str]) -> Optional[Fraction]:
@@ -131,7 +135,15 @@ def _check_ell(seq_id: str, ell: Optional[int]) -> int:
     return ell
 
 
-_COMPUTE_ERRORS = (ValueError, ArithmeticError, OverflowError)
+@contextmanager
+def _computing(point: Optional[Fraction] = None) -> Iterator[None]:
+    """Report an error of the computation inside as exit 1, one line."""
+    try:
+        yield
+    except PoleError as exc:  # raised only by evaluation at ``point``
+        raise click.ClickException(f"pole at q={point}: {exc}")
+    except (ValueError, ArithmeticError, OverflowError) as exc:
+        raise click.ClickException(str(exc))
 
 
 @click.group()
@@ -159,12 +171,8 @@ def cmd_seq(seq_id, ell, max_n, fmt, at_q, out) -> None:
     ell_value = _check_ell(seq_id, ell)
     moment = moments_for(seq_id, ell_value)
     label = f"{seq_id}_ell({ell_value})" if seq_id in _ELL_IDS else seq_id
-    try:
+    with _computing(point):
         values = [_at(moment(n), point) for n in range(max_n + 1)]
-    except PoleError as exc:
-        raise click.ClickException(f"pole at q={point}: {exc}")
-    except _COMPUTE_ERRORS as exc:
-        raise click.ClickException(str(exc))
 
     if fmt == "json":
         payload: Dict[str, object] = {"id": label, "max_n": max_n}
@@ -202,12 +210,8 @@ def cmd_poly(family, ell, n, fmt, at_q, out) -> None:
     fmt = _pick_format(fmt)
     point = _parse_at_q(at_q)
     builders = {"p": build_p_via_phi2, "monic": build_jtilde_via_phi2, "j": build_j_via_phi2}
-    try:
+    with _computing(point):
         coeffs = [_at(c, point) for c in builders[family](ell, n).coeffs]
-    except PoleError as exc:
-        raise click.ClickException(f"pole at q={point}: {exc}")
-    except _COMPUTE_ERRORS as exc:
-        raise click.ClickException(str(exc))
 
     if fmt == "json":
         payload: Dict[str, object] = {"family": family, "ell": ell, "n": n}
@@ -249,16 +253,10 @@ def cmd_det(seq_id, ell, shift, n, method, fmt, at_q, out) -> None:
         raise click.UsageError(f"no {method} route is wired up for --id {seq_id}")
     wanted = routes if method == "all" else {method: routes[method]}
 
-    try:
+    with _computing(point):
         lists = {m: tuple(fn(ell_value, n)) for m, fn in sorted(wanted.items())}
         products = {ds: hankel_product(ds) for ds in set(lists.values())}
-    except _COMPUTE_ERRORS as exc:
-        raise click.ClickException(str(exc))
-    values = {m: products[ds] for m, ds in lists.items()}
-    try:
-        shown = {m: _at(v, point) for m, v in values.items()}
-    except PoleError as exc:
-        raise click.ClickException(f"pole at q={point}: {exc}")
+        shown = {m: _at(products[ds], point) for m, ds in lists.items()}
 
     label = seq_id if ell is None else f"{seq_id}({ell})"
     agree = len(products) == 1
@@ -311,12 +309,10 @@ def cmd_jfrac(seq_id, ell, depth, order, fmt, out) -> None:
     except ValueError as exc:
         raise click.UsageError(f"--id {seq_id} --ell {ell}: {exc}")
 
-    try:
+    with _computing():
         a_vals = [] if depth is None else [jf.a(k) for k in range(depth)]
         b_vals = [] if depth is None else [jf.b(k) for k in range(1, depth)]
         expansion = None if order is None else jfraction_expand(jf, order)
-    except _COMPUTE_ERRORS as exc:
-        raise click.ClickException(str(exc))
 
     label = f"{seq_id}({ell})"
     if fmt == "json":
@@ -363,7 +359,7 @@ def cmd_verify(max_n, only, fmt, out) -> None:
             "max_n": max_n,
             "only": only,
             "all_passed": all_passed,
-            "checks": [r.to_json_dict() for r in results],
+            "checks": [r._asdict() for r in results],
         }
         _emit(_dumps(payload), out)
     else:

@@ -24,11 +24,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .functionals import jfraction_for, moments_for
 from .qkit import parity_sign, q_factorial
-from .orthopoly import (  # the J-fractions are also reached through this module
-    JFraction,
-    jfraction_for_eps,
-    jfraction_for_xi,
-)
+from .orthopoly import JFraction
+# Not used here: perfbench/worker.py reads these two through this module.
+from .orthopoly import jfraction_for_eps, jfraction_for_xi
 from .ratcore import (
     Q_ONE,
     Q_ZERO,
@@ -171,8 +169,11 @@ def minor_quotients(matrix: Matrix, swap: bool = False) -> List[RatFuncQ]:
     (H_{-1} = 1), so a zero pivot before the last raises
     NotQuasiDefiniteError(k).  With ``swap`` a later row comes up instead,
     and one of the two scales is negated, so the product keeps its sign.
+    A matrix that is not square raises ValueError.
     """
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
     m: List[List[QPoly]] = []
     scales: List[RatFuncQ] = []
     for row in matrix:
@@ -206,9 +207,6 @@ def hankel_product(ds: Sequence[RatFuncQ]) -> RatFuncQ:
 
 def det_exact(matrix: Matrix) -> RatFuncQ:
     """Exact determinant of a square RatFuncQ matrix."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
     return hankel_product(minor_quotients(matrix, swap=True))
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .carlitz import q_euler_recursive
 from .qkit import parity_sign, poch
@@ -23,7 +23,6 @@ from .ratcore import (
     const,
     qpow,
 )
-from .record import Record
 
 
 class DegenerateRecurrenceError(ValueError):
@@ -332,7 +331,7 @@ def _indexed(values: List[RatFuncQ], first: int) -> Callable[[int], RatFuncQ]:
     return get
 
 
-class JFraction(Record):
+class JFraction(NamedTuple):
     """mu0 / (1 + a(0) x - b(1) x^2 / (1 + a(1) x - ...)).
 
     The same data drives the monic recurrence
@@ -340,12 +339,11 @@ class JFraction(Record):
     :meth:`from_lists` also keeps its values in ``a_list`` and ``b_list``.
     """
 
-    __slots__ = ("mu0", "a", "b", "a_list", "b_list")
-
-    def __init__(self, mu0: RatFuncQ, a: Callable[[int], RatFuncQ], b: Callable[[int], RatFuncQ],
-                 a_list: Optional[List[RatFuncQ]] = None,
-                 b_list: Optional[List[RatFuncQ]] = None) -> None:
-        self._init(mu0, a, b, a_list, b_list)
+    mu0: RatFuncQ
+    a: Callable[[int], RatFuncQ]
+    b: Callable[[int], RatFuncQ]
+    a_list: Optional[List[RatFuncQ]] = None
+    b_list: Optional[List[RatFuncQ]] = None
 
     @classmethod
     def from_lists(cls, mu0: RatFuncQ, a_list: Sequence[RatFuncQ], b_list: Sequence[RatFuncQ]) -> "JFraction":

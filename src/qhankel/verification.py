@@ -19,7 +19,7 @@ import math
 import random
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .carlitz import (
     q_bernoulli_explicit,
@@ -80,24 +80,15 @@ from .ratcore import (
     qpow,
     serialize,
 )
-from .record import FrozenRecord
 
 
-class CheckResult(FrozenRecord):
+class CheckResult(NamedTuple):
     """Outcome of one named check: pass/fail, case count, failure detail."""
 
-    __slots__ = ("name", "passed", "cases", "detail")
-
-    def __init__(self, name: str, passed: bool, cases: int, detail: str = "") -> None:
-        self._init(name, passed, cases, detail)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "cases": self.cases,
-            "detail": self.detail,
-        }
+    name: str
+    passed: bool
+    cases: int
+    detail: str = ""
 
 
 CHECKS: Dict[str, Callable[[int], CheckResult]] = {}

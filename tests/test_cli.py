@@ -411,6 +411,16 @@ class TestOutputPlumbing:
         payload = json.loads(target.read_text())
         assert payload["max_n"] == 1
 
+    def test_out_that_cannot_be_written_is_a_usage_error(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        result = runner.invoke(
+            main, ["seq", "--id", "qeuler", "--max-n", "1", "-f", "json", "--out", str(target)]
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--out'" in result.output
+        assert "Traceback" not in result.output
+        assert not target.exists()
+
     def test_huge_value_at_q(self):
         # past CPython's 4,300-digit limit on str(int)
         big = 3 ** 10000

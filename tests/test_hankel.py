@@ -254,6 +254,15 @@ class TestPrimitiveRows:
         assert e.value.depth == 1
         assert det_exact(m) == const(-1) == _det_cofactor(m)
 
+    @pytest.mark.parametrize("matrix", [
+        [[Q_ONE, Q_ONE]],
+        [[Q_ONE, Q_ONE], [Q_ONE]],
+        [[Q_ONE, Q_ONE], [Q_ONE, Q_ONE], [Q_ONE, Q_ONE]],
+    ], ids=["1x2", "ragged", "3x2"])
+    def test_non_square_rejected(self, matrix):
+        with pytest.raises(ValueError, match="square"):
+            minor_quotients(matrix)
+
     def test_a_vanishing_last_minor_is_a_zero_quotient(self):
         assert minor_quotients([[Q_ONE, Q_ONE], [Q_ONE, Q_ONE]]) == [Q_ONE, Q_ZERO]
 

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and the
+package imports each public name from the module that defines it."""
 
 import ast
 from pathlib import Path
@@ -26,3 +27,24 @@ def test_library_modules_use_every_name_they_import():
                     for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
                     for name in _unused_imports(path))
     assert [entry for entry in unused if entry not in REEXPORTS] == []
+
+
+def _defined_names(path):
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_init_imports_each_name_from_its_defining_module():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    misplaced = sorted((node.module, a.name)
+                       for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+                       for a in node.names
+                       if a.name not in _defined_names(SRC / f"{node.module}.py"))
+    assert misplaced == []

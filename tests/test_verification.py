@@ -38,7 +38,7 @@ def test_small_run_all_pass():
 
 def test_result_json_shape():
     (r,) = run_checks(1, only="exponent")
-    d = r.to_json_dict()
+    d = r._asdict()
     assert d["name"] == "exponent-integrality"
     assert d["passed"] is True
     assert d["cases"] == r.cases
@@ -48,7 +48,7 @@ def test_result_json_shape():
 def test_failure_detail_formatting():
     r = CheckResult("probe", False, 3, "first bad thing")
     assert not r.passed
-    assert r.to_json_dict()["detail"] == "first bad thing"
+    assert r._asdict()["detail"] == "first bad thing"
 
 
 def test_negative_bound_rejected():
