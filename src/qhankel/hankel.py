@@ -9,9 +9,9 @@ always holds its scale times row i of the current Schur complement, so the
 pivots over their scales multiply to the determinant.  Each determinant
 route returns its quotients d_k = H_k / H_{k-1}, expanded by hankel_product.
 
-The J-fraction functions run the three-term recurrence on scalars only:
-Chebyshev's table recovers a(n), b(n) from moments, the Jacobi-operator table
-expands them back, and the shifted quotients need only p_k(0).
+The J-fraction functions run the three-term recurrence on scalar ratios the
+size of the quotients: the Jacobi-operator table recovers a(n), b(n) from
+moments (Chebyshev) and expands them back, Favard reads p_{k+1}(0) / p_k(0).
 """
 
 from __future__ import annotations
@@ -221,16 +221,16 @@ def heilermann_quotients(jf: JFraction, n: int) -> List[RatFuncQ]:
 
 def favard_quotients(jf: JFraction, n: int) -> List[RatFuncQ]:
     """d_0..d_n of the shift-1 Hankel determinants H_k (-1)^{k+1} p_{k+1}(0):
-    Heilermann's d_k times -p_{k+1}(0) / p_k(0), with the recurrence run at
-    z = 0.  A zero p_k(0) raises NotQuasiDefiniteError(k - 1)."""
-    out = []
-    prev, cur = Q_ONE, jf.a(0)  # p_k(0), p_{k+1}(0)
+    Heilermann's d_k times -r_k.  Divided by p_k(0), which grows like H_k, the
+    recurrence at z = 0 gives r_k = p_{k+1}(0) / p_k(0) = a(k) - b(k) / r_{k-1},
+    r_0 = a(0), the size of d_k.  A zero p_k(0) raises NotQuasiDefiniteError(k - 1)."""
+    out, r = [], None  # r = r_{k-1}
     for k, d in enumerate(heilermann_quotients(jf, n)):
-        if k:
-            prev, cur = cur, jf.a(k) * cur - jf.b_checked(k) * prev
-        if prev.is_zero:
+        a = jf.a(k)
+        if k and r.is_zero:
             raise NotQuasiDefiniteError(k - 1)
-        out.append(-d * cur / prev)
+        r = a - jf.b(k) / r if k else a
+        out.append(-d * r)
     return out
 
 
@@ -262,33 +262,33 @@ def jfraction_expand(jf: JFraction, order: int) -> List[RatFuncQ]:
 def jfraction_from_moments(moments: Sequence[RatFuncQ]) -> JFraction:
     """Recover the J-fraction prefix from moments 0..len-1 (Chebyshev's algorithm).
 
-    sigma_k(l) = L(p_k z^l) starts from sigma_0(l) = mu_l and obeys
-    sigma_{k+1}(l) = sigma_k(l+1) + a(k) sigma_k(l) - b(k) sigma_{k-1}(l);
-    orthogonality gives b(k) = sigma_k(k) / sigma_{k-1}(k-1) and
-    a(k) = (b(k) sigma_{k-1}(k) - sigma_k(k+1)) / sigma_k(k).  With 2d+1
-    moments the result holds a(0..d-1) and b(1..d-1).  A zero sigma_k(k) =
-    L(p_k^2) means the Hankel determinant of order k vanishes and raises
-    :class:`NotQuasiDefiniteError` with that depth.
+    sigma_k(l) = L(p_k z^l) is tau_k(l) L(p_k^2) for tau_k(l) in row l, column k
+    of the Jacobi-operator table of jfraction_expand (z^l = sum_j tau_j(l) p_j).
+    The sigma grow like Hankel minors, so the table runs on the tau: divided by
+    L(p_k^2) = b(k) L(p_{k-1}^2), sigma_{k+1}(l) = sigma_k(l+1) + a(k) sigma_k(l)
+    - b(k) sigma_{k-1}(l) reads U(l) = tau_k(l+1) + a(k) tau_k(l) - tau_{k-1}(l)
+    for U(l) = sigma_{k+1}(l) / L(p_k^2).  So b(k+1) = U(k+1), tau_{k+1} =
+    U / b(k+1), and sigma_{k+1}(k) = 0 gives a(k) = tau_{k-1}(k) - tau_k(k+1),
+    from tau_{-1} = 0, U = mu and b(0) = mu_0.  With 2d+1 moments the result
+    holds a(0..d-1) and b(1..d-1).  A zero b(k) means the Hankel determinant
+    of order k vanishes and raises :class:`NotQuasiDefiniteError` with depth k.
     """
     if not moments:
         raise InsufficientMomentsError("need at least one moment")
     d = (len(moments) - 1) // 2
     a_list: List[RatFuncQ] = []
     b_list: List[RatFuncQ] = []
-    prev = [Q_ZERO] * (2 * d)  # sigma_{-1} = 0
-    sigma = list(moments[: 2 * d])  # sigma_k(l) at index l, for k <= l < 2d - k
+    prev, u = [Q_ZERO] * (2 * d), moments[: 2 * d]  # tau_{-1}(l), U(l) at index l
     for k in range(d):
-        norm = sigma[k]
-        if norm.is_zero:
+        b = u[k]
+        if b.is_zero:
             raise NotQuasiDefiniteError(k)
-        b = norm / prev[k - 1] if k else Q_ZERO
-        a = (b * prev[k] - sigma[k + 1]) / norm
-        a_list.append(a)
         b_list.append(b)
-        prev, sigma = sigma, [
-            sigma[l + 1] + a * sigma[l] - b * prev[l] if l > k else Q_ZERO
-            for l in range(2 * d - k - 1)
-        ]
+        tau = [Q_ZERO] * k + [Q_ONE] + [v / b for v in u[k + 1:]]  # L(p_k z^l) = 0 for l < k
+        a = prev[k] - tau[k + 1]
+        a_list.append(a)
+        prev, u = tau, [tau[l + 1] + a * tau[l] - prev[l] if l > k else Q_ZERO
+                        for l in range(2 * d - k - 1)]
     return JFraction.from_lists(moments[0], a_list, b_list[1:])
 
 

@@ -9,10 +9,10 @@ from math import comb, factorial
 import pytest
 from click.testing import CliRunner
 
-from qhankel import hankel
+from qhankel import hankel, ratcore
 from qhankel.cli import main
 from qhankel.carlitz import q_bernoulli_recursive, q_euler_recursive
-from qhankel.functionals import moments_for, theta_moment, xi_moment
+from qhankel.functionals import jfraction_for, moments_for, theta_moment, xi_moment
 from qhankel.hankel import (
     ROUTES,
     InsufficientMomentsError,
@@ -428,6 +428,26 @@ class TestJFractionFromMoments:
         with pytest.raises(InsufficientMomentsError):
             jfraction_from_moments([])
 
+    @pytest.mark.parametrize("moments", [[0], [0, 1]])
+    def test_too_few_moments_give_an_empty_prefix(self, moments):
+        # d = 0: nothing is recovered, so a zero mu_0 is never divided by
+        jf = jfraction_from_moments([const(v) for v in moments])
+        assert (jf.mu0, jf.a_list, jf.b_list) == (Q_ZERO, [], [])
+
+    def test_zero_mu0_fails_at_depth_zero(self):
+        with pytest.raises(NotQuasiDefiniteError) as e:
+            jfraction_from_moments([Q_ZERO, Q_ONE, Q_ONE])
+        assert e.value.depth == 0
+
+    def test_deep_recovery_of_eps(self):
+        jf = jfraction_from_moments([q_euler_recursive(k) for k in range(25)])
+        assert len(jf.a_list) == 12
+        assert len(jf.b_list) == 11
+        for n, a in enumerate(jf.a_list):
+            assert a == coeffs_p(0, n)[0]
+        for k, b in enumerate(jf.b_list, start=1):
+            assert b == coeffs_p(0, k)[1]
+
     def test_roundtrip_against_recurrence(self):
         moments = jfraction_expand(jfraction_for_eps(0), 12)
         jf = jfraction_from_moments(moments)
@@ -582,8 +602,8 @@ class TestJFractionTables:
 
     def test_prefix_expands_back_to_its_moments(self):
         # 2d + 1 moments give a(0..d-1), b(1..d-1): exactly what mu_0..mu_{2d-1} need
-        mu = [q_euler_recursive(k) for k in range(13)]
-        for d in range(1, 7):
+        mu = [q_euler_recursive(k) for k in range(21)]
+        for d in range(1, 11):
             jf = jfraction_from_moments(mu[: 2 * d + 1])
             assert jfraction_expand(jf, 2 * d - 1) == mu[: 2 * d]
 
@@ -594,6 +614,52 @@ class TestJFractionTables:
             for n in range(9):
                 want = const(parity_sign(n + 1)) * polys[n + 1](Q_ZERO) * hankel_product(plain[: n + 1])
                 assert hankel_product(shifted[: n + 1]) == want
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_favard_quotients_at_n14(self, ell):
+        # d_k = -(Heilermann's d_k) p_{k+1}(0) / p_k(0), read off the polynomials
+        jf = jfraction_for("qeuler", ell)
+        at_zero = [p(Q_ZERO) for p in three_term_build(jf, 15)]
+        want = [-d * at_zero[k + 1] / at_zero[k] for k, d in enumerate(heilermann_quotients(jf, 14))]
+        assert favard_quotients(jf, 14) == want
+
+
+def _gcd_work(monkeypatch, fn):
+    """(calls, sum of operand lengths) of ratcore._gcd_full during fn()."""
+    real, work = ratcore._gcd_full, [0, 0]
+
+    def counting(a, b):
+        work[0] += 1
+        work[1] += len(a.coeffs) + len(b.coeffs)
+        return real(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(ratcore, "_gcd_full", counting)
+        m.setattr(hankel, "_gcd_full", counting)
+        fn()
+    return tuple(work)
+
+
+class TestRecurrenceWork:
+    """Both J-fraction recurrences run on ratios, whose operands stay the
+    size of the quotients d_k; on the raw sigma_k(l) and p_k(0), which grow
+    like Hankel determinants, the same reductions read far longer inputs."""
+
+    def test_recovery_operand_volume(self, monkeypatch):
+        # eps_0..16 (d = 8): 450 calls on 46,009 coefficients on sigma_k(l),
+        # 443 on 32,521 on tau_k(l)
+        mu = [q_euler_recursive(k) for k in range(17)]
+        calls, volume = _gcd_work(monkeypatch, lambda: jfraction_from_moments(mu))
+        assert calls <= 470
+        assert volume <= 39_000
+
+    def test_favard_gcd_calls(self, monkeypatch):
+        # 148 calls on p_k(0), 98 on r_k = p_{k+1}(0) / p_k(0)
+        jf = jfraction_for("qeuler", 1)
+        want = favard_quotients(jf, 12)  # computes and caches a(k), b(k)
+        calls, _ = _gcd_work(monkeypatch, lambda: favard_quotients(jf, 12))
+        assert calls <= 120
+        assert favard_quotients(jf, 12) == want
 
 
 class TestHeilermann:
@@ -637,6 +703,19 @@ class TestHeilermann:
             with pytest.raises(NotQuasiDefiniteError) as e:
                 route()
             assert e.value.depth == 0
+
+    def test_zero_at_zero_fails_one_step_later(self):
+        # p_2(0) = a(1) p_1(0) - b(1) = 0: the shift-1 minor of order 1
+        # vanishes, so d_1 = 0 and d_2 is undefined, by both routes
+        jf = JFraction.from_lists(Q_ONE, [Q_ONE, Q_ONE, qpow(1), Q_ONE], [Q_ONE, qpow(2), qpow(1)])
+        moments = jfraction_expand(jf, 6)
+        want = [-Q_ONE, Q_ZERO]
+        assert favard_quotients(jf, 1) == minor_quotients(hankel_matrix(moments, 1, 1)) == want
+        for route in (lambda: favard_quotients(jf, 2),
+                      lambda: minor_quotients(hankel_matrix(moments, 1, 2))):
+            with pytest.raises(NotQuasiDefiniteError) as e:
+                route()
+            assert e.value.depth == 1
 
     def test_negative_n(self):
         with pytest.raises(ValueError):
