@@ -9,6 +9,10 @@ always holds its scale times row i of the current Schur complement, so the
 pivots over their scales multiply to the determinant.  Each determinant
 route returns its quotients d_k = H_k / H_{k-1}, expanded by hankel_product.
 
+Every route returns d_0..d_n when d_0..d_{n-1} are nonzero (a zero d_n is
+just H_n = 0), and otherwise raises NotQuasiDefiniteError(k) at the first
+k < n with d_k = 0, before anything divides by d_k.
+
 The J-fraction functions run the three-term recurrence on scalar ratios the
 size of the quotients: the Jacobi-operator table recovers a(n), b(n) from
 moments (Chebyshev) and expands them back, Favard reads p_{k+1}(0) / p_k(0).
@@ -17,14 +21,13 @@ moments (Chebyshev) and expands them back, Favard reads p_{k+1}(0) / p_k(0).
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate
 from math import comb, gcd
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .functionals import jfraction_for, moments_for
 from .qkit import parity_sign, q_factorial
-from .orthopoly import JFraction
+from .orthopoly import JFraction, NotQuasiDefiniteError
 # Not used here: perfbench/worker.py reads these two through this module.
 from .orthopoly import jfraction_for_eps, jfraction_for_xi
 from .ratcore import (
@@ -47,14 +50,6 @@ from .ratcore import (
 
 class InsufficientMomentsError(ValueError):
     """The supplied moment list is too short for the requested object."""
-
-
-class NotQuasiDefiniteError(ValueError):
-    """A leading Hankel determinant vanished; ``depth`` names which one."""
-
-    def __init__(self, depth: int) -> None:
-        self.depth = depth
-        super().__init__(f"Hankel determinant of order {depth} vanishes")
 
 
 Matrix = List[List[RatFuncQ]]
@@ -213,23 +208,32 @@ def det_exact(matrix: Matrix) -> RatFuncQ:
 def heilermann_quotients(jf: JFraction, n: int) -> List[RatFuncQ]:
     """d_0..d_n of the shift-0 Hankel determinants from recurrence data:
     Heilermann's H_k = mu0^{k+1} prod_{j<=k} b(j)^{k+1-j} gives
-    d_k = mu0 b(1) ... b(k)."""
+    d_k = mu0 b(1) ... b(k), under the module's rule for a zero d_k."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return list(accumulate(map(jf.b_checked, range(1, n + 1)), mul, initial=jf.mu0))
+    out = [jf.mu0]
+    for k in range(1, n + 1):
+        if out[-1].is_zero:
+            raise NotQuasiDefiniteError(k - 1)
+        out.append(out[-1] * jf.b(k))
+    return out
 
 
 def favard_quotients(jf: JFraction, n: int) -> List[RatFuncQ]:
     """d_0..d_n of the shift-1 Hankel determinants H_k (-1)^{k+1} p_{k+1}(0):
     Heilermann's d_k times -r_k.  Divided by p_k(0), which grows like H_k, the
     recurrence at z = 0 gives r_k = p_{k+1}(0) / p_k(0) = a(k) - b(k) / r_{k-1},
-    r_0 = a(0), the size of d_k.  A zero p_k(0) raises NotQuasiDefiniteError(k - 1)."""
-    out, r = [], None  # r = r_{k-1}
-    for k, d in enumerate(heilermann_quotients(jf, n)):
-        a = jf.a(k)
-        if k and r.is_zero:
+    r_0 = a(0), the size of d_k.  A zero d_k, k < n, raises
+    NotQuasiDefiniteError(k) before r_k, one of its factors, is divided by."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    d, r = jf.mu0, jf.a(0)  # Heilermann's d_k and r_k
+    out = [-d * r]
+    for k in range(1, n + 1):
+        if out[-1].is_zero:
             raise NotQuasiDefiniteError(k - 1)
-        r = a - jf.b(k) / r if k else a
+        b = jf.b(k)
+        d, r = d * b, jf.a(k) - b / r
         out.append(-d * r)
     return out
 
@@ -241,7 +245,8 @@ def jfraction_expand(jf: JFraction, order: int) -> List[RatFuncQ]:
     z p_k = p_{k+1} - a(k) p_k + b(k) p_{k-1}; the functional kills every p_k
     but p_0, so mu_m = mu0 times the row's p_0 entry.  Row m keeps only the
     heights k <= order - m that can still return to 0, so the expansion
-    reads a(0..(order-1)//2) and b(1..order//2) and nothing deeper.
+    reads a(0..(order-1)//2) and b(1..order//2) and nothing deeper.  A zero
+    b(k) terminates the fraction, whose series is still well defined.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -252,7 +257,7 @@ def jfraction_expand(jf: JFraction, order: int) -> List[RatFuncQ]:
         row = [
             (row[k - 1] if k else Q_ZERO)
             - (jf.a(k) * row[k] if k <= top else Q_ZERO)
-            + (jf.b_checked(k + 1) * row[k + 1] if k < top else Q_ZERO)
+            + (jf.b(k + 1) * row[k + 1] if k < top else Q_ZERO)
             for k in range(min(m, order - m) + 1)
         ]
         out.append(jf.mu0 * row[0])
@@ -269,13 +274,14 @@ def jfraction_from_moments(moments: Sequence[RatFuncQ]) -> JFraction:
     - b(k) sigma_{k-1}(l) reads U(l) = tau_k(l+1) + a(k) tau_k(l) - tau_{k-1}(l)
     for U(l) = sigma_{k+1}(l) / L(p_k^2).  So b(k+1) = U(k+1), tau_{k+1} =
     U / b(k+1), and sigma_{k+1}(k) = 0 gives a(k) = tau_{k-1}(k) - tau_k(k+1),
-    from tau_{-1} = 0, U = mu and b(0) = mu_0.  With 2d+1 moments the result
-    holds a(0..d-1) and b(1..d-1).  A zero b(k) means the Hankel determinant
-    of order k vanishes and raises :class:`NotQuasiDefiniteError` with depth k.
+    from tau_{-1} = 0, U = mu and b(0) = mu_0.  The 2d moments mu_0..mu_{2d-1},
+    d = len // 2, give a(0..d-1) and b(1..d-1).  A zero b(k) means the Hankel
+    determinant of order k vanishes and raises :class:`NotQuasiDefiniteError`
+    with depth k.
     """
     if not moments:
         raise InsufficientMomentsError("need at least one moment")
-    d = (len(moments) - 1) // 2
+    d = len(moments) // 2
     a_list: List[RatFuncQ] = []
     b_list: List[RatFuncQ] = []
     prev, u = [Q_ZERO] * (2 * d), moments[: 2 * d]  # tau_{-1}(l), U(l) at index l

@@ -25,12 +25,12 @@ from .ratcore import (
 )
 
 
-class DegenerateRecurrenceError(ValueError):
-    """A recurrence coefficient b(n) that must be nonzero vanished."""
+class NotQuasiDefiniteError(ValueError):
+    """A leading Hankel determinant vanished; ``depth`` names which one."""
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        super().__init__(f"recurrence coefficient b({n}) is zero")
+    def __init__(self, depth: int) -> None:
+        self.depth = depth
+        super().__init__(f"Hankel determinant of order {depth} vanishes")
 
 
 class ZPoly:
@@ -352,23 +352,21 @@ class JFraction(NamedTuple):
         b_vals = list(b_list)
         return cls(mu0, _indexed(a_vals, 0), _indexed(b_vals, 1), a_vals, b_vals)
 
-    def b_checked(self, n: int) -> RatFuncQ:
-        val = self.b(n)
-        if val.is_zero:
-            raise DegenerateRecurrenceError(n)
-        return val
-
 
 def three_term_build(data: JFraction, upto: int) -> List[ZPoly]:
-    """Monic polynomials p_0 .. p_upto from the recurrence."""
+    """Monic polynomials p_0 .. p_upto from the recurrence.  p_{n+1} needs
+    H_n != 0, and b(n) = H_n H_{n-2} / H_{n-1}^2, so a zero b(n) raises
+    NotQuasiDefiniteError(n)."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
     polys = [_Z_ONE]
     if upto >= 1:
         polys.append(ZPoly([data.a(0), Q_ONE]))
     for n in range(1, upto):
-        head = ZPoly([data.a(n), Q_ONE])
-        polys.append(head * polys[n] - polys[n - 1].scale(data.b_checked(n)))
+        b = data.b(n)
+        if b.is_zero:
+            raise NotQuasiDefiniteError(n)
+        polys.append(ZPoly([data.a(n), Q_ONE]) * polys[n] - polys[n - 1].scale(b))
     return polys
 
 

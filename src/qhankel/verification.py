@@ -1,9 +1,10 @@
 """Named identity checks behind the ``verify`` command.
 
-Every check is a function of a single size parameter ``max_n`` and returns a
-CheckResult.  The bounds inside each check are scaled so that ``max_n = 5``
-reproduces the battery this library was built to pass; smaller values give a
-quick smoke run, larger ones a deeper sweep.  All comparisons are structural
+Every check is a function of a single size parameter ``max_n`` and returns
+its case count and failure list; run_checks makes the CheckResult.  The
+bounds inside each check are scaled so that ``max_n = 5`` reproduces the
+battery this library was built to pass; smaller values give a quick smoke
+run, larger ones a deeper sweep.  All comparisons are structural
 equalities of canonical RatFuncQ values, never numeric tolerance.  An
 orthogonality check names only the functional, as a (sequence id, ell) key
 of functionals.SEQUENCES; its family is the Favard family of that entry's
@@ -91,22 +92,15 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-CHECKS: Dict[str, Callable[[int], CheckResult]] = {}
+CHECKS: Dict[str, Callable[[int], Tuple[int, List[str]]]] = {}
 
 
 def _register(name: str) -> Callable:
-    def wrap(fn: Callable[[int], CheckResult]) -> Callable[[int], CheckResult]:
+    def wrap(fn: Callable) -> Callable:
         CHECKS[name] = fn
         return fn
 
     return wrap
-
-
-def _done(name: str, cases: int, failures: List[str]) -> CheckResult:
-    detail = "; ".join(failures[:3])
-    if len(failures) > 3:
-        detail += f"; +{len(failures) - 3} more"
-    return CheckResult(name, not failures, cases, detail)
 
 
 def _random_ratfunc(rng: random.Random, max_deg: int) -> RatFuncQ:
@@ -118,7 +112,7 @@ def _random_ratfunc(rng: random.Random, max_deg: int) -> RatFuncQ:
 
 
 @_register("ratcore-field-laws")
-def _check_field_laws(max_n: int) -> CheckResult:
+def _check_field_laws(max_n: int) -> Tuple[int, List[str]]:
     rng = random.Random(0x51C)
     failures: List[str] = []
     trials = 10 + 5 * max_n
@@ -139,11 +133,11 @@ def _check_field_laws(max_n: int) -> CheckResult:
         renorm = RatFuncQ(a.num, a.den)
         if renorm.num.coeffs != a.num.coeffs or renorm.den.coeffs != a.den.coeffs:
             failures.append(f"trial {t}: canonical form not a fixed point")
-    return _done("ratcore-field-laws", trials, failures)
+    return trials, failures
 
 
 @_register("serialize-roundtrip")
-def _check_serialize(max_n: int) -> CheckResult:
+def _check_serialize(max_n: int) -> Tuple[int, List[str]]:
     rng = random.Random(0xD15C)
     failures: List[str] = []
     sample = [Q_ZERO, Q_ONE, Q, -Q, qpow(-3)]
@@ -155,11 +149,11 @@ def _check_serialize(max_n: int) -> CheckResult:
             failures.append(f"case {i}: value round trip broke ({blob})")
         elif serialize(back) != blob:
             failures.append(f"case {i}: byte round trip broke ({blob})")
-    return _done("serialize-roundtrip", len(sample), failures)
+    return len(sample), failures
 
 
 @_register("q-pascal")
-def _check_q_pascal(max_n: int) -> CheckResult:
+def _check_q_pascal(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     cases = 0
     top = 2 * max_n + 2
@@ -180,11 +174,11 @@ def _check_q_pascal(max_n: int) -> CheckResult:
         cases += 1
         if poch(a, length + 1) != poch(a, length) * (Q_ONE - a * qpow(length)):
             failures.append(f"Pochhammer one-step broke at length {length}")
-    return _done("q-pascal", cases, failures)
+    return cases, failures
 
 
 @_register("chu-vandermonde")
-def _check_chu_vandermonde(max_n: int) -> CheckResult:
+def _check_chu_vandermonde(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     cases = 0
     a_choices = [Q, -Q, qpow(2), Q_ZERO]
@@ -195,11 +189,11 @@ def _check_chu_vandermonde(max_n: int) -> CheckResult:
                 cases += 1
                 if not verify_q_chu_vandermonde(a, c, n):
                     failures.append(f"sum broke at a={a}, c={c}, n={n}")
-    return _done("chu-vandermonde", cases, failures)
+    return cases, failures
 
 
 @_register("q-binomial-theorem")
-def _check_q_binomial_theorem(max_n: int) -> CheckResult:
+def _check_q_binomial_theorem(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     top = max_n + 3
     for n in range(top + 1):
@@ -214,11 +208,11 @@ def _check_q_binomial_theorem(max_n: int) -> CheckResult:
         )
         if lhs != rhs:
             failures.append(f"expansion of (z;q)_{n} broke")
-    return _done("q-binomial-theorem", top + 1, failures)
+    return top + 1, failures
 
 
 @_register("carlitz-consistency")
-def _check_carlitz(max_n: int) -> CheckResult:
+def _check_carlitz(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     top = 4 * max_n
     for n in range(top + 1):
@@ -226,7 +220,7 @@ def _check_carlitz(max_n: int) -> CheckResult:
             failures.append(f"eps routes disagree at n={n}")
         if q_bernoulli_explicit(n) != q_bernoulli_recursive(n):
             failures.append(f"beta routes disagree at n={n}")
-    return _done("carlitz-consistency", 2 * (top + 1), failures)
+    return 2 * (top + 1), failures
 
 
 # Classical values of the q -> 1 limit of eps_0..eps_9, frozen.
@@ -245,18 +239,18 @@ _EPS_AT_ONE = [
 
 
 @_register("qeuler-q1-limit")
-def _check_qeuler_q1(max_n: int) -> CheckResult:
+def _check_qeuler_q1(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     top = min(9, 2 * max_n)
     for n in range(top + 1):
         got = q_euler_recursive(n).eval_at(Fraction(1))
         if got != _EPS_AT_ONE[n]:
             failures.append(f"limit at n={n}: got {got}, want {_EPS_AT_ONE[n]}")
-    return _done("qeuler-q1-limit", top + 1, failures)
+    return top + 1, failures
 
 
 @_register("cross-route-families")
-def _check_cross_route(max_n: int) -> CheckResult:
+def _check_cross_route(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     cases = 0
     u = RatFuncQ(QPoly((0, -1, 1)))
@@ -284,11 +278,11 @@ def _check_cross_route(max_n: int) -> CheckResult:
         cases += 1
         if build_p_via_phi2(1, n)(Q_ZERO) != p1_at_zero_closed(n):
             failures.append(f"value at zero broke at n={n}")
-    return _done("cross-route-families", cases, failures)
+    return cases, failures
 
 
 @_register("basis-roundtrip")
-def _check_basis_roundtrip(max_n: int) -> CheckResult:
+def _check_basis_roundtrip(max_n: int) -> Tuple[int, List[str]]:
     rng = random.Random(0xBA515)
     failures: List[str] = []
     trials = 8 + 2 * max_n
@@ -298,11 +292,11 @@ def _check_basis_roundtrip(max_n: int) -> CheckResult:
         )
         if from_diagonal_basis(to_diagonal_basis(p)) != p:
             failures.append(f"trial {t}: basis round trip broke")
-    return _done("basis-roundtrip", trials, failures)
+    return trials, failures
 
 
 @_register("phi-moments")
-def _check_phi_moments(max_n: int) -> CheckResult:
+def _check_phi_moments(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     cases = 0
     for n in range(3 * max_n + 1):
@@ -315,11 +309,11 @@ def _check_phi_moments(max_n: int) -> CheckResult:
         p = ZPoly([const(rng.randint(-9, 9)) for _ in range(max_n + 4)])
         if phi(p) != phi_via_basis(p):
             failures.append(f"trial {t}: moment and basis routes disagree")
-    return _done("phi-moments", cases, failures)
+    return cases, failures
 
 
 @_register("theta-moments")
-def _check_theta_moments(max_n: int) -> CheckResult:
+def _check_theta_moments(max_n: int) -> Tuple[int, List[str]]:
     # every moment theta-det reads: its Hankel matrices need z^0..z^{2 max_n}
     failures: List[str] = []
     cases = 0
@@ -328,11 +322,11 @@ def _check_theta_moments(max_n: int) -> CheckResult:
             cases += 1
             if theta_moment(ell, n) != theta_moment_via_basis(ell, n):
                 failures.append(f"theta_{ell}(z^{n}): closed sum and basis route disagree")
-    return _done("theta-moments", cases, failures)
+    return cases, failures
 
 
 @_register("phi-closed-forms")
-def _check_phi_closed_forms(max_n: int) -> CheckResult:
+def _check_phi_closed_forms(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     cases = 0
     top = max_n + 1
@@ -344,11 +338,11 @@ def _check_phi_closed_forms(max_n: int) -> CheckResult:
         cases += 1
         if phi_via_basis(qbinom_basis(n + 1, n)) != phi_closed_n1_n(n):
             failures.append(f"closed form broke at (n+1,n)=({n + 1},{n})")
-    return _done("phi-closed-forms", cases, failures)
+    return cases, failures
 
 
 @_register("phi-relation")
-def _check_phi_relation(max_n: int) -> CheckResult:
+def _check_phi_relation(max_n: int) -> Tuple[int, List[str]]:
     rng = random.Random(0x4E1)
     failures: List[str] = []
     trials = max(10, 20 * max_n)
@@ -356,11 +350,11 @@ def _check_phi_relation(max_n: int) -> CheckResult:
         p = ZPoly([const(rng.randint(-20, 20)) for _ in range(rng.randint(1, 9))])
         if not verify_phi_relation(p):
             failures.append(f"trial {t}: functional equation broke")
-    return _done("phi-relation", trials, failures)
+    return trials, failures
 
 
 @_register("phi-orthogonality")
-def _check_phi_orthogonality(max_n: int) -> CheckResult:
+def _check_phi_orthogonality(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     cases = 0
     for ell in (0, 1):
@@ -373,7 +367,7 @@ def _check_phi_orthogonality(max_n: int) -> CheckResult:
             value = apply_functional("qeuler", ell, polys[n])
             if not value.is_zero:
                 failures.append(f"ell={ell}: single n={n} gave {value}")
-    return _done("phi-orthogonality", cases, failures)
+    return cases, failures
 
 
 def _register_orthogonality(name: str, seq: str) -> None:
@@ -381,16 +375,15 @@ def _register_orthogonality(name: str, seq: str) -> None:
     functional (seq, ell) (functionals.favard_family, built from the paper's
     a(n), b(n)) is orthogonal for its moments up to degree max_n + 1."""
 
-    def check(max_n: int) -> CheckResult:
+    @_register(name)
+    def check(max_n: int) -> Tuple[int, List[str]]:
         failures: List[str] = []
         cases = 0
         for ell in range(4):
             cases += (max_n + 1) * (max_n + 2) // 2 + 1
             for m, n, value in verify_orthogonality(seq, ell, max_n + 1):
                 failures.append(f"ell={ell}: pairing ({m},{n}) gave {value}")
-        return _done(name, cases, failures)
-
-    CHECKS[name] = check
+        return cases, failures
 
 
 _register_orthogonality("theta-orthogonality", "theta")
@@ -398,7 +391,7 @@ _register_orthogonality("xi-orthogonality", "xi")
 
 
 @_register("intertwining")
-def _check_intertwining(max_n: int) -> CheckResult:
+def _check_intertwining(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     cases = 0
     for ell in (0, 1):
@@ -407,14 +400,15 @@ def _check_intertwining(max_n: int) -> CheckResult:
             cases += 1
             if q_euler_recursive(n + ell) != eps_ell * theta_moment(ell, n):
                 failures.append(f"moment mismatch at ell={ell}, n={n}")
-    return _done("intertwining", cases, failures)
+    return cases, failures
 
 
 def _register_routes(name: str, key: Tuple[str, int], ells: Sequence[int]) -> None:
     """Register a check that every route of ``ROUTES[key]`` gives the same
     H_n for n <= max_n, from one quotient list d_0..d_max_n per route."""
 
-    def check(max_n: int) -> CheckResult:
+    @_register(name)
+    def check(max_n: int) -> Tuple[int, List[str]]:
         routes = ROUTES[key]
         failures: List[str] = []
         for ell in ells:
@@ -425,9 +419,7 @@ def _register_routes(name: str, key: Tuple[str, int], ells: Sequence[int]) -> No
                 if len({hankel_product(ds[: n + 1]) for ds in lists}) > 1:
                     where = f"n={n}" if len(ells) == 1 else f"ell={ell}, n={n}"
                     failures.append(f"routes disagree at {where}")
-        return _done(name, len(ells) * (max_n + 1), failures)
-
-    CHECKS[name] = check
+        return len(ells) * (max_n + 1), failures
 
 
 _register_routes("theorem1-shift0", ("qeuler", 0), [0])
@@ -439,7 +431,7 @@ _register_routes("xi-det", ("xi", 0), range(4))
 
 
 @_register("theorem1-q1-limit")
-def _check_theorem1_q1(max_n: int) -> CheckResult:
+def _check_theorem1_q1(max_n: int) -> Tuple[int, List[str]]:
     # H_n(1) is the product of d_k(1), each value finite: d_k(1) = (-1/4)^k k!^2
     failures: List[str] = []
     got = want = Fraction(1)
@@ -448,11 +440,11 @@ def _check_theorem1_q1(max_n: int) -> CheckResult:
         want *= Fraction(-1, 4) ** n * Fraction(math.factorial(n)) ** 2
         if got != want:
             failures.append(f"limit at n={n}: got {got}, want {want}")
-    return _done("theorem1-q1-limit", max_n + 1, failures)
+    return max_n + 1, failures
 
 
 @_register("jfraction-eps")
-def _check_jfraction_eps(max_n: int) -> CheckResult:
+def _check_jfraction_eps(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     cases = 0
     order = 2 * max_n + 2
@@ -463,16 +455,16 @@ def _check_jfraction_eps(max_n: int) -> CheckResult:
             cases += 1
             if expansion[k] != moments(k):
                 failures.append(f"coefficient {k} broke at ell={ell}")
-    return _done("jfraction-eps", cases, failures)
+    return cases, failures
 
 
 @_register("jfraction-roundtrip")
-def _check_jfraction_roundtrip(max_n: int) -> CheckResult:
+def _check_jfraction_roundtrip(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     cases = 0
-    runs = [("eps", [q_euler_recursive(k) for k in range(2 * max_n + 3)], partial(coeffs_p, 0))]
+    runs = [("eps", [q_euler_recursive(k) for k in range(2 * max_n + 2)], partial(coeffs_p, 0))]
     runs += [
-        (f"xi(ell={ell})", jfraction_expand(jfraction_for("xi", ell), 2 * max_n + 2),
+        (f"xi(ell={ell})", jfraction_expand(jfraction_for("xi", ell), 2 * max_n + 1),
          partial(coeffs_monic, ell))
         for ell in range(4)
     ]
@@ -486,19 +478,14 @@ def _check_jfraction_roundtrip(max_n: int) -> CheckResult:
             cases += 1
             if b != coeffs(i)[1]:
                 failures.append(f"{label} b[{i}] came back wrong")
-    return _done("jfraction-roundtrip", cases, failures)
+    return cases, failures
 
 
 @_register("exponent-integrality")
-def _check_exponent_integrality(max_n: int) -> CheckResult:
+def _check_exponent_integrality(max_n: int) -> Tuple[int, List[str]]:
     top = max(50, 10 * max_n)
     ok = verify_exponent_integrality(top)
-    return CheckResult(
-        "exponent-integrality",
-        ok,
-        top + 1,
-        "" if ok else "a quarter of a binomial failed to be an integer",
-    )
+    return top + 1, [] if ok else ["a quarter of a binomial failed to be an integer"]
 
 
 def available_checks() -> List[str]:
@@ -519,7 +506,11 @@ def run_checks(max_n: int, only: Optional[str] = None) -> List[CheckResult]:
         if only is not None and not name.startswith(only):
             continue
         try:
-            results.append(CHECKS[name](max_n))
+            cases, failures = CHECKS[name](max_n)
         except Exception as exc:  # report the broken check; the others still run
-            results.append(CheckResult(name, False, 0, f"raised {type(exc).__name__}: {exc}"))
+            cases, failures = 0, [f"raised {type(exc).__name__}: {exc}"]
+        detail = "; ".join(failures[:3])
+        if len(failures) > 3:
+            detail += f"; +{len(failures) - 3} more"
+        results.append(CheckResult(name, not failures, cases, detail))
     return sorted(results, key=lambda r: r.name)

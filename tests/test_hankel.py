@@ -37,7 +37,6 @@ from qhankel.hankel import (
     xi_det_quotients,
 )
 from qhankel.orthopoly import (
-    DegenerateRecurrenceError,
     ZPoly,
     coeffs_monic,
     coeffs_p,
@@ -352,7 +351,6 @@ class TestJFraction:
         assert jf.a(0) == const(5)
         assert jf.a(1) == const(6)
         assert jf.b(1) == const(7)
-        assert jf.b_checked(1) == const(7)
 
     def test_from_lists_rejects_indices_outside_the_prefix(self):
         jf = JFraction.from_lists(Q_ONE, [Q_ONE, qpow(1)], [qpow(2), qpow(3)])
@@ -360,12 +358,6 @@ class TestJFraction:
         for bad in (lambda: jf.b(0), lambda: jf.b(3), lambda: jf.a(-1), lambda: jf.a(2)):
             with pytest.raises(IndexError):
                 bad()
-
-    def test_b_checked_zero(self):
-        jf = JFraction.from_lists(Q_ONE, [Q_ZERO, Q_ZERO], [Q_ZERO])
-        with pytest.raises(DegenerateRecurrenceError) as e:
-            jf.b_checked(1)
-        assert e.value.n == 1
 
     def test_eps_ell_domain(self):
         with pytest.raises(ValueError):
@@ -428,16 +420,18 @@ class TestJFractionFromMoments:
         with pytest.raises(InsufficientMomentsError):
             jfraction_from_moments([])
 
-    @pytest.mark.parametrize("moments", [[0], [0, 1]])
+    @pytest.mark.parametrize("moments", [[0], [2]])
     def test_too_few_moments_give_an_empty_prefix(self, moments):
         # d = 0: nothing is recovered, so a zero mu_0 is never divided by
         jf = jfraction_from_moments([const(v) for v in moments])
-        assert (jf.mu0, jf.a_list, jf.b_list) == (Q_ZERO, [], [])
+        assert (jf.mu0, jf.a_list, jf.b_list) == (const(moments[0]), [], [])
 
     def test_zero_mu0_fails_at_depth_zero(self):
-        with pytest.raises(NotQuasiDefiniteError) as e:
-            jfraction_from_moments([Q_ZERO, Q_ONE, Q_ONE])
-        assert e.value.depth == 0
+        # two moments already give d = 1, and b(0) = mu_0 is divided by
+        for moments in ([0, 1], [0, 1, 1]):
+            with pytest.raises(NotQuasiDefiniteError) as e:
+                jfraction_from_moments([const(v) for v in moments])
+            assert e.value.depth == 0
 
     def test_deep_recovery_of_eps(self):
         jf = jfraction_from_moments([q_euler_recursive(k) for k in range(25)])
@@ -480,7 +474,7 @@ def _gram_schmidt_jfraction(moments):
             out = out + c * vals[k]
         return out
 
-    d = (len(vals) - 1) // 2
+    d = len(vals) // 2
     a_list, b_list = [], []
     p_prev, p_cur = ZPoly.zero(), ZPoly.one()
     norm_prev, norm_cur = Q_ONE, pair(p_cur * p_cur)
@@ -536,6 +530,21 @@ def _random_prefix(rng, d):
     return JFraction.from_lists(_rational(rng, 3) or Q_ONE, a, b)
 
 
+def _zero_laden_prefix(rng, d):
+    """A J-fraction prefix a(0..d-1), b(1..d) of small integers, zeros frequent."""
+    return JFraction.from_lists(const(rng.choice((0, 1, 2))),
+                                [const(rng.choice((0, 1, -1, 2))) for _ in range(d)],
+                                [const(rng.choice((0, 1, -1, 2, 3))) for _ in range(d)])
+
+
+def _outcome(route):
+    """A route's quotient list, or the depth it reports as failing."""
+    try:
+        return route()
+    except NotQuasiDefiniteError as exc:
+        return exc.depth
+
+
 FAMILIES = [("eps", 0)] + [(kind, ell) for kind in ("theta", "xi") for ell in range(4)]
 
 
@@ -587,6 +596,7 @@ class TestJFractionTables:
         fractions += [jfraction_for_theta(ell) for ell in range(4)]
         fractions += [jfraction_for_xi(ell) for ell in range(4)]
         fractions += [_random_prefix(rng, 8) for _ in range(10)]
+        fractions += [_zero_laden_prefix(rng, 8) for _ in range(40)]
         for jf in fractions:
             assert jfraction_expand(jf, 13) == _convergent_expand(jf, 13)
 
@@ -601,10 +611,10 @@ class TestJFractionTables:
             assert b == dets[k + 1] * dets[k - 1] / dets[k] ** 2
 
     def test_prefix_expands_back_to_its_moments(self):
-        # 2d + 1 moments give a(0..d-1), b(1..d-1): exactly what mu_0..mu_{2d-1} need
-        mu = [q_euler_recursive(k) for k in range(21)]
+        # 2d moments give a(0..d-1), b(1..d-1): exactly what mu_0..mu_{2d-1} need
+        mu = [q_euler_recursive(k) for k in range(20)]
         for d in range(1, 11):
-            jf = jfraction_from_moments(mu[: 2 * d + 1])
+            jf = jfraction_from_moments(mu[: 2 * d])
             assert jfraction_expand(jf, 2 * d - 1) == mu[: 2 * d]
 
     def test_favard_matches_the_polynomial_at_zero(self):
@@ -716,6 +726,38 @@ class TestHeilermann:
             with pytest.raises(NotQuasiDefiniteError) as e:
                 route()
             assert e.value.depth == 1
+
+    def test_routes_follow_the_bruteforce_rule_on_zero_laden_prefixes(self):
+        # d_0..d_n, or NotQuasiDefiniteError(k) at the first k < n with d_k = 0,
+        # exactly as minor_quotients gives on the expanded moments
+        rng = random.Random(0x2E40)
+        raised = set()
+        for _ in range(3000):
+            n = rng.randint(0, 4)
+            jf = _zero_laden_prefix(rng, n + 1)
+            moments = jfraction_expand(jf, 2 * n + 2)
+            for shift, route in ((0, heilermann_quotients), (1, favard_quotients)):
+                want = _outcome(lambda: minor_quotients(hankel_matrix(moments, shift, n)))
+                assert _outcome(lambda: route(jf, n)) == want
+                if isinstance(want, int):
+                    raised.add((shift, want))
+        assert raised == {(shift, k) for shift in (0, 1) for k in range(4)}
+
+    def test_zero_b_at_the_last_step_is_a_zero_quotient(self):
+        # b(1) = 0 terminates the fraction: 1 / (1 - 0 x^2 / (1 + ...)) = 1
+        jf = JFraction.from_lists(Q_ONE, [Q_ZERO, Q_ZERO], [Q_ZERO])
+        moments = jfraction_expand(jf, 3)
+        assert moments == [Q_ONE, Q_ZERO, Q_ZERO, Q_ZERO]
+        assert heilermann_quotients(jf, 1) == minor_quotients(hankel_matrix(moments, 0, 1)) == [Q_ONE, Q_ZERO]
+
+    def test_zero_mu0_raises_at_depth_zero(self):
+        jf = JFraction.from_lists(Q_ZERO, [Q_ONE] * 3, [Q_ONE] * 3)
+        moments = jfraction_expand(jf, 4)
+        for route in (lambda: heilermann_quotients(jf, 2),
+                      lambda: minor_quotients(hankel_matrix(moments, 0, 2))):
+            with pytest.raises(NotQuasiDefiniteError) as e:
+                route()
+            assert e.value.depth == 0
 
     def test_negative_n(self):
         with pytest.raises(ValueError):

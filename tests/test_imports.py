@@ -1,8 +1,12 @@
-"""Every name a library module imports is used in that module, and the
-package imports each public name from the module that defines it."""
+"""Every name a library module imports is used in that module, the package
+imports each public name from the module that defines it, and exports every
+exception a library module defines."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import qhankel
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qhankel"
 
@@ -48,3 +52,16 @@ def test_init_imports_each_name_from_its_defining_module():
                        for a in node.names
                        if a.name not in _defined_names(SRC / f"{node.module}.py"))
     assert misplaced == []
+
+
+def test_every_library_exception_is_exported_and_reported_as_exit_1():
+    # cli._computing turns ValueError and ArithmeticError into exit 1
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"qhankel.{path.stem}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, Exception)
+                  and obj.__module__ == module.__name__]
+    assert len(found) >= 6
+    assert [e.__name__ for e in found if getattr(qhankel, e.__name__, None) is not e] == []
+    assert [e.__name__ for e in found if not issubclass(e, (ValueError, ArithmeticError))] == []

@@ -9,8 +9,8 @@ import pytest
 from qhankel import orthopoly, ratcore
 from qhankel.functionals import jfraction_for
 from qhankel.orthopoly import (
-    DegenerateRecurrenceError,
     JFraction,
+    NotQuasiDefiniteError,
     ZPoly,
     affine_transform,
     build_j_via_phi2,
@@ -286,9 +286,9 @@ class TestThreeTermBuild:
 
     def test_degenerate_b_detected(self):
         data = JFraction(Q_ONE, a=lambda n: Q_ZERO, b=lambda n: Q_ZERO)
-        with pytest.raises(DegenerateRecurrenceError) as e:
+        with pytest.raises(NotQuasiDefiniteError) as e:
             three_term_build(data, 2)
-        assert e.value.n == 1
+        assert e.value.depth == 1
         # b(0) is never consumed, so depth 1 works fine
         assert len(three_term_build(data, 1)) == 2
 
