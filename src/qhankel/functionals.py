@@ -8,12 +8,14 @@ k-th moment.  The q-binomial diagonal basis is used to *define* the phi and
 theta moments.  The theta moments are served by a closed q-binomial sum
 (theta_moment) and the xi moments by one ratio step each (xi_moment); the
 basis routes (phi_via_basis, theta_moment_via_basis) are kept as independent
-cross-checks.  An orthogonality check takes only the (sequence id, ell) and
-pairs its Favard family (favard_family) with the moments in Z[q], one packed
-integer per L(p_m p_n), reducing only the pairings that do not vanish
-(_pairing_failures).  Only the moments are cleared of denominators there: a
-ZPoly already holds integer numerators over one denominator, so the family
-is read as it is held.
+cross-checks.  theta_moment builds its sum in one pass on integers at
+x = 256^w, as carlitz does, with w fixed by the bound 6^n on the numerator's
+1-norm, and reads back only the result.  An orthogonality check takes only
+the (sequence id, ell) and pairs its Favard family (favard_family) with the
+moments in Z[q], one packed integer per L(p_m p_n), reducing only the
+pairings that do not vanish (_pairing_failures).  Only the moments are
+cleared of denominators there: a ZPoly already holds integer numerators over
+one denominator, so the family is read as it is held.
 """
 
 from __future__ import annotations
@@ -146,51 +148,18 @@ def theta_moment_via_basis(ell: int, n: int) -> RatFuncQ:
     return _weighted_sum(coords, den, partial(theta_on_basis, ell), clear_denominators)
 
 
-def _gaussian_rows(n: int) -> List[List[List[int]]]:
-    """rows[j][k] = coefficients of [j choose k]_q for 0 <= k <= j <= n,
-    by q-Pascal: [j, k] = [j-1, k-1] + q^k [j-1, k]."""
-    rows = [[[1]]]
-    for j in range(1, n + 1):
-        prev = rows[-1]
-        row = [[1]]
-        for k in range(1, j):
-            low, high = prev[k - 1], prev[k]
-            out = low + [0] * (k + len(high) - len(low))
-            for i, c in enumerate(high):
-                out[k + i] += c
-            row.append(out)
-        row.append([1])
-        rows.append(row)
-    return rows
-
-
-def _theta_sums(n: int) -> Tuple[int, List[QPoly]]:
-    """(T, [S_{n,0}, ..., S_{n,n}]) of theta_moment's closed sum."""
-    top = n + max(comb(k, 2) + k * (n - k) for k in range(n + 1))
-    rows = _gaussian_rows(n)
-    sums = []
-    for k in range(n + 1):
-        acc = [0] * (top + 1)
-        for j in range(k, n + 1):
-            c = parity_sign(j) * comb(n, j)
-            e = top - j - comb(k, 2) - k * (j - k)
-            for i, g in enumerate(rows[j][k]):
-                acc[e + i] += c * g
-        sums.append(QPoly(acc))
-    return top, sums
-
-
 @lru_cache(maxsize=None)
 def theta_moment(ell: int, n: int) -> RatFuncQ:
-    """theta_ell(z^n) by a closed q-binomial sum, reduced once.
+    """theta_ell(z^n) by a closed q-binomial sum in one packed pass, reduced
+    once.
 
-    With w = 1 - (1-q) z the diagonal basis is [k, z choose k]_q =
-    (qw; q)_k / (q; q)_k, so theta_ell((qw; q)_k) = (q^{ell+1}; q)_k /
-    (-q^{ell+2}; q)_k.  Expand z^n = (1-w)^n / (1-q)^n by the binomial
-    theorem and each power x^j of x = qw by the inverse q-binomial theorem
+    With u = 1 - (1-q) z the diagonal basis is [k, z choose k]_q =
+    (qu; q)_k / (q; q)_k, so theta_ell((qu; q)_k) = (q^{ell+1}; q)_k /
+    (-q^{ell+2}; q)_k.  Expand z^n = (1-u)^n / (1-q)^n by the binomial
+    theorem and each power y^j of y = qu by the inverse q-binomial theorem
     (Gasper & Rahman, Basic Hypergeometric Series, 2nd ed., 2004, sec. 1.3)
 
-        x^j = sum_{k<=j} (-1)^k [j, k]_q q^{-C(k,2) - k(j-k)} (x; q)_k.
+        y^j = sum_{k<=j} (-1)^k [j, k]_q q^{-C(k,2) - k(j-k)} (y; q)_k.
 
     Exchanging the sums and putting everything over (-q^{ell+2}; q)_n gives
 
@@ -199,28 +168,56 @@ def theta_moment(ell: int, n: int) -> RatFuncQ:
         S_{n,k} = sum_{j=k}^{n} (-1)^j C(n,j) q^{T - j - C(k,2) - k(j-k)} [j, k]_q,
         T       = max_k (n + C(k,2) + k(n-k)),
 
-    where T makes every exponent of S_{n,k} nonnegative.  N and the
-    denominator are built in Z[q], with the Gaussian binomials taken from
-    q-Pascal rows, and the one gcd is the RatFuncQ reduction at the end.
+    where T makes every exponent of S_{n,k} nonnegative.
+
+    **The pass** holds every polynomial as its value at x = 256^w, as
+    carlitz does: the Gaussian rows by q-Pascal, [j, k](x) = [j-1, k-1](x)
+    + [j-1, k](x) x^k; each S_{n,k}(x) as their shifted multiples; one shift
+    and add or subtract per binomial factor 1 -+ q^m of the products; two
+    integer products per term of N.  Evaluation at x is a ring homomorphism,
+    so intermediates may carry; only N and the denominator are read back
+    (ratcore._digits), right when their coefficients are below x/2.
+
+    **The width, w = _width(6^n).**  [j, k]_q has nonnegative coefficients,
+    so |[j, k]_q|_1 = C(j, k), and
+
+        sum_k |S_{n,k}|_1 <= sum_k sum_j C(n,j) C(j,k) = sum_j C(n,j) 2^j = 3^n.
+
+    Each binomial factor has 1-norm 2, so
+    |(q^{ell+1}; q)_k (-q^{ell+k+2}; q)_{n-k}|_1 <= 2^n.  Hence |N|_1 <= 6^n,
+    and the denominator's 1-norm is at most 2^n 2^n = 4^n, below the same
+    bound; a coefficient is at most the 1-norm.
+
+    The one gcd is the RatFuncQ reduction at the end.
     theta_moment_via_basis is the independent check of this formula.
     """
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
-    top, sums = _theta_sums(n)
-    one = QPoly.const(1)
-    # tails[k] = (-q^{ell+k+2}; q)_{n-k}
-    tails = [one] * (n + 1)
+    top = n + max(comb(k, 2) + k * (n - k) for k in range(n + 1))
+    width = _width(6 ** n)
+    bits = 8 * width
+    sums = [0] * (n + 1)  # S_{n,k}(x)
+    row = [1]  # [j, k](x) for k = 0..j
+    for j in range(n + 1):
+        if j:
+            row = [1] + [row[k - 1] + (row[k] << bits * k) for k in range(1, j)] + [1]
+        c = parity_sign(j) * comb(n, j)
+        for k in range(j + 1):
+            sums[k] += c * row[k] << bits * (top - j - comb(k, 2) - k * (j - k))
+    # tails[k] = (-q^{ell+k+2}; q)_{n-k}(x)
+    tails = [1] * (n + 1)
     for k in range(n - 1, -1, -1):
-        tails[k] = tails[k + 1] * (one + QPoly.q_power(ell + k + 2))
-    num = QPoly()
-    rising = one  # (q^{ell+1}; q)_k
+        tails[k] = tails[k + 1] + (tails[k + 1] << bits * (ell + k + 2))
+    num, rising = 0, 1  # rising = (q^{ell+1}; q)_k(x)
     for k in range(n + 1):
         if k:
-            rising = rising * (one - QPoly.q_power(ell + k))
+            rising -= rising << bits * (ell + k)
         term = sums[k] * rising * tails[k]
         num = num - term if k & 1 else num + term
-    den = QPoly.q_power(top) * QPoly((1, -1)) ** n * tails[0]
-    return RatFuncQ(num, den)
+    den = tails[0]
+    for _ in range(n):
+        den -= den << bits
+    return RatFuncQ(QPoly(_digits(num, width)), QPoly(_digits(den << bits * top, width)))
 
 
 @lru_cache(maxsize=None)

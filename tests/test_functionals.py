@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from qhankel import functionals
+from qhankel import functionals, orthopoly, ratcore
 from qhankel.carlitz import q_bernoulli_recursive, q_euler_explicit, q_euler_recursive
 from qhankel.cli import main
 from qhankel.functionals import (
@@ -165,8 +165,8 @@ class TestThetaAndXi:
         # eps_{n+ell} = eps_ell * theta_ell(z^n) for ell = 0, 1
         for ell in (0, 1):
             eps_ell = q_euler_recursive(ell)
-            for n in range(11):
-                assert q_euler_recursive(n + ell) == eps_ell * theta_moment(ell, n)
+            for n in range(31):
+                assert q_euler_recursive(n + ell) == eps_ell * theta_moment(ell, n), (ell, n)
 
     def test_xi_frozen_value(self):
         # xi_{0,1} = q (1+q) / (1+q^2)
@@ -210,8 +210,37 @@ class TestThetaAndXi:
 
     def test_closed_sum_matches_basis_route(self):
         for ell in range(4):
-            for n in range(13):
+            for n in range(17):
                 assert theta_moment(ell, n) == theta_moment_via_basis(ell, n), (ell, n)
+
+    def test_closed_sum_reads_no_other_route_and_reduces_once(self, monkeypatch):
+        theta_moment.cache_clear()
+        want = {(ell, n): theta_moment(ell, n) for ell in range(4) for n in range(9)}
+        theta_moment.cache_clear()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("theta_moment read another route")
+
+        for module, name in ((functionals, "jfraction_for_theta"),
+                             (orthopoly, "jfraction_for_theta"),
+                             (orthopoly, "three_term_build"),
+                             (functionals, "three_term_build"),
+                             (functionals, "theta_on_basis"),
+                             (functionals, "to_diagonal_basis"),
+                             (functionals, "theta_moment_via_basis")):
+            monkeypatch.setattr(module, name, refuse)
+        calls = []
+        gcd_full = ratcore._gcd_full
+
+        def counted(a, b):
+            calls.append(1)
+            return gcd_full(a, b)
+
+        monkeypatch.setattr(ratcore, "_gcd_full", counted)
+        for key, value in want.items():
+            calls.clear()
+            assert theta_moment(*key) == value, key
+            assert len(calls) == 1, key
 
     def test_ratio_steps_match_the_product(self):
         # oracle: q^{(ell+1) n} (-q; q)_n / (-q^{ell+2}; q)_n as two products
