@@ -3,8 +3,9 @@
 The determinant kernel clears each row of a rational-function matrix to a
 common polynomial denominator and runs fraction-free elimination over Z[q]
 on primitive rows: each updated row is divided by a common factor of its
-own entries, found by one GCDHEU evaluation of the whole row, and a scale
-in Q(q) per row records what was multiplied in and divided out.  Row i
+own entries, found by one GCDHEU evaluation of three numbers made from the
+row, and a scale in Q(q) per row records what was multiplied in and
+divided out.  Row i
 always holds its scale times row i of the current Schur complement, so the
 pivots over their scales multiply to the determinant.  Each determinant
 route returns its quotients d_k = H_k / H_{k-1}, expanded by hankel_product.
@@ -84,11 +85,15 @@ def _eliminate_row(pivot: QPoly, lead: QPoly, row_i: Sequence[QPoly],
     set so that x > 2N for a bound N on the coefficients of pivot, lead and
     every pivot * a - lead * b.  So E(x) = 0 only for E = 0, and the
     balanced base-x digits of E(x) are the coefficients of E.  The candidate
-    h is the primitive part of the digits of the gcd of the values: one
-    GCDHEU evaluation of the whole row, as in ratcore._heu_gcd.  If h divides
-    every entry (see _quotients), g is h times the integer content of the
-    quotients; otherwise g is the integer content of the row alone.  Any
-    common divisor will do, so nothing checks that g is the greatest one.
+    h is the primitive part of the digits of one integer gcd, as in
+    ratcore._heu_gcd, of three numbers: the first two nonzero values v_1,
+    v_2 and the fixed combination sum_i i v_i of all nonzero values.  Every
+    common divisor of the row divides all three, and three numbers cost far
+    less than a gcd of the whole row; a factor the three share by chance
+    only makes the trial division fail.  If h divides every entry (see
+    _quotients), g is h times the integer content of the quotients;
+    otherwise g is the integer content of the row alone.  Any common divisor
+    will do, so nothing checks that g is the greatest one.
     """
     P, L = pivot.coeffs, lead.coeffs
     pairs = [(a.coeffs, b.coeffs) for a, b in zip(row_i, row_k)]
@@ -103,9 +108,10 @@ def _eliminate_row(pivot: QPoly, lead: QPoly, row_i: Sequence[QPoly],
     width = _width(2 * bound)
     xp, xl = _pack(P, width), _pack(L, width)
     values = [xp * _pack(a, width) - xl * _pack(b, width) for a, b in pairs]
-    h = gcd(*values)
-    if not h:
+    nonzero = [v for v in values if v]
+    if not nonzero:
         return QPoly.const(1), [QPoly()] * len(values)
+    h = gcd(nonzero[0], sum(i * v for i, v in enumerate(nonzero, 1)), *nonzero[1:2])
     cand = _split_content(_digits(h, width))[1]
     entries = _quotients(values, cand, width, bound) if len(cand) > 1 else None
     if entries is None:

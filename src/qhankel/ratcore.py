@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from fractions import Fraction
 from itertools import count
 from typing import Iterable, Optional, Sequence, Union
@@ -31,8 +32,10 @@ class DeserializeError(ValueError):
         super().__init__(f"{message} (at {position})" if position else message)
 
 
-# Kronecker substitution pays off once operands stop being tiny.
-_KRONECKER_CUTOFF = 24
+# Kronecker substitution pays off once operands stop being tiny: with the
+# struct codec of _pack and _digits, from six terms of the shorter operand
+# on, the fastest end to end of the cutoffs 4, 6, 8, 12 and 24.
+_KRONECKER_CUTOFF = 6
 
 
 def _mul_schoolbook(a: Sequence[int], b: Sequence[int]) -> list:
@@ -49,28 +52,70 @@ def _norm(coeffs: Sequence[int]) -> int:
 
 
 def _width(bound: int) -> int:
-    """The fewest bytes w with bound < 256**w / 2: at x = 256**w, balanced
-    digits hold every coefficient of absolute value at most bound."""
-    return bound.bit_length() // 8 + 1
+    """A width w in bytes with bound < 256**w / 2: at x = 256**w, balanced
+    digits hold every coefficient of absolute value at most bound.  Up to 8
+    bytes w is the fewest such bytes rounded up to a power of two, a width
+    at which _pack and _digits run through struct; above 8 it is the fewest.
+    Every caller needs only x > 2 * bound, so a wider x is as correct."""
+    w = bound.bit_length() // 8 + 1
+    return w if w > 8 else 1 << (w - 1).bit_length()
+
+
+def _words(count: int, width: int) -> Optional[struct.Struct]:
+    """The codec of count little-endian two's-complement words of width
+    bytes, for a width of 1, 2, 4 or 8; None for any other width.  It is
+    made afresh, as the module-level struct functions would keep up to 100
+    of them alive per process, one per count."""
+    if width in (1, 2, 4, 8):
+        return struct.Struct(f"<{count}{'bhiq'[width.bit_length() - 1]}")
+    return None
+
+
+def _top_bits(count: int, width: int) -> int:
+    """M = sum of 2**(8 * width - 1) * 256**(width * i) for i < count: the
+    top bit of each of count digits of width bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
     """The value of coeffs at x = 256**width, for integer coefficients of any
-    size and sign; the empty list packs to 0."""
+    size and sign; the empty list packs to 0.
+
+    At a width of 1, 2, 4 or 8 bytes, struct writes the coefficients as
+    two's-complement words, c mod x each; XOR with M (_top_bits) flips each
+    word's top bit, which makes it c + x/2, and subtracting M leaves the
+    value.  A coefficient outside [-x/2, x/2), which _heu_gcd packs, makes
+    struct raise; it and every other width take the evaluation by halves."""
+    words = _words(len(coeffs), width)
+    if words:
+        try:
+            raw = words.pack(*coeffs)
+        except struct.error:
+            pass
+        else:
+            top = _top_bits(len(coeffs), width)
+            return (int.from_bytes(raw, "little") ^ top) - top
     return _eval_halves(coeffs, 0, len(coeffs), 8 * width)
 
 
 def _digits(value: int, width: int) -> list:
     """The balanced base-B digits of value, B = 256**width, lowest first,
-    each in [-B/2, B/2), trailing zeros dropped.  Adding B/2 at every digit
-    place turns them into the plain base-B digits of a nonnegative integer,
-    which to_bytes slices out in one linear pass."""
+    each in [-B/2, B/2), trailing zeros dropped.  Adding M (_top_bits), B/2
+    at every digit place, turns them into the plain base-B digits of a
+    nonnegative integer, which to_bytes slices out in one linear pass.  At
+    a width of 1, 2, 4 or 8 bytes, XOR with M flips each digit's top bit
+    back, which leaves the balanced digits as two's-complement words for
+    one struct call to read; other widths read each digit on its own."""
     count = abs(value).bit_length() // (8 * width) + 2
-    half = 1 << (8 * width - 1)
-    shifted = value + int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    raw = shifted.to_bytes(width * count, "little")
-    out = [int.from_bytes(raw[i:i + width], "little") - half
-           for i in range(0, width * count, width)]
+    top = _top_bits(count, width)
+    words = _words(count, width)
+    if words:
+        out = list(words.unpack(((value + top) ^ top).to_bytes(width * count, "little")))
+    else:
+        half = 1 << (8 * width - 1)
+        raw = (value + top).to_bytes(width * count, "little")
+        out = [int.from_bytes(raw[i:i + width], "little") - half
+               for i in range(0, width * count, width)]
     while out and not out[-1]:
         out.pop()
     return out
@@ -486,14 +531,26 @@ def clear_denominators(values: Sequence[RatFuncQ]) -> tuple:
     """(D, [v.num * (D / v.den) for v in values]) for D the lcm of the
     denominators, so v = numerator / D for each v; D = 1 for no values.
 
-    D grows by one cofactor per value, lcm(D, d) = D * (d / gcd(D, d)), and
-    each numerator's multiplier is an exact division."""
+    D starts as a denominator of greatest degree, and each multiplier D / d
+    is first tried as an exact division.  Only when d does not divide D does
+    g = gcd(D, d) run; D then grows by d / g, lcm(D, d) = D * (d / g), and
+    so does every multiplier taken before.  The lcm with positive leading
+    coefficient is unique, so the order changes nothing; nested
+    denominators, as the moment sequences have, take no gcd."""
     if not values:
         return _P_ONE, []
-    lcm = values[0].den
-    for v in values[1:]:
-        lcm = lcm * _gcd_full(lcm, v.den)[2]
-    return lcm, [v.num * lcm.exact_div(v.den) for v in values]
+    lcm = max((v.den for v in values), key=lambda d: d.degree)
+    mults = []
+    for v in values:
+        quot = _exact_quotient(lcm.coeffs, v.den.coeffs)
+        if quot is not None:
+            mults.append(QPoly(quot))
+            continue
+        _, rest, grow = _gcd_full(lcm, v.den)
+        lcm = lcm * grow
+        mults = [m * grow for m in mults]
+        mults.append(rest)
+    return lcm, [v.num * m for v, m in zip(values, mults)]
 
 
 _ONE_TUPLE = (1,)

@@ -316,6 +316,32 @@ class TestPrimitiveRows:
         assert [det_exact(m) for m in matrices] == want
         assert divisors and all(g.degree == 0 for g in divisors)
 
+    def test_a_spurious_factor_of_the_combined_gcd_keeps_the_content(self, monkeypatch):
+        # row 1's tail at the first step is (f, q f, 4, -3) for f = q + 2:
+        # 3 * 4 + 4 * (-3) = 0, so f(x) divides the first value, the second
+        # and sum_i i v_i, and the candidate f is refused by the trial
+        # division of 4; the row keeps its integer content 1
+        f = RatFuncQ(P(2, 1))
+        m = [[Q_ONE, Q_ZERO, Q_ZERO, Q_ZERO, Q_ZERO],
+             [Q_ONE, f, qpow(1) * f, const(4), const(-3)],
+             [Q_ZERO, Q_ONE, Q_ZERO, Q_ZERO, Q_ONE],
+             [Q_ZERO, Q_ZERO, Q_ONE, Q_ZERO, qpow(2)],
+             [Q_ZERO, Q_ZERO, Q_ZERO, Q_ONE, Q_ONE]]
+        refused = []
+        quotients = hankel._quotients
+
+        def spy(values, cand, width, bound):
+            out = quotients(values, cand, width, bound)
+            refused.append((tuple(cand), out is None))
+            return out
+
+        monkeypatch.setattr(hankel, "_quotients", spy)
+        got = minor_quotients(m)
+        assert refused[0] == ((2, 1), True)
+        assert hankel_product(got) == _det_bareiss(m) != Q_ZERO
+        monkeypatch.setattr(hankel, "_quotients", quotients)
+        assert minor_quotients(m) == got
+
     def test_certificate_shortfall_goes_to_trial_division(self, monkeypatch):
         # row 1's update is (E1, E2) with gcd h = (1+q)^4; E1 / h = (1-q)^4
         # has |h| * |E1 / h| * 5 = 180 against x/2 = 128 for the values'

@@ -7,6 +7,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
 from unittest import mock
 
@@ -32,6 +34,7 @@ from qhankel.ratcore import (
     _norm,
     _pack,
     _split_content,
+    _width,
     clear_denominators,
     const,
     decimal_to_int,
@@ -544,6 +547,36 @@ def test_clear_denominators_puts_values_over_their_lcm():
         assert common == QPoly((1,))
 
 
+def _gcd_fold(values):
+    """clear_denominators as one gcd per value: D grows by each cofactor."""
+    lcm = values[0].den
+    for v in values[1:]:
+        lcm = lcm * _gcd_full(lcm, v.den)[2]
+    return lcm, [v.num * lcm.exact_div(v.den) for v in values]
+
+
+def test_clear_denominators_matches_the_gcd_fold():
+    rng = random.Random(0xF01D)
+    factors = [P(1, 1), P(1, 0, 1), P(1, -1, 1), P(2, 1), P(3), P(1, 2, 0, 1), P(0, 1)]
+    for _ in range(80):
+        values = [RatFuncQ(P(*(rng.randint(-5, 5) for _ in range(3))),
+                           reduce(mul, (rng.choice(factors) ** rng.randint(0, 2) for _ in range(3))))
+                  for _ in range(rng.randint(1, 6))]
+        assert clear_denominators(values) == _gcd_fold(values)
+
+
+def test_nested_denominators_take_no_gcd():
+    # prefix products, as the moment sequences have: each divides the last
+    values = [RatFuncQ(P(k + 2, -1), reduce(mul, (P(1, *[0] * m, 1) for m in range(1, k + 1)), P(1)))
+              for k in range(10)]
+    rng = random.Random(5)
+    rng.shuffle(values)
+    with mock.patch.object(ratcore, "_gcd_full") as gcd:
+        got = clear_denominators(values)
+    assert not gcd.called
+    assert got == _gcd_fold(values)
+
+
 def test_heuristic_gcd_answers_a_coprime_pair_it_used_to_give_up_on():
     # The heuristic must answer without raising.
     f, g = _COPRIME_F, _COPRIME_G
@@ -626,6 +659,73 @@ def test_evaluation_by_halves_matches_horner():
         negative += min(coeffs) < 0
         wide += 2 * _norm(coeffs) >= x
     assert negative > 100 and wide > 100
+
+
+def _at(coeffs, x):
+    return sum(c * x ** i for i, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("width", (1, 2, 4, 8))
+def test_struct_widths_round_trip_the_extreme_digits(width):
+    # -B/2 and B/2 - 1 are the ends of a signed word of width bytes
+    half = 256 ** width // 2
+    rng = random.Random(width)
+    for _ in range(50):
+        coeffs = [rng.choice((-half, half - 1, 0, rng.randrange(-half, half)))
+                  for _ in range(rng.randrange(40))]
+        coeffs.append(rng.choice((-half, half - 1)))
+        value = _at(coeffs, 256 ** width)
+        with mock.patch.object(ratcore, "_eval_halves") as halves:
+            assert _pack(coeffs, width) == value
+        assert not halves.called
+        assert _digits(value, width) == coeffs
+
+
+@pytest.mark.parametrize("width", (1, 2, 4, 8))
+def test_coefficients_too_wide_for_a_word_fall_back_to_halves(width):
+    x = 256 ** width
+    for wide in (x // 2, -x // 2 - 1, 3 * x, -(x ** 3)):
+        coeffs = [1, -x // 2, wide, x // 2 - 1]
+        with mock.patch.object(ratcore, "_eval_halves", wraps=ratcore._eval_halves) as halves:
+            assert _pack(coeffs, width) == _pack(tuple(coeffs), width) == _at(coeffs, x)
+        assert halves.called
+
+
+def test_width_is_a_power_of_two_up_to_eight_bytes():
+    rng = random.Random(0x3D)
+    bounds = [0, 1, 127, 128, 2 ** 31, 2 ** 63 - 1, 2 ** 63, 2 ** 64]
+    bounds += [rng.randrange(2 ** rng.randrange(1, 200)) for _ in range(500)]
+    for bound in bounds:
+        w = _width(bound)
+        assert 2 * bound < 256 ** w
+        if w <= 8:
+            # no smaller power of two would do
+            assert w in (1, 2, 4, 8) and (w == 1 or 2 * bound >= 256 ** (w // 2))
+        else:
+            assert 2 * bound >= 256 ** (w - 1)
+
+
+@pytest.mark.parametrize("offset", (-1, 0, 1))
+def test_schoolbook_and_kronecker_agree_at_the_cutoff(offset):
+    # the length of the shorter operand picks the path of * and exact_div
+    length = ratcore._KRONECKER_CUTOFF + offset
+    rng = random.Random(length)
+    for bits in (1, 7, 8, 31, 62, 63, 64, 200):
+        a, b = ([rng.randrange(-2 ** bits, 2 ** bits) for _ in range(n)]
+                for n in (length, rng.randrange(length, 3 * length)))
+        a[0] = a[-1] = b[0] = b[-1] = 2 ** bits - 1  # no power of q to take out
+        with mock.patch.object(ratcore, "_mul_kronecker", wraps=_mul_kronecker) as kron:
+            prod = QPoly(a) * QPoly(b)
+        assert kron.called == (offset >= 0)
+        assert list(prod.coeffs) == _mul_schoolbook(a, b)
+        assert prod.exact_div(QPoly(a)) == QPoly(b)
+        assert _exact_quotient(prod.coeffs, a) == _exact_quotient_schoolbook(prod.coeffs, a) == b
+        off = list(prod.coeffs)
+        off[rng.randrange(len(off))] += 1
+        off = QPoly(off).coeffs
+        assert _exact_quotient(off, a) is None and _exact_quotient_schoolbook(off, a) is None
+        with pytest.raises(ArithmeticError):
+            QPoly(off).exact_div(QPoly(a))
 
 
 # The kernel takes the power of q out of every operand before it multiplies,

@@ -15,10 +15,12 @@ from qhankel.verification import CheckResult
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # The CLI is left out: click imports inspect itself.
+def test_import_loads_no_module_the_library_does_not_need():
+    # Each of these adds set-up time to every process.  ratcore's codec uses
+    # struct, not the array extension, and nothing needs numpy.  The CLI is
+    # left out: click imports inspect itself.
     code = ("import sys, qhankel, qhankel.verification; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'array', 'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": str(SRC)}, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
