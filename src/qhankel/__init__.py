@@ -44,9 +44,6 @@ from .orthopoly import (
     coeffs_ab,
     coeffs_monic,
     coeffs_p,
-    jfraction_for_eps,
-    jfraction_for_theta,
-    jfraction_for_xi,
     p1_at_zero_closed,
     three_term_build,
 )
@@ -73,7 +70,6 @@ from .functionals import (
 from .hankel import (
     InsufficientMomentsError,
     chapoton_zeng_quotients,
-    det_exact,
     favard_quotients,
     hankel_matrix,
     hankel_product,

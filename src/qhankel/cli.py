@@ -7,7 +7,8 @@ Output contract
   rejects it); the QHANKEL_FORMAT environment variable overrides the default
   (text) when the flag is absent, and a value the command lacks means text.
 * JSON output is byte-deterministic: sorted keys, fixed separators, canonical
-  value encoding from :func:`qhankel.ratcore.serialize`.
+  value encoding from :func:`qhankel.ratcore.json_object`, which
+  :func:`qhankel.ratcore.serialize` writes.
 * Exit codes: 0 success, 1 computation error, 2 invalid flags, 3 an identity
   that should hold failed to.
 """
@@ -26,7 +27,7 @@ import click
 from .functionals import SEQUENCES, jfraction_for, moments_for
 from .hankel import ROUTES, hankel_product, jfraction_expand
 from .orthopoly import build_j_via_phi2, build_jtilde_via_phi2, build_p_via_phi2
-from .ratcore import PoleError, RatFuncQ, int_to_decimal, poly_text, serialize
+from .ratcore import PoleError, RatFuncQ, int_to_decimal, json_object, poly_text
 from .verification import available_checks, run_checks
 
 _FORMATS = ("json", "text", "latex")
@@ -37,7 +38,7 @@ _ELL_IDS = ("theta", "xi")
 # The choices come from functionals.SEQUENCES and hankel.ROUTES, so a new
 # sequence, J-fraction or route needs no edit here.
 _SEQ_IDS = list(SEQUENCES)
-_JFRAC_IDS = [seq for seq, entry in SEQUENCES.items() if entry.jfraction is not None]
+_JFRAC_IDS = [seq for seq, entry in SEQUENCES.items() if entry.coeffs is not None]
 _DET_METHODS = list(dict.fromkeys(m for routes in ROUTES.values() for m in routes)) + ["all"]
 
 _SEQ_SYMBOLS = {
@@ -87,7 +88,7 @@ def _at(v: RatFuncQ, point: Optional[Fraction]) -> Scalar:
 
 
 def _json_value(v: Scalar) -> object:
-    return _render(v, False) if isinstance(v, Fraction) else json.loads(serialize(v))
+    return _render(v, False) if isinstance(v, Fraction) else json_object(v)
 
 
 def _render(v: Scalar, latex: bool) -> str:
@@ -255,19 +256,21 @@ def cmd_det(seq_id, ell, shift, n, method, fmt, at_q, out) -> None:
 
     with _computing(point):
         lists = {m: tuple(fn(ell_value, n)) for m, fn in sorted(wanted.items())}
-        products = {ds: hankel_product(ds) for ds in set(lists.values())}
-        shown = {m: _at(products[ds], point) for m, ds in lists.items()}
+        products = {ds: _at(hankel_product(ds), point) for ds in set(lists.values())}
+        shown = {m: products[ds] for m, ds in lists.items()}
 
     label = seq_id if ell is None else f"{seq_id}({ell})"
     agree = len(products) == 1
     if fmt == "json":
         payload: Dict[str, object] = {"seq": label, "shift": shift, "n": n}
+        # one object per distinct value, shared by the routes that agree
+        rendered = {ds: _json_value(v) for ds, v in products.items()}
         if method == "all":
-            payload["results"] = {m: _json_value(v) for m, v in shown.items()}
+            payload["results"] = {m: rendered[ds] for m, ds in lists.items()}
             payload["equal"] = agree
         else:
             payload["method"] = method
-            payload["value"] = _json_value(shown[method])
+            payload["value"] = rendered[lists[method]]
         if point is not None:
             payload["at_q"] = str(point)
         _emit(_dumps(payload), out)

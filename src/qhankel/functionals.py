@@ -1,10 +1,10 @@
 """Moment functionals on polynomials in z.
 
 SEQUENCES is the one table of moment sequences: for each sequence id and
-each ell it gives the moment map n -> mu_n and the J-fraction that pairs
-with it.  A functional is named by its (sequence id, ell) and applied
-through its monomial moments: expand the input, pair coefficient k with the
-k-th moment.  The q-binomial diagonal basis is used to *define* the phi and
+each ell it gives the moment map n -> mu_n and the data of the J-fraction
+that pairs with it, which jfraction_for builds.  A functional is named by
+its (sequence id, ell) and applied through its monomial moments: expand the
+input, pair coefficient k with the k-th moment.  The q-binomial diagonal basis is used to *define* the phi and
 theta moments.  The theta moments are served by a closed q-binomial sum
 (theta_moment) and the xi moments by one ratio step each (xi_moment); the
 basis routes (phi_via_basis, theta_moment_via_basis) are kept as independent
@@ -39,14 +39,7 @@ from .ratcore import (
     const,
     qpow,
 )
-from .orthopoly import (
-    JFraction,
-    ZPoly,
-    jfraction_for_eps,
-    jfraction_for_theta,
-    jfraction_for_xi,
-    three_term_build,
-)
+from .orthopoly import JFraction, ZPoly, coeffs_monic, coeffs_p, three_term_build
 
 
 @lru_cache(maxsize=None)
@@ -243,25 +236,34 @@ def xi_moment(ell: int, n: int) -> RatFuncQ:
 
 
 class MomentSequence(NamedTuple):
-    """One entry of SEQUENCES."""
+    """One entry of SEQUENCES: the moments, and the data of their J-fraction."""
 
     moment: Callable[[int, int], RatFuncQ]  # (ell, n) -> mu_n
-    jfraction: Optional[Callable[[int], JFraction]]  # ell -> its J-fraction
+    # (ell, n) -> (a(n), b(n)); None means no J-fraction is wired up
+    coeffs: Optional[Callable[[int, int], Tuple[RatFuncQ, RatFuncQ]]] = None
+    mu0: Callable[[int], RatFuncQ] = lambda ell: Q_ONE  # ell -> mu_0
 
 
-# Sequence id -> its moments and J-fraction at each ell.  For qeuler and
+def _eps_mu0(ell: int) -> RatFuncQ:
+    """eps_ell, the mu0 of the eps J-fraction, which holds for ell in {0, 1}."""
+    if ell not in (0, 1):
+        raise ValueError("the eps J-fraction is stated for ell in {0, 1}")
+    return q_euler_recursive(ell)
+
+
+# Sequence id -> its moments and J-fraction data at each ell.  For qeuler and
 # qbernoulli ell shifts the sequence (mu_n = eps_{n+ell}, beta_{n+ell}); for
-# theta and xi it is the functional's parameter.  The J-fraction's a(n), b(n) generate the
-# monic family orthogonal for the moments (Favard), which is the paper's big
-# q-Jacobi specialization: coeffs_p for qeuler and theta, coeffs_monic for xi.
-# None means no J-fraction is wired up.  The moment maps call the
-# module-level functions by name at call time, so a wrapper put in their
-# place (a tracer, a test double) is used.
+# theta and xi it is the functional's parameter.  The J-fraction's a(n), b(n)
+# generate the monic family orthogonal for the moments (Favard), which is the
+# paper's big q-Jacobi specialization: coeffs_p for qeuler and theta,
+# coeffs_monic for xi.  The moment maps call the module-level functions by
+# name at call time, so a wrapper put in their place (a tracer, a test
+# double) is used.
 SEQUENCES: Dict[str, MomentSequence] = {
-    "qeuler": MomentSequence(lambda ell, n: q_euler_recursive(n + ell), jfraction_for_eps),
-    "qbernoulli": MomentSequence(lambda ell, n: q_bernoulli_recursive(n + ell), None),
-    "theta": MomentSequence(lambda ell, n: theta_moment(ell, n), jfraction_for_theta),
-    "xi": MomentSequence(lambda ell, n: xi_moment(ell, n), jfraction_for_xi),
+    "qeuler": MomentSequence(lambda ell, n: q_euler_recursive(n + ell), coeffs_p, _eps_mu0),
+    "qbernoulli": MomentSequence(lambda ell, n: q_bernoulli_recursive(n + ell)),
+    "theta": MomentSequence(lambda ell, n: theta_moment(ell, n), coeffs_p),
+    "xi": MomentSequence(lambda ell, n: xi_moment(ell, n), coeffs_monic),
 }
 
 
@@ -281,12 +283,14 @@ def moments_for(seq: str, ell: int) -> Callable[[int], RatFuncQ]:
 
 
 def jfraction_for(seq: str, ell: int) -> JFraction:
-    """The J-fraction of the moments of (seq, ell); ValueError if the table
-    has none, or none at this ell."""
-    jfraction = _sequence(seq, ell).jfraction
-    if jfraction is None:
+    """The J-fraction of the moments of (seq, ell): the entry's mu0 at ell,
+    and a(n), b(n) read from its coefficient table at (ell, n) when asked.
+    ValueError if the table has none, or none at this ell."""
+    entry = _sequence(seq, ell)
+    coeffs = entry.coeffs
+    if coeffs is None:
         raise ValueError(f"no J-fraction is known for {seq!r}")
-    return jfraction(ell)
+    return JFraction(entry.mu0(ell), lambda n: coeffs(ell, n)[0], lambda n: coeffs(ell, n)[1])
 
 
 @lru_cache(maxsize=None)

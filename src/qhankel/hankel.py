@@ -21,7 +21,7 @@ moments (Chebyshev) and expands them back, Favard reads p_{k+1}(0) / p_k(0).
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from math import comb, gcd
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -29,8 +29,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .functionals import jfraction_for, moments_for
 from .qkit import parity_sign, q_factorial
 from .orthopoly import JFraction, NotQuasiDefiniteError
-# Not used here: perfbench/worker.py reads these two through this module.
-from .orthopoly import jfraction_for_eps, jfraction_for_xi
 from .ratcore import (
     Q_ONE,
     Q_ZERO,
@@ -55,6 +53,11 @@ class InsufficientMomentsError(ValueError):
 
 Matrix = List[List[RatFuncQ]]
 Moments = Callable[[int], RatFuncQ]  # n -> mu_n
+
+# functionals.jfraction_for at two sequence ids, under the names that
+# perfbench/worker.py reads through this module.
+jfraction_for_eps = partial(jfraction_for, "qeuler")
+jfraction_for_xi = partial(jfraction_for, "xi")
 
 
 def hankel_matrix(seq: Union[Moments, Sequence[RatFuncQ]], shift: int, n: int) -> Matrix:
@@ -150,7 +153,7 @@ def _quotients(values: Sequence[int], cand: Sequence[int], width: int,
     return out
 
 
-def minor_quotients(matrix: Matrix, swap: bool = False) -> List[RatFuncQ]:
+def minor_quotients(matrix: Matrix) -> List[RatFuncQ]:
     """The pivots m[k][k] / s_k of a fraction-free elimination that keeps
     every updated row primitive; their product is the determinant.
 
@@ -166,11 +169,9 @@ def minor_quotients(matrix: Matrix, swap: bool = False) -> List[RatFuncQ]:
     large the entries stay.  Bareiss's division by the previous pivot instead
     leaves the rows' shared factors in every entry.
 
-    Without swaps pivot k is H_k / H_{k-1} for the leading minors H_k
-    (H_{-1} = 1), so a zero pivot before the last raises
-    NotQuasiDefiniteError(k).  With ``swap`` a later row comes up instead,
-    and one of the two scales is negated, so the product keeps its sign.
-    A matrix that is not square raises ValueError.
+    Pivot k is H_k / H_{k-1} for the leading minors H_k (H_{-1} = 1), so a
+    zero pivot before the last raises NotQuasiDefiniteError(k).  A matrix
+    that is not square raises ValueError.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -183,12 +184,7 @@ def minor_quotients(matrix: Matrix, swap: bool = False) -> List[RatFuncQ]:
         scales.append(RatFuncQ(lcm))
     for k in range(n - 1):
         if m[k][k].is_zero:
-            if not swap:
-                raise NotQuasiDefiniteError(k)
-            i = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if i is not None:  # else column k is zero, and so is the pivot
-                m[k], m[i] = m[i], m[k]
-                scales[k], scales[i] = -scales[i], scales[k]
+            raise NotQuasiDefiniteError(k)
         pivot = m[k][k]
         for i in range(k + 1, n):
             if m[i][k].is_zero:
@@ -204,11 +200,6 @@ def hankel_product(ds: Sequence[RatFuncQ]) -> RatFuncQ:
     """H_n = d_0 d_1 ... d_n from the quotients d_k = H_k / H_{k-1}: the one
     place where a determinant is expanded."""
     return reduce(mul, ds, Q_ONE)
-
-
-def det_exact(matrix: Matrix) -> RatFuncQ:
-    """Exact determinant of a square RatFuncQ matrix."""
-    return hankel_product(minor_quotients(matrix, swap=True))
 
 
 def heilermann_quotients(jf: JFraction, n: int) -> List[RatFuncQ]:

@@ -9,7 +9,6 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .carlitz import q_euler_recursive
 from .qkit import parity_sign, poch
 from .ratcore import (
     _P_ONE,
@@ -446,18 +445,30 @@ def _series_family_sum(ell: int, n: int, w: ZPoly) -> ZPoly:
 
     The k-th term is the (k-1)-th times r_k (1 - w q^{k-1}), with
     r_k = (1 - q^{k-1-n}) (1 + q^{n+ell+k}) q / ((1 - q^k) (1 - q^{ell+k}))
-        = (q^{n-k+1} - 1) (1 + q^{n+ell+k}) / (q^{n-k} (1 - q^k) (1 - q^{ell+k})),
-    built in Z[q] and reduced once, so the sum runs by Horner's rule from
-    the inside out:
+        = a_k / b_k,  a_k = (q^{n-k+1} - 1) (1 + q^{n+ell+k}),
+                      b_k = q^{n-k} (1 - q^k) (1 - q^{ell+k}),
+    so the sum runs by Horner's rule from the inside out:
     1 + r_1 (1 - w) (1 + r_2 (1 - w q) (1 + ... (1 + r_n (1 - w q^{n-1})))).
+
+    The partial sums are integer numerators T over one D in Z[q].  For
+    w = W / e, 1 + r_k (1 - w q^{k-1}) T / D is
+    (b_k e D + a_k (e - q^{k-1} W) T) / (b_k e D), and the sum is reduced
+    once, at the end (_cancel).  D keeps a positive leading coefficient, as
+    b_k and e have one.  w has degree >= 1, so the last numerator, a
+    product of nonzero last terms, never vanishes.
     """
     q_pow = QPoly.q_power
-    total = _Z_ONE
+    e = w.den
+    total, den = [_P_ONE], _P_ONE
     for k in range(n, 0, -1):
-        ratio = RatFuncQ((q_pow(n - k + 1) - _P_ONE) * (_P_ONE + q_pow(n + ell + k)),
-                         q_pow(n - k) * (_P_ONE - q_pow(k)) * (_P_ONE - q_pow(ell + k)))
-        total = _Z_ONE + ((_Z_ONE - w.scale(qpow(k - 1))) * total).scale(ratio)
-    return total
+        a = (q_pow(n - k + 1) - _P_ONE) * (_P_ONE + q_pow(n + ell + k))
+        b = q_pow(n - k) * (_P_ONE - q_pow(k)) * (_P_ONE - q_pow(ell + k))
+        factor = [-(t * q_pow(k - 1)) for t in w.nums]
+        factor[0] = factor[0] + e
+        den = b * e * den
+        total = [a * t for t in _convolve(factor, total)]
+        total[0] = total[0] + den
+    return _cancel(total, den, den)
 
 
 @lru_cache(maxsize=None)
@@ -485,39 +496,6 @@ def build_p_via_phi2(ell: int, n: int) -> ZPoly:
         / (qpow(n) * (Q_ONE - qpow(1)) ** n * poch(-qpow(n + ell + 1), n))
     )
     return _series_family_sum(ell, n, w).scale(pref)
-
-
-def jfraction_for_eps(ell: int) -> JFraction:
-    """J-fraction generating sum_k eps_{k+ell} x^k, for ell in {0, 1}."""
-    if ell not in (0, 1):
-        raise ValueError("the eps J-fraction is stated for ell in {0, 1}")
-    return JFraction(
-        mu0=q_euler_recursive(ell),
-        a=lambda n: coeffs_p(ell, n)[0],
-        b=lambda n: coeffs_p(ell, n)[1],
-    )
-
-
-def jfraction_for_theta(ell: int) -> JFraction:
-    """J-fraction of the theta_ell moments (mu0 = 1, same a/b as the family)."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    return JFraction(
-        mu0=Q_ONE,
-        a=lambda n: coeffs_p(ell, n)[0],
-        b=lambda n: coeffs_p(ell, n)[1],
-    )
-
-
-def jfraction_for_xi(ell: int) -> JFraction:
-    """J-fraction of the xi_ell moments (mu0 = 1, monic-family a~/b~)."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    return JFraction(
-        mu0=Q_ONE,
-        a=lambda n: coeffs_monic(ell, n)[0],
-        b=lambda n: coeffs_monic(ell, n)[1],
-    )
 
 
 def affine_transform(polys: Sequence[ZPoly], u: RatFuncQ, v: RatFuncQ) -> List[ZPoly]:

@@ -602,10 +602,6 @@ class RatFuncQ:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_one(self) -> bool:
-        return self.num.coeffs == _ONE_TUPLE and self.den.coeffs == _ONE_TUPLE
-
     @staticmethod
     def _coerce(x: object) -> "RatFuncQ":
         if isinstance(x, RatFuncQ):
@@ -760,13 +756,18 @@ def qpow(m: int) -> RatFuncQ:
     return RatFuncQ._raw(_P_ONE, QPoly.q_power(-m))
 
 
-def serialize(f: RatFuncQ) -> str:
-    """Canonical JSON text for a RatFuncQ; byte-stable for equal values."""
-    payload = {
+def json_object(f: RatFuncQ) -> dict:
+    """The object that :func:`serialize` writes: num and den as lists of
+    decimal strings, ascending."""
+    return {
         "num": [int_to_decimal(c) for c in f.num.coeffs] or ["0"],
         "den": [int_to_decimal(c) for c in f.den.coeffs],
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def serialize(f: RatFuncQ) -> str:
+    """Canonical JSON text for a RatFuncQ; byte-stable for equal values."""
+    return json.dumps(json_object(f), sort_keys=True, separators=(",", ":"))
 
 
 _INT_CHARS = set("0123456789")

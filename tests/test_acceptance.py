@@ -18,6 +18,7 @@ from qhankel.carlitz import (
 )
 from qhankel.functionals import (
     apply_functional,
+    jfraction_for,
     phi_closed_m_n,
     phi_closed_n1_n,
     phi_via_basis,
@@ -33,7 +34,6 @@ from qhankel.hankel import (
     hankel_product,
     heilermann_quotients,
     jfraction_expand,
-    jfraction_for_eps,
     jfraction_from_moments,
     minor_quotients,
     shift0_exponent,
@@ -50,7 +50,6 @@ from qhankel.orthopoly import (
     build_p_via_phi2,
     coeffs_ab,
     coeffs_p,
-    jfraction_for_theta,
     three_term_build,
 )
 from qhankel.ratcore import Q_ONE, QPoly, RatFuncQ, const, qpow
@@ -70,7 +69,7 @@ def _differing(*lists) -> list:
 
 def test_criterion_01_shift0_three_ways():
     eps = q_euler_recursive
-    jf = jfraction_for_eps(0)
+    jf = jfraction_for("qeuler", 0)
     brute = minor_quotients(hankel_matrix(eps, 0, 6))
     bad = _differing(brute, theorem1_quotients(0, 6), heilermann_quotients(jf, 6))
     _line(1, "shift-0 determinants agree brute/closed/recurrence, n <= 6", bad)
@@ -78,7 +77,7 @@ def test_criterion_01_shift0_three_ways():
 
 def test_criterion_02_shift1_three_ways():
     eps = q_euler_recursive
-    jf = jfraction_for_eps(0)
+    jf = jfraction_for("qeuler", 0)
     brute = minor_quotients(hankel_matrix(eps, 1, 6))
     bad = _differing(brute, theorem1_quotients(1, 6), favard_quotients(jf, 6))
     _line(2, "shift-1 determinants agree brute/closed/recurrence, n <= 6", bad)
@@ -86,7 +85,7 @@ def test_criterion_02_shift1_three_ways():
 
 def test_criterion_03_shift2_three_ways():
     eps = q_euler_recursive
-    jf_tail = jfraction_for_eps(1)
+    jf_tail = jfraction_for("qeuler", 1)
     brute = minor_quotients(hankel_matrix(eps, 2, 5))
     bad = _differing(brute, theorem1_quotients(2, 5), favard_quotients(jf_tail, 5))
     _line(3, "shift-2 determinants agree brute/closed/recurrence, n <= 5", bad)
@@ -130,7 +129,7 @@ def test_criterion_06_bernoulli_determinants():
 def test_criterion_07_jfraction_generates_moments():
     bad = []
     for ell in (0, 1):
-        got = jfraction_expand(jfraction_for_eps(ell), 12)
+        got = jfraction_expand(jfraction_for("qeuler", ell), 12)
         for k, val in enumerate(got):
             if val != q_euler_recursive(k + ell):
                 bad.append(f"ell={ell}, k={k}")
@@ -204,7 +203,7 @@ def test_criterion_12_cross_route_polynomials():
     v = qpow(1)
     for ell in range(4):
         series = [build_p_via_phi2(ell, n) for n in range(9)]
-        recur = three_term_build(jfraction_for_theta(ell), 8)
+        recur = three_term_build(jfraction_for("theta", ell), 8)
         jtilde = [build_jtilde_via_phi2(ell, n) for n in range(9)]
         affine = affine_transform(jtilde, u, v)
         for n in range(9):

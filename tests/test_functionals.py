@@ -34,12 +34,12 @@ from qhankel.functionals import (
 )
 from qhankel.hankel import jfraction_expand
 from qhankel.orthopoly import (
+    JFraction,
     ZPoly,
     build_jtilde_via_phi2,
     build_p_via_phi2,
-    jfraction_for_eps,
-    jfraction_for_theta,
-    jfraction_for_xi,
+    coeffs_monic,
+    coeffs_p,
     three_term_build,
 )
 from qhankel.qkit import poch
@@ -221,8 +221,8 @@ class TestThetaAndXi:
         def refuse(*args, **kwargs):
             raise AssertionError("theta_moment read another route")
 
-        for module, name in ((functionals, "jfraction_for_theta"),
-                             (orthopoly, "jfraction_for_theta"),
+        for module, name in ((functionals, "jfraction_for"),
+                             (functionals, "coeffs_p"),
                              (orthopoly, "three_term_build"),
                              (functionals, "three_term_build"),
                              (functionals, "theta_on_basis"),
@@ -295,7 +295,7 @@ class TestFunctionalId:
             favard_family("qeuler", 2, 3)  # no eps J-fraction at ell = 2
         with pytest.raises(ValueError, match="qbernoulli"):
             favard_family("qbernoulli", 0, 3)
-        assert SEQUENCES["qbernoulli"].jfraction is None
+        assert SEQUENCES["qbernoulli"].coeffs is None
 
     def test_an_unknown_id_is_a_value_error_naming_it(self):
         for call in (lambda: moments_for("psi", 0), lambda: favard_family("psi", 0, 3),
@@ -320,7 +320,7 @@ class TestFunctionalId:
 
     def test_every_jfraction_is_pinned(self):
         assert set(_TABLE_ELLS) == {seq for seq, entry in SEQUENCES.items()
-                                    if entry.jfraction is not None}
+                                    if entry.coeffs is not None}
 
 
 def _functional_oracle(seq, ell, p):
@@ -381,15 +381,13 @@ def _with_member(index, change):
 
 class TestFavardFamily:
     def test_equals_the_recurrence_and_series_families(self):
-        # The recurrence of each functional's own J-fraction (qeuler reads the
-        # eps J-fractions), and the 2phi1 series family it must equal.
+        # The recurrence of each functional's own coefficient table (coeffs_p
+        # for qeuler and theta, coeffs_monic for xi), and the 2phi1 series
+        # family it must equal.
         for seq, ell in _ALL_PAIRS:
-            if seq == "xi":
-                jf, series = jfraction_for_xi(ell), build_jtilde_via_phi2
-            elif seq == "theta":
-                jf, series = jfraction_for_theta(ell), build_p_via_phi2
-            else:
-                jf, series = jfraction_for_eps(ell), build_p_via_phi2
+            coeffs, series = ((coeffs_monic, build_jtilde_via_phi2) if seq == "xi"
+                              else (coeffs_p, build_p_via_phi2))
+            jf = JFraction(Q_ONE, lambda n: coeffs(ell, n)[0], lambda n: coeffs(ell, n)[1])
             got = favard_family(seq, ell, 5)
             assert got == three_term_build(jf, 5), (seq, ell)
             assert got == [series(ell, n) for n in range(6)], (seq, ell)

@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in that module, the package
-imports each public name from the module that defines it, and exports every
-exception a library module defines."""
+"""Every name a library module imports is used in that module, orthopoly
+sits below functionals, the package imports each public name from the
+module that defines it, and exports every exception a library module
+defines."""
 
 import ast
 import importlib
@@ -9,9 +10,6 @@ from pathlib import Path
 import qhankel
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qhankel"
-
-# Re-exports that callers outside the package reach through the module.
-REEXPORTS = {("hankel.py", "jfraction_for_eps"), ("hankel.py", "jfraction_for_xi")}
 
 
 def _unused_imports(path):
@@ -30,7 +28,15 @@ def test_library_modules_use_every_name_they_import():
     unused = sorted((path.name, name)
                     for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
                     for name in _unused_imports(path))
-    assert [entry for entry in unused if entry not in REEXPORTS] == []
+    assert unused == []
+
+
+def test_orthopoly_imports_only_ratcore_and_qkit():
+    # the J-fraction data (mu0, which coefficient table) lives in functionals
+    tree = ast.parse((SRC / "orthopoly.py").read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert imported <= {"ratcore", "qkit"}
 
 
 def _defined_names(path):
