@@ -255,10 +255,10 @@ def _eps_mu0(ell: int) -> RatFuncQ:
 # qbernoulli ell shifts the sequence (mu_n = eps_{n+ell}, beta_{n+ell}); for
 # theta and xi it is the functional's parameter.  The J-fraction's a(n), b(n)
 # generate the monic family orthogonal for the moments (Favard), which is the
-# paper's big q-Jacobi specialization: coeffs_p for qeuler and theta,
-# coeffs_monic for xi.  The moment maps call the module-level functions by
-# name at call time, so a wrapper put in their place (a tracer, a test
-# double) is used.
+# paper's big q-Jacobi specialization: coeffs_monic for xi, and its affine
+# image coeffs_p for qeuler and theta.  The moment maps call the
+# module-level functions by name at call time, so a wrapper put in their
+# place (a tracer, a test double) is used.
 SEQUENCES: Dict[str, MomentSequence] = {
     "qeuler": MomentSequence(lambda ell, n: q_euler_recursive(n + ell), coeffs_p, _eps_mu0),
     "qbernoulli": MomentSequence(lambda ell, n: q_bernoulli_recursive(n + ell)),

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .functionals import jfraction_for, moments_for
 from .qkit import parity_sign, q_factorial
-from .orthopoly import JFraction, NotQuasiDefiniteError
+from .orthopoly import _AFFINE_U, JFraction, NotQuasiDefiniteError
 from .ratcore import (
     Q_ONE,
     Q_ZERO,
@@ -357,12 +357,11 @@ def theta_det_quotients(ell: int, n: int) -> List[RatFuncQ]:
     (-1)^C(k+1,2) q^e (1-q)^{-k(k+1)} B_1 ... B_k, with
     e = 2 C(k+2,3) + (2 ell - 1) C(k+1,2) and B_k as in xi_det_quotients.
 
-    The theta_ell family is p_n(z) = u^{-n} p~_n(u z + q) for the xi_ell
-    family p~ and u = q^2 - q, so each xi b(k) is u^2 times the theta one and
-    each xi d_k is u^{2k} times theta's.
+    The theta_ell family is the affine image of the xi_ell family under
+    orthopoly's map with scale u (see coeffs_p), so each xi b(k) is u^2 times
+    the theta one and each xi d_k is u^{2k} times theta's.
     """
-    u = qpow(2) - qpow(1)
-    return [d / u ** (2 * k) for k, d in enumerate(xi_det_quotients(ell, n))]
+    return [d / _AFFINE_U ** (2 * k) for k, d in enumerate(xi_det_quotients(ell, n))]
 
 
 def theorem1_quotients(shift: int, n: int) -> List[RatFuncQ]:

@@ -403,30 +403,19 @@ def coeffs_monic(ell: int, n: int) -> Tuple[RatFuncQ, RatFuncQ]:
     return a, b
 
 
+# u of the affine map from the kind-one family to the affine-shifted one (coeffs_p)
+_AFFINE_U = qpow(2) - qpow(1)
+
+
 @lru_cache(maxsize=None)
 def coeffs_p(ell: int, n: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """(a, b) of the monic recurrence for the affine-shifted family."""
-    _check_ell_n(ell, n)
-    one_minus_q = Q_ONE - qpow(1)
-    a = (
-        qpow(2 * n + ell)
-        * (Q_ONE + qpow(1))
-        * (Q_ONE + qpow(ell))
-        / (one_minus_q * (Q_ONE + qpow(2 * n + ell)) * (Q_ONE + qpow(2 * n + ell + 2)))
-        - Q_ONE / one_minus_q
-    )
-    b = (
-        -qpow(2 * n + 2 * ell - 1)
-        * (Q_ONE - qpow(2 * n))
-        * (Q_ONE - qpow(2 * n + 2 * ell))
-        / (
-            one_minus_q ** 2
-            * (Q_ONE + qpow(2 * n + ell - 1))
-            * (Q_ONE + qpow(2 * n + ell)) ** 2
-            * (Q_ONE + qpow(2 * n + ell + 1))
-        )
-    )
-    return a, b
+    """(a, b) of the monic recurrence for the affine-shifted family
+    p_n(z) = u^{-n} p~_n(u z + q), u = q^2 - q (``_AFFINE_U``), of the
+    kind-one family p~.  Put x = u z + q in p~'s recurrence
+    p~_{n+1}(x) = (x + a~) p~_n(x) - b~ p~_{n-1}(x) and divide by u^{n+1}:
+    a = (a~ + q) / u and b = b~ / u^2 for (a~, b~) = coeffs_monic(ell, n)."""
+    a, b = coeffs_monic(ell, n)
+    return (a + qpow(1)) / _AFFINE_U, b / _AFFINE_U ** 2
 
 
 def _check_ell_n(ell: int, n: int) -> None:
@@ -478,24 +467,26 @@ def build_j_via_phi2(ell: int, n: int) -> ZPoly:
     return _series_family_sum(ell, n, _Z_VAR)
 
 
+def _monic_scale(ell: int, n: int) -> RatFuncQ:
+    """c_n = (q^{ell+1};q)_n / (-q^{n+ell+1};q)_n, the inverse of the
+    leading coefficient of :func:`build_j_via_phi2`."""
+    return poch(qpow(ell + 1), n) / poch(-qpow(n + ell + 1), n)
+
+
 @lru_cache(maxsize=None)
 def build_jtilde_via_phi2(ell: int, n: int) -> ZPoly:
-    """Monic rescaling of :func:`build_j_via_phi2`."""
-    scale = poch(qpow(ell + 1), n) / poch(-qpow(n + ell + 1), n)
-    return build_j_via_phi2(ell, n).scale(scale)
+    """Monic rescaling c_n J_n of :func:`build_j_via_phi2`."""
+    return build_j_via_phi2(ell, n).scale(_monic_scale(ell, n))
 
 
 @lru_cache(maxsize=None)
 def build_p_via_phi2(ell: int, n: int) -> ZPoly:
-    """The affine-shifted monic family from its series definition."""
+    """The affine-shifted monic family from its series definition: the
+    affine image u^{-n} c_n J_n(u z + q) of c_n J_n (see coeffs_p), so the
+    3phi2 runs on w = q + u z with prefactor c_n / u^n."""
     _check_ell_n(ell, n)
-    w = ZPoly([qpow(1), qpow(2) - qpow(1)])  # q + (q^2 - q) z
-    pref = (
-        const(parity_sign(n))
-        * poch(qpow(ell + 1), n)
-        / (qpow(n) * (Q_ONE - qpow(1)) ** n * poch(-qpow(n + ell + 1), n))
-    )
-    return _series_family_sum(ell, n, w).scale(pref)
+    w = ZPoly([qpow(1), _AFFINE_U])
+    return _series_family_sum(ell, n, w).scale(_monic_scale(ell, n) / _AFFINE_U ** n)
 
 
 def affine_transform(polys: Sequence[ZPoly], u: RatFuncQ, v: RatFuncQ) -> List[ZPoly]:

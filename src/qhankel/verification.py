@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .carlitz import (
@@ -58,8 +57,6 @@ from .orthopoly import (
     build_jtilde_via_phi2,
     build_p_via_phi2,
     coeffs_ab,
-    coeffs_monic,
-    coeffs_p,
     affine_transform,
     p1_at_zero_closed,
 )
@@ -462,21 +459,20 @@ def _check_jfraction_eps(max_n: int) -> Tuple[int, List[str]]:
 def _check_jfraction_roundtrip(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     cases = 0
-    runs = [("eps", [q_euler_recursive(k) for k in range(2 * max_n + 2)], partial(coeffs_p, 0))]
-    runs += [
-        (f"xi(ell={ell})", jfraction_expand(jfraction_for("xi", ell), 2 * max_n + 1),
-         partial(coeffs_monic, ell))
-        for ell in range(4)
-    ]
-    for label, moments, coeffs in runs:
+    eps = [q_euler_recursive(k) for k in range(2 * max_n + 2)]
+    runs = [("eps", eps, jfraction_for("qeuler", 0))]
+    for ell in range(4):
+        jf = jfraction_for("xi", ell)
+        runs.append((f"xi(ell={ell})", jfraction_expand(jf, 2 * max_n + 1), jf))
+    for label, moments, want in runs:
         back = jfraction_from_moments(moments)
         for i, a in enumerate(back.a_list):
             cases += 1
-            if a != coeffs(i)[0]:
+            if a != want.a(i):
                 failures.append(f"{label} a[{i}] came back wrong")
         for i, b in enumerate(back.b_list, start=1):
             cases += 1
-            if b != coeffs(i)[1]:
+            if b != want.b(i):
                 failures.append(f"{label} b[{i}] came back wrong")
     return cases, failures
 

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module, orthopoly
+"""Every name a library module imports is used in that module, every
+private module-level name is used somewhere in the library, orthopoly
 sits below functionals, the package imports each public name from the
 module that defines it, and exports every exception a library module
 defines."""
@@ -28,6 +29,48 @@ def test_library_modules_use_every_name_they_import():
     unused = sorted((path.name, name)
                     for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
                     for name in _unused_imports(path))
+    assert unused == []
+
+
+def _private_names(stmt):
+    """The private names, dunders aside, that a module-level def, class or
+    assignment defines.  A def under a private decorator call such as
+    @_register("name") files itself in a table (verification.CHECKS), so it
+    needs no caller and is left out."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        if any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id.startswith("_") for d in stmt.decorator_list):
+            return []
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        return []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _mentions(stmt):
+    found = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def test_every_private_name_is_used():
+    # a name mentioned only where it is defined is a leftover
+    statements = [(path.name, stmt) for path in sorted(SRC.glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    mentions = [_mentions(stmt) for _, stmt in statements]
+    unused = [(module, name) for i, (module, stmt) in enumerate(statements)
+              for name in _private_names(stmt)
+              if not any(name in m for j, m in enumerate(mentions) if j != i)]
     assert unused == []
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from qhankel import verification
+from qhankel import orthopoly, verification
+from qhankel.functionals import SEQUENCES
+from qhankel.ratcore import Q
 from qhankel.verification import CheckResult, available_checks, run_checks
 
 
@@ -66,3 +68,27 @@ def test_raising_check_is_reported_and_others_still_run(monkeypatch):
         "exponent-broken", False, 0, "raised RuntimeError: probe failure"
     )
     assert results["exponent-integrality"].passed
+
+
+def test_one_exponent_off_in_the_monic_table_breaks_the_xi_and_theta_rows(monkeypatch):
+    # b~ times q: q^{2n+2ell+1} becomes q^{2n+2ell+2}.  coeffs_p is the
+    # affine image of coeffs_monic, so the theta and eps rows read the
+    # double too; the Carlitz and beta rows read neither table.
+    real = orthopoly.coeffs_monic
+
+    def off_by_one(ell, n):
+        a, b = real(ell, n)
+        return a, b * Q
+
+    monkeypatch.setattr(orthopoly, "coeffs_monic", off_by_one)
+    monkeypatch.setitem(SEQUENCES, "xi", SEQUENCES["xi"]._replace(coeffs=off_by_one))
+    orthopoly.coeffs_p.cache_clear()
+    try:
+        results = {r.name: r for r in run_checks(3)}
+    finally:
+        orthopoly.coeffs_p.cache_clear()
+    for name in ("xi-orthogonality", "theta-orthogonality", "theorem1-shift0",
+                 "jfraction-roundtrip"):
+        assert not results[name].passed, name
+    for name in ("carlitz-consistency", "chapoton-zeng"):
+        assert results[name].passed, name
