@@ -44,7 +44,6 @@ from .orthopoly import (
     coeffs_ab,
     coeffs_monic,
     coeffs_p,
-    p1_at_zero_closed,
     three_term_build,
 )
 from .functionals import (

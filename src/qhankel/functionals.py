@@ -53,12 +53,6 @@ def qbinom_basis(m: int, n: int) -> ZPoly:
     return out.scale(Q_ONE / q_factorial(n))
 
 
-@lru_cache(maxsize=None)
-def _diag_leading(n: int) -> RatFuncQ:
-    # leading z-coefficient of [n, z choose n]_q
-    return qpow(n * (n + 1) // 2) / q_factorial(n)
-
-
 def to_diagonal_basis(p: ZPoly) -> List[RatFuncQ]:
     """Coefficients c with p = sum_n c[n] * [n, z choose n]_q."""
     if p.is_zero:
@@ -67,10 +61,11 @@ def to_diagonal_basis(p: ZPoly) -> List[RatFuncQ]:
     coeffs = [Q_ZERO] * (deg + 1)
     residual = p
     for n in range(deg, -1, -1):
-        c = residual.coeff(n) / _diag_leading(n)
+        basis = qbinom_basis(n, n)
+        c = residual.coeff(n) / basis.coeffs[-1]
         coeffs[n] = c
         if not c.is_zero:
-            residual = residual - qbinom_basis(n, n).scale(c)
+            residual = residual - basis.scale(c)
     return coeffs
 
 

@@ -374,6 +374,10 @@ def theorem1_quotients(shift: int, n: int) -> List[RatFuncQ]:
     (1 - (-1)^n q^{(n+2)^2}) / ((1-q)^{n(n+1)} (1+q^2)^{2(n+1)} (1+q^3)^{n+1})
     and B_k = (q^4;q^2)_k^2 / ((-q^3;q^2)_k (-q^4;q^2)_k^2 (-q^5;q^2)_k), so
     d_k = B_k head(k) / head(k-1), where head(-1) = 1.
+
+    The factor (1 - (-1)^n q^{(n+2)^2}) of head(n) is where p_{n+1}(0) of
+    theta_1's family lives, as p_{n+1}(0) / p_n(0) = -d_n / d'_n for d' the
+    shift-1 quotients; ``cross-route-families`` reads it there.
     """
     if shift == 0:
         return theta_det_quotients(0, n)

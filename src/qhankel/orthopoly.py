@@ -9,7 +9,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .qkit import parity_sign, poch
+from .qkit import poch
 from .ratcore import (
     _P_ONE,
     _P_ZERO,
@@ -19,7 +19,6 @@ from .ratcore import (
     RatFuncQ,
     _gcd_full,
     clear_denominators,
-    const,
     qpow,
 )
 
@@ -371,13 +370,13 @@ def three_term_build(data: JFraction, upto: int) -> List[ZPoly]:
 
 @lru_cache(maxsize=None)
 def coeffs_ab(ell: int, n: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """(A, B) of the non-monic recurrence for the kind-one family."""
+    """(A, B) of the non-monic recurrence of the kind-one family,
+    A J_{n+1} = (z + A + B - 1) J_n - B J_{n-1}.  c_n J_n (c_n from
+    ``_monic_scale``) is the monic family with ``coeffs_monic``'s
+    recurrence, so A = c_{n+1} / c_n and B = a~ + 1 - A for its a~."""
     _check_ell_n(ell, n)
-    a_num = Q_ONE - qpow(2 * n + 2 * ell + 2)
-    a_den = (Q_ONE + qpow(2 * n + ell + 1)) * (Q_ONE + qpow(2 * n + ell + 2))
-    b_num = -qpow(2 * n + 2 * ell + 1) * (Q_ONE - qpow(2 * n))
-    b_den = (Q_ONE + qpow(2 * n + ell)) * (Q_ONE + qpow(2 * n + ell + 1))
-    return a_num / a_den, b_num / b_den
+    A = _monic_scale(ell, n + 1) / _monic_scale(ell, n)
+    return A, coeffs_monic(ell, n)[0] + Q_ONE - A
 
 
 @lru_cache(maxsize=None)
@@ -467,9 +466,11 @@ def build_j_via_phi2(ell: int, n: int) -> ZPoly:
     return _series_family_sum(ell, n, _Z_VAR)
 
 
+@lru_cache(maxsize=None)
 def _monic_scale(ell: int, n: int) -> RatFuncQ:
     """c_n = (q^{ell+1};q)_n / (-q^{n+ell+1};q)_n, the inverse of the
-    leading coefficient of :func:`build_j_via_phi2`."""
+    leading coefficient of :func:`build_j_via_phi2`; c_{n+1} / c_n is the A
+    of ``coeffs_ab``, which reads each c_n twice."""
     return poch(qpow(ell + 1), n) / poch(-qpow(n + ell + 1), n)
 
 
@@ -501,17 +502,3 @@ def affine_transform(polys: Sequence[ZPoly], u: RatFuncQ, v: RatFuncQ) -> List[Z
             u_inv_pow = u_inv_pow / u
         out.append(p.compose(sub).scale(u_inv_pow))
     return out
-
-
-def p1_at_zero_closed(n: int) -> RatFuncQ:
-    """Constant term of the ell = 1 affine-shifted polynomial, closed form."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    pref = (
-        const(parity_sign(n + 1))
-        * poch(qpow(1), n)
-        / ((Q_ONE - qpow(1)) ** n * poch(-qpow(n + 1), n + 1))
-    )
-    tail = const(-1) + const(parity_sign(n + 1)) * qpow((n + 1) ** 2)
-    return pref * tail
-

@@ -58,7 +58,6 @@ from .orthopoly import (
     build_p_via_phi2,
     coeffs_ab,
     affine_transform,
-    p1_at_zero_closed,
 )
 from .qkit import (
     parity_sign,
@@ -271,9 +270,15 @@ def _check_cross_route(max_n: int) -> Tuple[int, List[str]]:
             rhs = js[n] * ZPoly([A + B - Q_ONE, Q_ONE]) - js[n - 1].scale(B)
             if lhs != rhs:
                 failures.append(f"three-point contiguity broke at ell={ell}, n={n}")
-    for n in range(max_n + 4):
+    # p_{k+1}(0) / p_k(0) of theta_1's family is -d_k / d'_k for d of
+    # Theorem 1's shift 2 and d' of its shift 1 (hankel.theorem1_quotients)
+    at_zero = [Q_ONE]
+    for d1, d2 in zip(ROUTES[("qeuler", 1)]["closedform"](0, max_n + 2),
+                      ROUTES[("qeuler", 2)]["closedform"](0, max_n + 2)):
+        at_zero.append(-at_zero[-1] * d2 / d1)
+    for n, want in enumerate(at_zero):
         cases += 1
-        if build_p_via_phi2(1, n)(Q_ZERO) != p1_at_zero_closed(n):
+        if build_p_via_phi2(1, n)(Q_ZERO) != want:
             failures.append(f"value at zero broke at n={n}")
     return cases, failures
 

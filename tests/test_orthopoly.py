@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from qhankel import orthopoly, ratcore
+from qhankel import hankel, orthopoly, ratcore, verification
 from qhankel.functionals import jfraction_for
 from qhankel.orthopoly import (
     JFraction,
@@ -19,7 +19,6 @@ from qhankel.orthopoly import (
     coeffs_ab,
     coeffs_monic,
     coeffs_p,
-    p1_at_zero_closed,
     three_term_build,
 )
 from qhankel.ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow
@@ -319,6 +318,40 @@ class TestRecurrenceCoefficients:
             coeffs_p(-1, 0)
         with pytest.raises(ValueError):
             coeffs_monic(0, -1)
+        with pytest.raises(ValueError):
+            coeffs_ab(0, -1)
+
+    def test_ab_matches_its_closed_form(self):
+        # coeffs_ab is derived from coeffs_monic; its own closed form is the oracle
+        for ell in range(7):
+            for n in range(41):
+                A = (Q_ONE - qpow(2 * n + 2 * ell + 2)) / (
+                    (Q_ONE + qpow(2 * n + ell + 1)) * (Q_ONE + qpow(2 * n + ell + 2)))
+                B = -qpow(2 * n + 2 * ell + 1) * (Q_ONE - qpow(2 * n)) / (
+                    (Q_ONE + qpow(2 * n + ell)) * (Q_ONE + qpow(2 * n + ell + 1)))
+                assert coeffs_ab(ell, n) == (A, B), (ell, n)
+
+    def test_ab_reads_the_monic_table(self):
+        # a~ times q: coeffs_ab (and coeffs_p) must follow the double, so the
+        # series family J_n no longer satisfies the derived contiguity
+        real = orthopoly.coeffs_monic
+
+        def off_by_one(ell, n):
+            a, b = real(ell, n)
+            return a * qpow(1), b
+
+        caches = (orthopoly.coeffs_ab, orthopoly.coeffs_p)
+        for f in caches:
+            f.cache_clear()
+        try:
+            with mock.patch.object(orthopoly, "coeffs_monic", off_by_one):
+                _, failures = verification.CHECKS["cross-route-families"](3)
+        finally:
+            for f in caches:
+                f.cache_clear()
+        broke = [f for f in failures if f.startswith("three-point contiguity broke")]
+        assert broke == [f"three-point contiguity broke at ell={ell}, n={n}"
+                         for ell in range(4) for n in range(1, 4)]
 
 
 class TestFamilies:
@@ -359,8 +392,11 @@ class TestFamilies:
                 assert lhs == rhs
 
     def test_value_at_zero_closed_form(self):
-        for n in range(9):
-            assert build_p_via_phi2(1, n)(Q_ZERO) == p1_at_zero_closed(n)
+        # p_{n+1}(0) / p_n(0) = -d_n / d'_n for Theorem 1's shifts 2 and 1
+        at_zero = [Q_ONE]
+        for d1, d2 in zip(hankel.theorem1_quotients(1, 7), hankel.theorem1_quotients(2, 7)):
+            at_zero.append(-at_zero[-1] * d2 / d1)
+        assert [build_p_via_phi2(1, n)(Q_ZERO) for n in range(9)] == at_zero
 
     def test_degree_one_constant_term_is_a0(self):
         for ell in range(4):

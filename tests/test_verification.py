@@ -2,7 +2,7 @@
 
 import pytest
 
-from qhankel import orthopoly, verification
+from qhankel import hankel, orthopoly, verification
 from qhankel.functionals import SEQUENCES
 from qhankel.ratcore import Q
 from qhankel.verification import CheckResult, available_checks, run_checks
@@ -91,4 +91,24 @@ def test_one_exponent_off_in_the_monic_table_breaks_the_xi_and_theta_rows(monkey
                  "jfraction-roundtrip"):
         assert not results[name].passed, name
     for name in ("carlitz-consistency", "chapoton-zeng"):
+        assert results[name].passed, name
+
+
+def test_one_shift2_quotient_off_breaks_the_shift2_row_and_the_values_at_zero(monkeypatch):
+    # d_3 of shift 2 times q: p_4(0) of theta_1's family, read from the
+    # closed form, no longer matches the 3phi2 series
+    real = hankel.theorem1_quotients
+
+    def off_by_one(shift, n):
+        ds = list(real(shift, n))
+        if shift == 2 and n >= 3:
+            ds[3] = ds[3] * Q
+        return ds
+
+    monkeypatch.setattr(hankel, "theorem1_quotients", off_by_one)
+    results = {r.name: r for r in run_checks(3)}
+    assert not results["theorem1-shift2"].passed
+    assert not results["cross-route-families"].passed
+    assert "value at zero broke at n=4" in results["cross-route-families"].detail
+    for name in ("theorem1-shift0", "theorem1-shift1", "theorem1-q1-limit"):
         assert results[name].passed, name
