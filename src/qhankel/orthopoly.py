@@ -9,7 +9,6 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .qkit import poch
 from .ratcore import (
     _P_ONE,
     _P_ZERO,
@@ -370,13 +369,16 @@ def three_term_build(data: JFraction, upto: int) -> List[ZPoly]:
 
 @lru_cache(maxsize=None)
 def coeffs_ab(ell: int, n: int) -> Tuple[RatFuncQ, RatFuncQ]:
-    """(A, B) of the non-monic recurrence of the kind-one family,
-    A J_{n+1} = (z + A + B - 1) J_n - B J_{n-1}.  c_n J_n (c_n from
-    ``_monic_scale``) is the monic family with ``coeffs_monic``'s
-    recurrence, so A = c_{n+1} / c_n and B = a~ + 1 - A for its a~."""
+    """(A, B) of the kind-one family's A J_{n+1} = (z + A + B - 1) J_n -
+    B J_{n-1}, read from ``coeffs_monic`` at z = 1: J_n(1) = 1, as (z;q)_k
+    vanishes there for k >= 1, and c_n J_n = p~_n, so c_n = p~_n(1) and
+    A(n) = c_{n+1}/c_n = 1 + a~(n) - B(n), B(n) = b~(n)/A(n-1), B(0) = 0."""
     _check_ell_n(ell, n)
-    A = _monic_scale(ell, n + 1) / _monic_scale(ell, n)
-    return A, coeffs_monic(ell, n)[0] + Q_ONE - A
+    a, b = coeffs_monic(ell, n)
+    for k in range(n - 1):  # ascending, so a cold call recurses one level deep
+        coeffs_ab(ell, k)
+    B = b / coeffs_ab(ell, n - 1)[0] if n else Q_ZERO
+    return Q_ONE + a - B, B
 
 
 @lru_cache(maxsize=None)
@@ -468,15 +470,16 @@ def build_j_via_phi2(ell: int, n: int) -> ZPoly:
 
 @lru_cache(maxsize=None)
 def _monic_scale(ell: int, n: int) -> RatFuncQ:
-    """c_n = (q^{ell+1};q)_n / (-q^{n+ell+1};q)_n, the inverse of the
-    leading coefficient of :func:`build_j_via_phi2`; c_{n+1} / c_n is the A
-    of ``coeffs_ab``, which reads each c_n twice."""
-    return poch(qpow(ell + 1), n) / poch(-qpow(n + ell + 1), n)
+    """c_n = p~_n(1) = c_{n-1} A(n-1) (see ``coeffs_ab``), the inverse of
+    the leading coefficient of :func:`build_j_via_phi2`."""
+    for k in range(1, n):  # ascending, as in coeffs_ab
+        _monic_scale(ell, k)
+    return _monic_scale(ell, n - 1) * coeffs_ab(ell, n - 1)[0] if n else Q_ONE
 
 
 @lru_cache(maxsize=None)
 def build_jtilde_via_phi2(ell: int, n: int) -> ZPoly:
-    """Monic rescaling c_n J_n of :func:`build_j_via_phi2`."""
+    """Monic rescaling c_n J_n of :func:`build_j_via_phi2`, c_n = p~_n(1)."""
     return build_j_via_phi2(ell, n).scale(_monic_scale(ell, n))
 
 
@@ -484,7 +487,7 @@ def build_jtilde_via_phi2(ell: int, n: int) -> ZPoly:
 def build_p_via_phi2(ell: int, n: int) -> ZPoly:
     """The affine-shifted monic family from its series definition: the
     affine image u^{-n} c_n J_n(u z + q) of c_n J_n (see coeffs_p), so the
-    3phi2 runs on w = q + u z with prefactor c_n / u^n."""
+    3phi2 runs on w = q + u z with prefactor c_n / u^n, c_n = p~_n(1)."""
     _check_ell_n(ell, n)
     w = ZPoly([qpow(1), _AFFINE_U])
     return _series_family_sum(ell, n, w).scale(_monic_scale(ell, n) / _AFFINE_U ** n)

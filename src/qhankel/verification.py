@@ -301,9 +301,9 @@ def _check_basis_roundtrip(max_n: int) -> Tuple[int, List[str]]:
 def _check_phi_moments(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     cases = 0
-    for n in range(3 * max_n + 1):
+    for n in range(3 * max_n + 1):  # Phi = theta_0: closed sum vs the Carlitz recursion
         cases += 1
-        if phi(ZPoly.monomial(n)) != q_euler_recursive(n):
+        if theta_moment(0, n) != q_euler_recursive(n):
             failures.append(f"Phi(z^{n}) != eps_{n}")
     rng = random.Random(0xE1)
     for t in range(8):

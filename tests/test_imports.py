@@ -74,12 +74,13 @@ def test_every_private_name_is_used():
     assert unused == []
 
 
-def test_orthopoly_imports_only_ratcore_and_qkit():
-    # the J-fraction data (mu0, which coefficient table) lives in functionals
+def test_orthopoly_imports_only_ratcore():
+    # the J-fraction data (mu0, which coefficient table) lives in functionals,
+    # and c_n is read from coeffs_monic, not built from qkit's Pochhammers
     tree = ast.parse((SRC / "orthopoly.py").read_text())
     imported = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1}
-    assert imported <= {"ratcore", "qkit"}
+    assert imported == {"ratcore"}
 
 
 def _defined_names(path):

@@ -21,6 +21,7 @@ from qhankel.orthopoly import (
     coeffs_p,
     three_term_build,
 )
+from qhankel.qkit import poch
 from qhankel.ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow
 from test_ratcore import _oracle_gcd
 
@@ -331,16 +332,25 @@ class TestRecurrenceCoefficients:
                     (Q_ONE + qpow(2 * n + ell)) * (Q_ONE + qpow(2 * n + ell + 1)))
                 assert coeffs_ab(ell, n) == (A, B), (ell, n)
 
+    def test_monic_scale_matches_its_pochhammer_form(self):
+        # c_n is read from coeffs_monic at z = 1; its Pochhammer form is the oracle
+        for ell in range(7):
+            for n in range(21):
+                want = poch(qpow(ell + 1), n) / poch(-qpow(n + ell + 1), n)
+                assert orthopoly._monic_scale(ell, n) == want, (ell, n)
+
     def test_ab_reads_the_monic_table(self):
-        # a~ times q: coeffs_ab (and coeffs_p) must follow the double, so the
-        # series family J_n no longer satisfies the derived contiguity
+        # a~ times q: coeffs_ab, c_n (and so the monic series families) and
+        # coeffs_p must follow the double, so the series family J_n no longer
+        # satisfies the derived contiguity and c_n J_n is no longer monic
         real = orthopoly.coeffs_monic
 
         def off_by_one(ell, n):
             a, b = real(ell, n)
             return a * qpow(1), b
 
-        caches = (orthopoly.coeffs_ab, orthopoly.coeffs_p)
+        caches = (orthopoly.coeffs_ab, orthopoly.coeffs_p, orthopoly._monic_scale,
+                  orthopoly.build_jtilde_via_phi2, orthopoly.build_p_via_phi2)
         for f in caches:
             f.cache_clear()
         try:
@@ -351,6 +361,9 @@ class TestRecurrenceCoefficients:
                 f.cache_clear()
         broke = [f for f in failures if f.startswith("three-point contiguity broke")]
         assert broke == [f"three-point contiguity broke at ell={ell}, n={n}"
+                         for ell in range(4) for n in range(1, 4)]
+        monic = [f for f in failures if f.startswith("monicity broke")]
+        assert monic == [f"monicity broke at ell={ell}, n={n}"
                          for ell in range(4) for n in range(1, 4)]
 
 

@@ -82,11 +82,15 @@ def test_one_exponent_off_in_the_monic_table_breaks_the_xi_and_theta_rows(monkey
 
     monkeypatch.setattr(orthopoly, "coeffs_monic", off_by_one)
     monkeypatch.setitem(SEQUENCES, "xi", SEQUENCES["xi"]._replace(coeffs=off_by_one))
-    orthopoly.coeffs_p.cache_clear()
+    caches = (orthopoly.coeffs_ab, orthopoly.coeffs_p, orthopoly._monic_scale,
+              orthopoly.build_jtilde_via_phi2, orthopoly.build_p_via_phi2)
+    for f in caches:
+        f.cache_clear()
     try:
         results = {r.name: r for r in run_checks(3)}
     finally:
-        orthopoly.coeffs_p.cache_clear()
+        for f in caches:
+            f.cache_clear()
     for name in ("xi-orthogonality", "theta-orthogonality", "theorem1-shift0",
                  "jfraction-roundtrip"):
         assert not results[name].passed, name
@@ -112,3 +116,19 @@ def test_one_shift2_quotient_off_breaks_the_shift2_row_and_the_values_at_zero(mo
     assert "value at zero broke at n=4" in results["cross-route-families"].detail
     for name in ("theorem1-shift0", "theorem1-shift1", "theorem1-q1-limit"):
         assert results[name].passed, name
+
+
+def test_one_theta_0_moment_off_breaks_phi_moments(monkeypatch):
+    # theta_0(z^12) times q: phi-moments compares the closed q-binomial sum
+    # with the Carlitz recursion, and no other check reads theta_0(z^12)
+    real = verification.theta_moment
+
+    def off_at_12(ell, n):
+        value = real(ell, n)
+        return value * Q if (ell, n) == (0, 12) else value
+
+    monkeypatch.setattr(verification, "theta_moment", off_at_12)
+    results = {r.name: r for r in run_checks(5)}
+    assert not results["phi-moments"].passed
+    assert "Phi(z^12) != eps_12" in results["phi-moments"].detail
+    assert [name for name, r in results.items() if not r.passed] == ["phi-moments"]
