@@ -11,18 +11,27 @@ Output contract
   :func:`qhankel.ratcore.serialize` writes.
 * Exit codes: 0 success, 1 computation error, 2 invalid flags, 3 an identity
   that should hold failed to.
+
+Parsing
+-------
+The front end is the standard library's ``argparse``: one parser with one
+subparser per command, built once at import, with choices read from
+``SEQUENCES``, ``ROUTES`` and the format tables.  Every nonzero exit raises
+``SystemExit(code)``, and success returns.  :func:`main` keeps the
+``standalone_mode`` keyword of the click front end it replaced, so callers
+written against that signature (the benchmark worker calls
+``main(argv, standalone_mode=False)``) keep working; it changes nothing.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
-
-import click
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .functionals import SEQUENCES, jfraction_for, moments_for
 from .hankel import ROUTES, hankel_product, jfraction_expand
@@ -62,22 +71,38 @@ def _dumps(obj: object) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
-        click.echo(text)
+        print(text)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        raise click.BadParameter(f"cannot write {out!r}: {exc.strerror or exc}", param_hint="'--out'")
+        raise _usage(f"Invalid value for '--out': cannot write {out!r}: {exc.strerror or exc}")
 
 
-def _parse_at_q(raw: Optional[str]) -> Optional[Fraction]:
-    if raw is None:
-        return None
+def _usage(message: str) -> argparse.ArgumentError:
+    """A usage error found after parsing; :func:`main` reports it as exit 2."""
+    return argparse.ArgumentError(None, message)
+
+
+def _rational(raw: str) -> Fraction:
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"--at-q needs an exact rational, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"needs an exact rational, got {raw!r}")
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    """An int option no smaller than ``low``."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}.")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 Scalar = Union[RatFuncQ, Fraction]  # a Fraction is a value at a rational q
@@ -130,9 +155,9 @@ def _check_ell(seq_id: str, ell: Optional[int]) -> int:
     if ell is None:
         return 0
     if seq_id not in _ELL_IDS:
-        raise click.UsageError(f"--ell does not apply to --id {seq_id}")
+        raise _usage(f"--ell does not apply to --id {seq_id}")
     if ell < 0:
-        raise click.UsageError("--ell must be >= 0")
+        raise _usage("--ell must be >= 0")
     return ell
 
 
@@ -141,34 +166,16 @@ def _computing(point: Optional[Fraction] = None) -> Iterator[None]:
     """Report an error of the computation inside as exit 1, one line."""
     try:
         yield
-    except PoleError as exc:  # raised only by evaluation at ``point``
-        raise click.ClickException(f"pole at q={point}: {exc}")
-    except (ValueError, ArithmeticError, OverflowError) as exc:
-        raise click.ClickException(str(exc))
+    except (PoleError, ValueError, ArithmeticError, OverflowError) as exc:
+        # a PoleError is raised only by evaluation at ``point``
+        where = f"pole at q={point}: " if isinstance(exc, PoleError) else ""
+        print(f"Error: {where}{exc}", file=sys.stderr)
+        raise SystemExit(1)
 
 
-@click.group()
-def main() -> None:
-    """Exact Hankel determinant toolkit for Carlitz q-sequences."""
-
-
-@main.command("seq")
-@click.option(
-    "--id",
-    "seq_id",
-    type=click.Choice(_SEQ_IDS),
-    required=True,
-    help="Which moment sequence to print.",
-)
-@click.option("--ell", type=int, default=None, help="Shift parameter for theta/xi.")
-@click.option("--max-n", "max_n", type=click.IntRange(min=0), required=True)
-@click.option("--format", "-f", "fmt", type=click.Choice(_FORMATS), default=None)
-@click.option("--at-q", "at_q", default=None, help="Evaluate at an exact rational q.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cmd_seq(seq_id, ell, max_n, fmt, at_q, out) -> None:
+def cmd_seq(seq_id, ell, max_n, fmt, point, out) -> None:
     """Print sequence values 0..MAX_N."""
     fmt = _pick_format(fmt)
-    point = _parse_at_q(at_q)
     ell_value = _check_ell(seq_id, ell)
     moment = moments_for(seq_id, ell_value)
     label = f"{seq_id}_ell({ell_value})" if seq_id in _ELL_IDS else seq_id
@@ -194,22 +201,9 @@ def cmd_seq(seq_id, ell, max_n, fmt, at_q, out) -> None:
         _emit("\n".join(f"{label}[{n}] = {_render(v, False)}" for n, v in enumerate(values)), out)
 
 
-@main.command("poly")
-@click.option(
-    "--family",
-    type=click.Choice(["p", "monic", "j"]),
-    required=True,
-    help="p: affine-normalized family; monic: monic big q-Jacobi; j: series form.",
-)
-@click.option("--ell", type=click.IntRange(min=0), default=0)
-@click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--format", "-f", "fmt", type=click.Choice(_FORMATS), default=None)
-@click.option("--at-q", "at_q", default=None, help="Evaluate coefficients at q.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cmd_poly(family, ell, n, fmt, at_q, out) -> None:
+def cmd_poly(family, ell, n, fmt, point, out) -> None:
     """Print one orthogonal-family polynomial in z."""
     fmt = _pick_format(fmt)
-    point = _parse_at_q(at_q)
     builders = {"p": build_p_via_phi2, "monic": build_jtilde_via_phi2, "j": build_j_via_phi2}
     with _computing(point):
         coeffs = [_at(c, point) for c in builders[family](ell, n).coeffs]
@@ -224,34 +218,15 @@ def cmd_poly(family, ell, n, fmt, at_q, out) -> None:
         _emit(_render_zpoly(coeffs, fmt == "latex"), out)
 
 
-@main.command("det")
-@click.option(
-    "--id",
-    "seq_id",
-    type=click.Choice(_SEQ_IDS),
-    required=True,
-)
-@click.option("--ell", type=int, default=None, help="Shift parameter for theta/xi.")
-@click.option("--shift", type=click.IntRange(min=0), default=0)
-@click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option(
-    "--method",
-    type=click.Choice(_DET_METHODS),
-    default="all",
-)
-@click.option("--format", "-f", "fmt", type=click.Choice(_FORMATS), default=None)
-@click.option("--at-q", "at_q", default=None, help="Evaluate the result at q.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cmd_det(seq_id, ell, shift, n, method, fmt, at_q, out) -> None:
+def cmd_det(seq_id, ell, shift, n, method, fmt, point, out) -> None:
     """Hankel determinant of a moment sequence, by one or every method."""
     fmt = _pick_format(fmt)
-    point = _parse_at_q(at_q)
     ell_value = _check_ell(seq_id, ell)
     routes = ROUTES.get((seq_id, shift))
     if routes is None:
-        raise click.UsageError(f"--shift {shift} is not available for --id {seq_id}")
+        raise _usage(f"--shift {shift} is not available for --id {seq_id}")
     if method != "all" and method not in routes:
-        raise click.UsageError(f"no {method} route is wired up for --id {seq_id}")
+        raise _usage(f"no {method} route is wired up for --id {seq_id}")
     wanted = routes if method == "all" else {method: routes[method]}
 
     with _computing(point):
@@ -286,31 +261,19 @@ def cmd_det(seq_id, ell, shift, n, method, fmt, at_q, out) -> None:
         _emit("\n".join(lines), out)
 
     if method == "all" and not agree:
-        click.echo("determinant methods disagree", err=True)
+        print("determinant methods disagree", file=sys.stderr)
         sys.exit(3)
 
 
-@main.command("jfrac")
-@click.option(
-    "--id",
-    "seq_id",
-    type=click.Choice(_JFRAC_IDS),
-    required=True,
-)
-@click.option("--ell", type=click.IntRange(min=0), default=0)
-@click.option("--depth", type=click.IntRange(min=1), default=None, help="How many a/b coefficients to print.")
-@click.option("--expand", "order", type=click.IntRange(min=0), default=None, help="Also expand the series to this order.")
-@click.option("--format", "-f", "fmt", type=click.Choice(_FORMATS), default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_jfrac(seq_id, ell, depth, order, fmt, out) -> None:
     """Continued-fraction data (mu0, a_n, b_n) and optional series expansion."""
     fmt = _pick_format(fmt)
     if depth is None and order is None:
-        raise click.UsageError("need --depth and/or --expand")
+        raise _usage("need --depth and/or --expand")
     try:  # the J-fraction reads a(n), b(n) only when asked, so this checks ell alone
         jf = jfraction_for(seq_id, ell)
     except ValueError as exc:
-        raise click.UsageError(f"--id {seq_id} --ell {ell}: {exc}")
+        raise _usage(f"--id {seq_id} --ell {ell}: {exc}")
 
     with _computing():
         a_vals = [] if depth is None else [jf.a(k) for k in range(depth)]
@@ -342,16 +305,11 @@ def cmd_jfrac(seq_id, ell, depth, order, fmt, out) -> None:
         _emit("\n".join(lines), out)
 
 
-@main.command("verify")
-@click.option("--max-n", "max_n", type=click.IntRange(min=0), default=5)
-@click.option("--only", default=None, help="Run only checks whose name starts with this prefix.")
-@click.option("--format", "-f", "fmt", type=click.Choice(_VERIFY_FORMATS), default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_verify(max_n, only, fmt, out) -> None:
     """Run the named identity checks and report pass/fail per check."""
     fmt = _pick_format(fmt, _VERIFY_FORMATS)
     if only is not None and not any(n.startswith(only) for n in available_checks()):
-        raise click.UsageError(
+        raise _usage(
             f"--only {only!r} matches no checks; known: {', '.join(available_checks())}"
         )
     results = run_checks(max_n, only)
@@ -378,6 +336,100 @@ def cmd_verify(max_n, only, fmt, out) -> None:
 
     if not all_passed:
         sys.exit(3)
+
+
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The parser and its subparser per command.  No abbreviations: click
+    took ``--max-n`` only in full."""
+    parser = argparse.ArgumentParser(
+        prog="qhankel",
+        description="Exact Hankel determinant toolkit for Carlitz q-sequences.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    subparsers: Dict[str, argparse.ArgumentParser] = {}
+
+    def command(name: str, handler: Callable[..., None]) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=handler.__doc__, description=handler.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(handler=handler)
+        subparsers[name] = sub
+        return sub
+
+    def output(sub: argparse.ArgumentParser, formats=_FORMATS, at_q: Optional[str] = None) -> None:
+        sub.add_argument("--format", "-f", dest="fmt", choices=formats, default=None)
+        if at_q is not None:
+            sub.add_argument("--at-q", dest="point", type=_rational, default=None,
+                             metavar="RATIONAL", help=at_q)
+        sub.add_argument("--out", default=None, metavar="FILE")
+
+    sub = command("seq", cmd_seq)
+    sub.add_argument("--id", dest="seq_id", choices=_SEQ_IDS, required=True,
+                     help="Which moment sequence to print.")
+    sub.add_argument("--ell", type=int, default=None, help="Shift parameter for theta/xi.")
+    sub.add_argument("--max-n", type=_at_least(0), required=True)
+    output(sub, at_q="Evaluate at an exact rational q.")
+
+    sub = command("poly", cmd_poly)
+    sub.add_argument("--family", choices=["p", "monic", "j"], required=True,
+                     help="p: affine-normalized family; monic: monic big q-Jacobi; j: series form.")
+    sub.add_argument("--ell", type=_at_least(0), default=0)
+    sub.add_argument("--n", type=_at_least(0), required=True)
+    output(sub, at_q="Evaluate coefficients at q.")
+
+    sub = command("det", cmd_det)
+    sub.add_argument("--id", dest="seq_id", choices=_SEQ_IDS, required=True)
+    sub.add_argument("--ell", type=int, default=None, help="Shift parameter for theta/xi.")
+    sub.add_argument("--shift", type=_at_least(0), default=0)
+    sub.add_argument("--n", type=_at_least(0), required=True)
+    sub.add_argument("--method", choices=_DET_METHODS, default="all")
+    output(sub, at_q="Evaluate the result at q.")
+
+    sub = command("jfrac", cmd_jfrac)
+    sub.add_argument("--id", dest="seq_id", choices=_JFRAC_IDS, required=True)
+    sub.add_argument("--ell", type=_at_least(0), default=0)
+    sub.add_argument("--depth", type=_at_least(1), default=None,
+                     help="How many a/b coefficients to print.")
+    sub.add_argument("--expand", dest="order", type=_at_least(0), default=None,
+                     help="Also expand the series to this order.")
+    output(sub)
+
+    sub = command("verify", cmd_verify)
+    sub.add_argument("--max-n", type=_at_least(0), default=5)
+    sub.add_argument("--only", default=None,
+                     help="Run only checks whose name starts with this prefix.")
+    output(sub, formats=_VERIFY_FORMATS)
+    return parser, subparsers
+
+
+# Built once: a det call pays only for parse_args.
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _glue_at_q(argv: Sequence[str]) -> List[str]:
+    """``--at-q VALUE`` as ``--at-q=VALUE``.  argparse reads a next word such
+    as ``-1/3`` as an option unless it looks like a plain negative number."""
+    out: List[str] = []
+    words = iter(argv)
+    for word in words:
+        if word == "--at-q":
+            value = next(words, None)
+            if value is not None:
+                word = f"--at-q={value}"
+        out.append(word)
+    return out
+
+
+def main(argv: Optional[Sequence[str]] = None, standalone_mode: bool = True) -> None:
+    """Run one command line (``sys.argv[1:]`` by default).  Success returns;
+    every nonzero exit raises ``SystemExit(code)``, whatever
+    ``standalone_mode`` says (see the module docstring)."""
+    args = vars(_PARSER.parse_args(_glue_at_q(sys.argv[1:] if argv is None else argv)))
+    command, handler = args.pop("command"), args.pop("handler")
+    try:
+        handler(**args)
+    except argparse.ArgumentError as exc:
+        _COMMANDS[command].error(str(exc))
 
 
 if __name__ == "__main__":

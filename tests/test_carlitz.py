@@ -8,7 +8,6 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from click.testing import CliRunner
 
 from qhankel import carlitz, ratcore
 from qhankel.carlitz import (
@@ -17,11 +16,11 @@ from qhankel.carlitz import (
     q_euler_explicit,
     q_euler_recursive,
 )
-from qhankel.cli import main
 from qhankel.functionals import theta_moment
 from qhankel.hankel import hankel_matrix
 from qhankel.ratcore import Q_ONE, QPoly, RatFuncQ, serialize
 from qhankel.verification import run_checks
+from support import invoke
 
 
 def P(*coeffs):
@@ -91,7 +90,7 @@ class TestQBernoulli:
 
 
 def _seq_json(seq_id, max_n):
-    result = CliRunner().invoke(main, ["seq", "--id", seq_id, "--max-n", str(max_n), "-f", "json"])
+    result = invoke(["seq", "--id", seq_id, "--max-n", str(max_n), "-f", "json"])
     assert result.exit_code == 0
     return json.loads(result.output)
 

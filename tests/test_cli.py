@@ -4,22 +4,20 @@ import json
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from qhankel import hankel
 from qhankel.carlitz import q_euler_recursive
-from qhankel.cli import _json_value, _render, cmd_det, cmd_jfrac, cmd_seq, main
+from qhankel.cli import _COMMANDS, _json_value, _render, cmd_det, cmd_jfrac, cmd_seq
 from qhankel.functionals import SEQUENCES
 from qhankel.hankel import ROUTES, hankel_matrix, hankel_product, minor_quotients
 from qhankel.ratcore import Q_ONE, int_to_decimal, qpow
 from qhankel.verification import run_checks
-
-runner = CliRunner()
+from support import invoke
 
 
 class TestSeq:
     def test_text_default(self):
-        result = runner.invoke(main, ["seq", "--id", "qeuler", "--max-n", "2"])
+        result = invoke(["seq", "--id", "qeuler", "--max-n", "2"])
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
         assert lines[0] == "qeuler[0] = 1"
@@ -27,16 +25,16 @@ class TestSeq:
         assert len(lines) == 3
 
     def test_max_n_zero(self):
-        result = runner.invoke(
-            main, ["seq", "--id", "qbernoulli", "--max-n", "0", "-f", "json"]
+        result = invoke(
+            ["seq", "--id", "qbernoulli", "--max-n", "0", "-f", "json"]
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["values"] == [{"num": ["1"], "den": ["1"]}]
 
     def test_json_shape(self):
-        result = runner.invoke(
-            main, ["seq", "--id", "theta", "--ell", "2", "--max-n", "1", "-f", "json"]
+        result = invoke(
+            ["seq", "--id", "theta", "--ell", "2", "--max-n", "1", "-f", "json"]
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
@@ -45,8 +43,7 @@ class TestSeq:
         assert len(payload["values"]) == 2
 
     def test_at_q_exact(self):
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["seq", "--id", "qeuler", "--max-n", "9", "--at-q", "1", "-f", "json"],
         )
         assert result.exit_code == 0
@@ -57,36 +54,35 @@ class TestSeq:
         ]
 
     def test_at_q_fraction(self):
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["seq", "--id", "qeuler", "--max-n", "1", "--at-q", "1/2", "-f", "json"],
         )
         assert result.exit_code == 0
         assert json.loads(result.output)["values"][1] == "-2/5"
 
     def test_at_q_rejects_non_rational(self):
-        result = runner.invoke(
-            main, ["seq", "--id", "qeuler", "--max-n", "1", "--at-q", "0.5x"]
+        result = invoke(
+            ["seq", "--id", "qeuler", "--max-n", "1", "--at-q", "0.5x"]
         )
         assert result.exit_code == 2
 
     def test_ell_rejected_for_qeuler(self):
-        result = runner.invoke(
-            main, ["seq", "--id", "qeuler", "--ell", "1", "--max-n", "1"]
+        result = invoke(
+            ["seq", "--id", "qeuler", "--ell", "1", "--max-n", "1"]
         )
         assert result.exit_code == 2
 
     def test_pole_reported_as_error(self):
         # beta_1 = -1/(1+q), so q = -1 is a genuine pole
-        result = runner.invoke(
-            main, ["seq", "--id", "qbernoulli", "--max-n", "1", "--at-q=-1"]
+        result = invoke(
+            ["seq", "--id", "qbernoulli", "--max-n", "1", "--at-q=-1"]
         )
         assert result.exit_code == 1
         assert "pole" in result.output
 
     def test_latex_output(self):
-        result = runner.invoke(
-            main, ["seq", "--id", "xi", "--ell", "1", "--max-n", "1", "-f", "latex"]
+        result = invoke(
+            ["seq", "--id", "xi", "--ell", "1", "--max-n", "1", "-f", "latex"]
         )
         assert result.exit_code == 0
         assert r"\Xi^{(1)}_{0} = 1" in result.output
@@ -95,30 +91,29 @@ class TestSeq:
 
 class TestPoly:
     def test_degree_one_text(self):
-        result = runner.invoke(main, ["poly", "--family", "p", "--n", "1"])
+        result = invoke(["poly", "--family", "p", "--n", "1"])
         assert result.exit_code == 0
         assert result.output.strip() == "(q)/(1 + q^2) + z"
 
     def test_families_distinct(self):
         outs = set()
         for fam in ("p", "monic", "j"):
-            result = runner.invoke(
-                main, ["poly", "--family", fam, "--n", "2", "-f", "json"]
+            result = invoke(
+                ["poly", "--family", fam, "--n", "2", "-f", "json"]
             )
             assert result.exit_code == 0
             outs.add(result.output)
         assert len(outs) == 3
 
     def test_monic_leading_coeff(self):
-        result = runner.invoke(
-            main, ["poly", "--family", "monic", "--ell", "1", "--n", "3", "-f", "json"]
+        result = invoke(
+            ["poly", "--family", "monic", "--ell", "1", "--n", "3", "-f", "json"]
         )
         payload = json.loads(result.output)
         assert payload["coeffs"][-1] == {"num": ["1"], "den": ["1"]}
 
     def test_at_q_latex(self):
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["poly", "--family", "p", "--n", "1", "--at-q", "2", "-f", "latex"],
         )
         assert result.exit_code == 0
@@ -127,8 +122,8 @@ class TestPoly:
 
 class TestDet:
     def test_all_methods_agree(self):
-        result = runner.invoke(
-            main, ["det", "--id", "qeuler", "--n", "2", "-f", "json"]
+        result = invoke(
+            ["det", "--id", "qeuler", "--n", "2", "-f", "json"]
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
@@ -136,8 +131,7 @@ class TestDet:
         assert set(payload["results"]) == {"bruteforce", "closedform", "heilermann"}
 
     def test_depth_zero(self):
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["det", "--id", "qeuler", "--n", "0", "--method", "closedform", "-f", "json"],
         )
         payload = json.loads(result.output)
@@ -151,22 +145,21 @@ class TestDet:
 
     def test_shifted(self):
         for shift in (1, 2):
-            result = runner.invoke(
-                main,
+            result = invoke(
                 ["det", "--id", "qeuler", "--shift", str(shift), "--n", "2", "-f", "json"],
             )
             assert result.exit_code == 0
             assert json.loads(result.output)["equal"] is True
 
     def test_qbernoulli_no_heilermann(self):
-        result = runner.invoke(
-            main, ["det", "--id", "qbernoulli", "--n", "1", "--method", "heilermann"]
+        result = invoke(
+            ["det", "--id", "qbernoulli", "--n", "1", "--method", "heilermann"]
         )
         assert result.exit_code == 2
 
     def test_qbernoulli_all_is_two_methods(self):
-        result = runner.invoke(
-            main, ["det", "--id", "qbernoulli", "--n", "2", "-f", "json"]
+        result = invoke(
+            ["det", "--id", "qbernoulli", "--n", "2", "-f", "json"]
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
@@ -174,19 +167,20 @@ class TestDet:
         assert payload["equal"] is True
 
     def test_shift_only_for_qeuler(self):
-        result = runner.invoke(
-            main, ["det", "--id", "theta", "--shift", "1", "--n", "1"]
+        result = invoke(
+            ["det", "--id", "theta", "--shift", "1", "--n", "1"]
         )
         assert result.exit_code == 2
 
     def test_shift_past_every_row_is_a_usage_error(self):
-        result = runner.invoke(main, ["det", "--id", "qeuler", "--shift", "3", "--n", "1"])
+        result = invoke(["det", "--id", "qeuler", "--shift", "3", "--n", "1"])
         assert result.exit_code == 2
         assert "--shift 3 is not available for --id qeuler" in result.output
 
     def test_choices_come_from_routes(self):
         def choices(command, name):
-            return list(next(p.type.choices for p in command.params if p.name == name))
+            parser = next(p for p in _COMMANDS.values() if p.get_default("handler") is command)
+            return list(next(a.choices for a in parser._actions if a.dest == name))
 
         ids = list(SEQUENCES)
         methods = list(dict.fromkeys(m for routes in ROUTES.values() for m in routes))
@@ -198,8 +192,8 @@ class TestDet:
         assert set(methods) == {"bruteforce", "closedform", "heilermann"}
 
     def test_theta_with_ell(self):
-        result = runner.invoke(
-            main, ["det", "--id", "theta", "--ell", "2", "--n", "1", "-f", "json"]
+        result = invoke(
+            ["det", "--id", "theta", "--ell", "2", "--n", "1", "-f", "json"]
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
@@ -207,8 +201,7 @@ class TestDet:
         assert payload["equal"] is True
 
     def test_at_q_text(self):
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["det", "--id", "qeuler", "--n", "1", "--method", "bruteforce", "--at-q", "1"],
         )
         assert result.exit_code == 0
@@ -218,12 +211,12 @@ class TestDet:
 
 class TestJfrac:
     def test_requires_depth_or_expand(self):
-        result = runner.invoke(main, ["jfrac", "--id", "qeuler"])
+        result = invoke(["jfrac", "--id", "qeuler"])
         assert result.exit_code == 2
 
     def test_depth(self):
-        result = runner.invoke(
-            main, ["jfrac", "--id", "qeuler", "--depth", "2", "-f", "json"]
+        result = invoke(
+            ["jfrac", "--id", "qeuler", "--depth", "2", "-f", "json"]
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
@@ -233,23 +226,23 @@ class TestJfrac:
         assert len(payload["b"]) == 1
 
     def test_expansion_matches_seq(self):
-        jfrac = runner.invoke(
-            main, ["jfrac", "--id", "qeuler", "--expand", "6", "-f", "json"]
+        jfrac = invoke(
+            ["jfrac", "--id", "qeuler", "--expand", "6", "-f", "json"]
         )
-        seq = runner.invoke(
-            main, ["seq", "--id", "qeuler", "--max-n", "6", "-f", "json"]
+        seq = invoke(
+            ["seq", "--id", "qeuler", "--max-n", "6", "-f", "json"]
         )
         assert json.loads(jfrac.output)["expansion"] == json.loads(seq.output)["values"]
 
     def test_qeuler_ell_restricted(self):
-        result = runner.invoke(
-            main, ["jfrac", "--id", "qeuler", "--ell", "2", "--depth", "1"]
+        result = invoke(
+            ["jfrac", "--id", "qeuler", "--ell", "2", "--depth", "1"]
         )
         assert result.exit_code == 2
 
     def test_xi_text(self):
-        result = runner.invoke(
-            main, ["jfrac", "--id", "xi", "--ell", "1", "--depth", "1"]
+        result = invoke(
+            ["jfrac", "--id", "xi", "--ell", "1", "--depth", "1"]
         )
         assert result.exit_code == 0
         assert result.output.startswith("xi(1) mu0 = 1")
@@ -257,16 +250,16 @@ class TestJfrac:
 
 class TestVerify:
     def test_single_prefix(self):
-        result = runner.invoke(
-            main, ["verify", "--only", "exponent", "--max-n", "3"]
+        result = invoke(
+            ["verify", "--only", "exponent", "--max-n", "3"]
         )
         assert result.exit_code == 0
         assert "PASS exponent-integrality" in result.output
         assert "1/1 checks passed (max_n=3)" in result.output
 
     def test_theorem_group(self):
-        result = runner.invoke(
-            main, ["verify", "--only", "theorem1", "--max-n", "2", "-f", "json"]
+        result = invoke(
+            ["verify", "--only", "theorem1", "--max-n", "2", "-f", "json"]
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
@@ -276,17 +269,17 @@ class TestVerify:
         assert "theorem1-shift0" in names
 
     def test_unknown_prefix(self):
-        result = runner.invoke(main, ["verify", "--only", "nosuchcheck"])
+        result = invoke(["verify", "--only", "nosuchcheck"])
         assert result.exit_code == 2
 
     def test_latex_rejected(self):
-        result = runner.invoke(main, ["verify", "--only", "exponent", "-f", "latex"])
+        result = invoke(["verify", "--only", "exponent", "-f", "latex"])
         assert result.exit_code == 2
         assert result.stdout == ""
 
     def test_env_latex_falls_back_to_text(self):
-        result = runner.invoke(
-            main, ["verify", "--only", "exponent"], env={"QHANKEL_FORMAT": "latex"}
+        result = invoke(
+            ["verify", "--only", "exponent"], env={"QHANKEL_FORMAT": "latex"}
         )
         assert result.exit_code == 0
         assert result.output.startswith("PASS exponent-integrality")
@@ -311,14 +304,14 @@ class TestRouteDisagreement:
     OFF = Q_ONE + qpow(1)
 
     def _det(self, *args):
-        return runner.invoke(main, ["det", "--id", "qeuler", "--method", "all", *args])
+        return invoke(["det", "--id", "qeuler", "--method", "all", *args])
 
     def test_verify_fails_at_the_quotient_and_past_it(self, monkeypatch):
         _perturb(monkeypatch, {3: self.OFF})
         (r,) = run_checks(5, only="theorem1-shift0")
         assert not r.passed and r.cases == 6
         assert r.detail == "routes disagree at n=3; routes disagree at n=4; routes disagree at n=5"
-        result = runner.invoke(main, ["verify", "--only", "theorem1-shift0", "--max-n", "5"])
+        result = invoke(["verify", "--only", "theorem1-shift0", "--max-n", "5"])
         assert result.exit_code == 3
         assert "FAIL theorem1-shift0" in result.output
 
@@ -345,7 +338,7 @@ class TestRouteDisagreement:
         _perturb(monkeypatch, {3: self.OFF})
         values = {}
         for method in ("bruteforce", "heilermann"):
-            result = runner.invoke(main, ["det", "--id", "qeuler", "--n", "4",
+            result = invoke(["det", "--id", "qeuler", "--n", "4",
                                           "--method", method, "-f", "json"])
             assert result.exit_code == 0
             values[method] = json.loads(result.stdout)["value"]
@@ -366,15 +359,14 @@ class TestRouteDisagreement:
 class TestOutputPlumbing:
     def test_json_bytes_deterministic(self):
         args = ["det", "--id", "xi", "--ell", "1", "--n", "2", "-f", "json"]
-        first = runner.invoke(main, args)
-        second = runner.invoke(main, args)
+        first = invoke(args)
+        second = invoke(args)
         assert first.output == second.output
         # canonical separators, no spaces
         assert ": " not in first.output
 
     def test_env_format_override(self):
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["seq", "--id", "qeuler", "--max-n", "0"],
             env={"QHANKEL_FORMAT": "json"},
         )
@@ -382,25 +374,27 @@ class TestOutputPlumbing:
         assert json.loads(result.output)["id"] == "qeuler"
 
     def test_flag_beats_env(self):
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["seq", "--id", "qeuler", "--max-n", "0", "-f", "text"],
             env={"QHANKEL_FORMAT": "json"},
         )
         assert result.output.strip() == "qeuler[0] = 1"
 
     def test_bad_env_value_falls_back_to_text(self):
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["seq", "--id", "qeuler", "--max-n", "0"],
             env={"QHANKEL_FORMAT": "yaml"},
         )
         assert result.output.strip() == "qeuler[0] = 1"
 
+    def test_abbreviated_flag_is_a_usage_error(self):
+        result = invoke(["seq", "--id", "qeuler", "--max-n", "1", "--max", "2"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "dump.json"
-        result = runner.invoke(
-            main,
+        result = invoke(
             [
                 "seq", "--id", "qeuler", "--max-n", "1",
                 "-f", "json", "--out", str(target),
@@ -413,8 +407,8 @@ class TestOutputPlumbing:
 
     def test_out_that_cannot_be_written_is_a_usage_error(self, tmp_path):
         target = tmp_path / "missing" / "x.json"
-        result = runner.invoke(
-            main, ["seq", "--id", "qeuler", "--max-n", "1", "-f", "json", "--out", str(target)]
+        result = invoke(
+            ["seq", "--id", "qeuler", "--max-n", "1", "-f", "json", "--out", str(target)]
         )
         assert result.exit_code == 2
         assert "Invalid value for '--out'" in result.output
@@ -436,6 +430,6 @@ class TestOutputPlumbing:
             ["det", "--id", "qeuler", "--shift", "2", "--n", "2", "-f", "latex"],
             ["jfrac", "--id", "theta", "--ell", "1", "--depth", "3", "-f", "latex"],
         ):
-            result = runner.invoke(main, args)
+            result = invoke(args)
             assert result.exit_code == 0
             assert result.output.count("{") == result.output.count("}")

@@ -6,11 +6,9 @@ import sys
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from qhankel import functionals, orthopoly, ratcore
 from qhankel.carlitz import q_bernoulli_recursive, q_euler_explicit, q_euler_recursive
-from qhankel.cli import main
 from qhankel.functionals import (
     SEQUENCES,
     _pairing_failures,
@@ -44,6 +42,7 @@ from qhankel.orthopoly import (
 )
 from qhankel.qkit import poch
 from qhankel.ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow, serialize
+from support import invoke
 
 
 def P(*coeffs):
@@ -183,7 +182,7 @@ class TestThetaAndXi:
 
     def test_moment_seq_ids(self):
         def seq_json(*argv):
-            result = CliRunner().invoke(main, ["seq", *argv, "--max-n", "3", "-f", "json"])
+            result = invoke(["seq", *argv, "--max-n", "3", "-f", "json"])
             assert result.exit_code == 0
             return json.loads(result.output)
 

@@ -9,9 +9,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from qhankel.cli import main
+from support import invoke
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 FORMATS = ("json", "text", "latex")
@@ -81,7 +80,7 @@ CASES = _cases()
 
 
 def _run(argv):
-    result = CliRunner().invoke(main, argv, env={"QHANKEL_FORMAT": None})
+    result = invoke(argv, env={"QHANKEL_FORMAT": None})
     return {"exit_code": result.exit_code, "stdout": result.stdout}
 
 

@@ -7,10 +7,8 @@ from functools import partial
 from math import comb, factorial
 
 import pytest
-from click.testing import CliRunner
 
 from qhankel import hankel, ratcore
-from qhankel.cli import main
 from qhankel.carlitz import q_bernoulli_recursive, q_euler_recursive
 from qhankel.functionals import jfraction_for, moments_for, theta_moment, xi_moment
 from qhankel.hankel import (
@@ -43,6 +41,7 @@ from qhankel.qkit import parity_sign
 from qhankel.ratcore import (
     Q_ONE, Q_ZERO, QPoly, RatFuncQ, clear_denominators, const, qpow, serialize,
 )
+from support import invoke
 
 
 def P(*coeffs):
@@ -909,8 +908,8 @@ class TestExponents:
 def test_hankel_result_json():
     # det --method X -f json: one route's H_n, tagged with how it was obtained;
     # the value is eps_0 eps_2 - eps_1^2 = -q / ((1 + q^2)^2 (1 - q + q^2))
-    result = CliRunner().invoke(
-        main, ["det", "--id", "qeuler", "--n", "1", "--method", "closedform", "-f", "json"])
+    result = invoke(
+        ["det", "--id", "qeuler", "--n", "1", "--method", "closedform", "-f", "json"])
     assert result.exit_code == 0
     value = {"num": ["0", "-1"], "den": ["1", "-1", "3", "-2", "3", "-1", "1"]}
     assert json.loads(result.output) == {

@@ -23,6 +23,7 @@ from qhankel.orthopoly import (
 )
 from qhankel.qkit import poch
 from qhankel.ratcore import Q_ONE, Q_ZERO, QPoly, RatFuncQ, const, qpow
+from support import fresh_orthopoly_caches, orthopoly_caches
 from test_ratcore import _oracle_gcd
 
 
@@ -349,22 +350,20 @@ class TestRecurrenceCoefficients:
             a, b = real(ell, n)
             return a * qpow(1), b
 
-        caches = (orthopoly.coeffs_ab, orthopoly.coeffs_p, orthopoly._monic_scale,
-                  orthopoly.build_jtilde_via_phi2, orthopoly.build_p_via_phi2)
-        for f in caches:
-            f.cache_clear()
-        try:
-            with mock.patch.object(orthopoly, "coeffs_monic", off_by_one):
-                _, failures = verification.CHECKS["cross-route-families"](3)
-        finally:
-            for f in caches:
-                f.cache_clear()
+        with fresh_orthopoly_caches(), mock.patch.object(orthopoly, "coeffs_monic", off_by_one):
+            _, failures = verification.CHECKS["cross-route-families"](3)
         broke = [f for f in failures if f.startswith("three-point contiguity broke")]
         assert broke == [f"three-point contiguity broke at ell={ell}, n={n}"
                          for ell in range(4) for n in range(1, 4)]
         monic = [f for f in failures if f.startswith("monicity broke")]
         assert monic == [f"monicity broke at ell={ell}, n={n}"
                          for ell in range(4) for n in range(1, 4)]
+
+    def test_cache_reset_finds_every_reader_of_the_monic_table(self):
+        # found by introspection, so a new cached reader cannot be missed
+        names = {f.__name__ for f in orthopoly_caches()}
+        assert {"coeffs_ab", "coeffs_p", "_monic_scale", "build_jtilde_via_phi2",
+                "build_p_via_phi2"} <= names
 
 
 class TestFamilies:

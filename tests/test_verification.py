@@ -6,6 +6,7 @@ from qhankel import hankel, orthopoly, verification
 from qhankel.functionals import SEQUENCES
 from qhankel.ratcore import Q
 from qhankel.verification import CheckResult, available_checks, run_checks
+from support import fresh_orthopoly_caches
 
 
 def test_available_checks_sorted_and_nonempty():
@@ -82,15 +83,8 @@ def test_one_exponent_off_in_the_monic_table_breaks_the_xi_and_theta_rows(monkey
 
     monkeypatch.setattr(orthopoly, "coeffs_monic", off_by_one)
     monkeypatch.setitem(SEQUENCES, "xi", SEQUENCES["xi"]._replace(coeffs=off_by_one))
-    caches = (orthopoly.coeffs_ab, orthopoly.coeffs_p, orthopoly._monic_scale,
-              orthopoly.build_jtilde_via_phi2, orthopoly.build_p_via_phi2)
-    for f in caches:
-        f.cache_clear()
-    try:
+    with fresh_orthopoly_caches():
         results = {r.name: r for r in run_checks(3)}
-    finally:
-        for f in caches:
-            f.cache_clear()
     for name in ("xi-orthogonality", "theta-orthogonality", "theorem1-shift0",
                  "jfraction-roundtrip"):
         assert not results[name].passed, name
