@@ -76,11 +76,8 @@ from .hankel import (
     jfraction_expand,
     jfraction_from_moments,
     minor_quotients,
-    shift0_exponent,
-    shift12_exponent,
     theorem1_quotients,
     theta_det_quotients,
-    verify_exponent_integrality,
     xi_det_quotients,
 )
 

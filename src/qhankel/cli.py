@@ -4,8 +4,11 @@ and the named verification suite.
 Output contract
 ---------------
 * ``--format`` picks json, text, or latex (``verify`` has no latex form and
-  rejects it); the QHANKEL_FORMAT environment variable overrides the default
-  (text) when the flag is absent, and a value the command lacks means text.
+  rejects it); without the flag the format is text.
+* ``--out FILE`` is opened for writing, as a shell redirection opens it,
+  before the command runs; a path that cannot be opened is a usage error
+  (exit 2) and nothing is computed.  A run that then exits 1 or 2 leaves the
+  file empty; an exit-3 run leaves its report there.
 * JSON output is byte-deterministic: sorted keys, fixed separators, canonical
   value encoding from :func:`qhankel.ratcore.json_object`, which
   :func:`qhankel.ratcore.serialize` writes.
@@ -16,20 +19,22 @@ Parsing
 -------
 The front end is the standard library's ``argparse``: one parser with one
 subparser per command, built once at import, with choices read from
-``SEQUENCES``, ``ROUTES`` and the format tables.  Every nonzero exit raises
-``SystemExit(code)``, and success returns.  :func:`main` keeps the
-``standalone_mode`` keyword of the click front end it replaced, so callers
-written against that signature (the benchmark worker calls
-``main(argv, standalone_mode=False)``) keep working; it changes nothing.
+``SEQUENCES``, ``ROUTES`` and the format tables.  Each ``cmd_*`` handler
+returns its report and whether an identity failed; :func:`main` settles the
+format and the output stream before calling it and writes the report once.
+Every nonzero exit raises ``SystemExit(code)``, and success returns.
+:func:`main` keeps the ``standalone_mode`` keyword of the click front end it
+replaced, so callers written against that signature (the benchmark worker
+calls ``main(argv, standalone_mode=False)``) keep working; it changes
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -58,26 +63,8 @@ _SEQ_SYMBOLS = {
 }
 
 
-def _pick_format(fmt: Optional[str], allowed: Tuple[str, ...] = _FORMATS) -> str:
-    if fmt is not None:
-        return fmt
-    env = os.environ.get("QHANKEL_FORMAT", "").strip().lower()
-    return env if env in allowed else "text"
-
-
 def _dumps(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        print(text)
-        return
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        raise _usage(f"Invalid value for '--out': cannot write {out!r}: {exc.strerror or exc}")
 
 
 def _usage(message: str) -> argparse.ArgumentError:
@@ -173,9 +160,8 @@ def _computing(point: Optional[Fraction] = None) -> Iterator[None]:
         raise SystemExit(1)
 
 
-def cmd_seq(seq_id, ell, max_n, fmt, point, out) -> None:
+def cmd_seq(seq_id, ell, max_n, fmt, point) -> Tuple[str, bool]:
     """Print sequence values 0..MAX_N."""
-    fmt = _pick_format(fmt)
     ell_value = _check_ell(seq_id, ell)
     moment = moments_for(seq_id, ell_value)
     label = f"{seq_id}_ell({ell_value})" if seq_id in _ELL_IDS else seq_id
@@ -187,23 +173,20 @@ def cmd_seq(seq_id, ell, max_n, fmt, point, out) -> None:
         if point is not None:
             payload["at_q"] = str(point)
         payload["values"] = [_json_value(v) for v in values]
-        _emit(_dumps(payload), out)
+        text = _dumps(payload)
     elif fmt == "latex":
         sym = _SEQ_SYMBOLS[seq_id]
         sup = "" if ell is None else rf"^{{({ell})}}"
-        _emit(
-            ",\\quad ".join(
-                rf"{sym}{sup}_{{{n}}} = {_render(v, True)}" for n, v in enumerate(values)
-            ),
-            out,
+        text = ",\\quad ".join(
+            rf"{sym}{sup}_{{{n}}} = {_render(v, True)}" for n, v in enumerate(values)
         )
     else:
-        _emit("\n".join(f"{label}[{n}] = {_render(v, False)}" for n, v in enumerate(values)), out)
+        text = "\n".join(f"{label}[{n}] = {_render(v, False)}" for n, v in enumerate(values))
+    return text, False
 
 
-def cmd_poly(family, ell, n, fmt, point, out) -> None:
+def cmd_poly(family, ell, n, fmt, point) -> Tuple[str, bool]:
     """Print one orthogonal-family polynomial in z."""
-    fmt = _pick_format(fmt)
     builders = {"p": build_p_via_phi2, "monic": build_jtilde_via_phi2, "j": build_j_via_phi2}
     with _computing(point):
         coeffs = [_at(c, point) for c in builders[family](ell, n).coeffs]
@@ -213,14 +196,14 @@ def cmd_poly(family, ell, n, fmt, point, out) -> None:
         if point is not None:
             payload["at_q"] = str(point)
         payload["coeffs"] = [_json_value(c) for c in coeffs]
-        _emit(_dumps(payload), out)
+        text = _dumps(payload)
     else:
-        _emit(_render_zpoly(coeffs, fmt == "latex"), out)
+        text = _render_zpoly(coeffs, fmt == "latex")
+    return text, False
 
 
-def cmd_det(seq_id, ell, shift, n, method, fmt, point, out) -> None:
+def cmd_det(seq_id, ell, shift, n, method, fmt, point) -> Tuple[str, bool]:
     """Hankel determinant of a moment sequence, by one or every method."""
-    fmt = _pick_format(fmt)
     ell_value = _check_ell(seq_id, ell)
     routes = ROUTES.get((seq_id, shift))
     if routes is None:
@@ -248,26 +231,26 @@ def cmd_det(seq_id, ell, shift, n, method, fmt, point, out) -> None:
             payload["value"] = rendered[lists[method]]
         if point is not None:
             payload["at_q"] = str(point)
-        _emit(_dumps(payload), out)
+        text = _dumps(payload)
     elif fmt == "latex":
         body = _render(next(iter(shown.values())), True)
-        _emit(rf"\det H^{{({shift})}}_{{{n}}} = {body}", out)
+        text = rf"\det H^{{({shift})}}_{{{n}}} = {body}"
     else:
         lines = [
             f"{label} shift={shift} n={n} {m} = {_render(v, False)}" for m, v in shown.items()
         ]
         if method == "all":
             lines.append("agree" if agree else "MISMATCH")
-        _emit("\n".join(lines), out)
+        text = "\n".join(lines)
 
-    if method == "all" and not agree:
+    failed = method == "all" and not agree
+    if failed:
         print("determinant methods disagree", file=sys.stderr)
-        sys.exit(3)
+    return text, failed
 
 
-def cmd_jfrac(seq_id, ell, depth, order, fmt, out) -> None:
+def cmd_jfrac(seq_id, ell, depth, order, fmt) -> Tuple[str, bool]:
     """Continued-fraction data (mu0, a_n, b_n) and optional series expansion."""
-    fmt = _pick_format(fmt)
     if depth is None and order is None:
         raise _usage("need --depth and/or --expand")
     try:  # the J-fraction reads a(n), b(n) only when asked, so this checks ell alone
@@ -288,26 +271,26 @@ def cmd_jfrac(seq_id, ell, depth, order, fmt, out) -> None:
             payload["b"] = [_json_value(v) for v in b_vals]
         if expansion is not None:
             payload["expansion"] = [_json_value(v) for v in expansion]
-        _emit(_dumps(payload), out)
+        text = _dumps(payload)
     elif fmt == "latex":
         parts = [rf"\mu_0 = {_render(jf.mu0, True)}"]
         parts += [rf"a_{{{k}}} = {_render(v, True)}" for k, v in enumerate(a_vals)]
         parts += [rf"b_{{{k + 1}}} = {_render(v, True)}" for k, v in enumerate(b_vals)]
         if expansion is not None:
             parts += [rf"\mu_{{{k}}} = {_render(v, True)}" for k, v in enumerate(expansion)]
-        _emit(",\\quad ".join(parts), out)
+        text = ",\\quad ".join(parts)
     else:
         lines = [f"{label} mu0 = {jf.mu0}"]
         lines += [f"a[{k}] = {v}" for k, v in enumerate(a_vals)]
         lines += [f"b[{k + 1}] = {v}" for k, v in enumerate(b_vals)]
         if expansion is not None:
             lines += [f"series[{k}] = {v}" for k, v in enumerate(expansion)]
-        _emit("\n".join(lines), out)
+        text = "\n".join(lines)
+    return text, False
 
 
-def cmd_verify(max_n, only, fmt, out) -> None:
+def cmd_verify(max_n, only, fmt) -> Tuple[str, bool]:
     """Run the named identity checks and report pass/fail per check."""
-    fmt = _pick_format(fmt, _VERIFY_FORMATS)
     if only is not None and not any(n.startswith(only) for n in available_checks()):
         raise _usage(
             f"--only {only!r} matches no checks; known: {', '.join(available_checks())}"
@@ -322,7 +305,7 @@ def cmd_verify(max_n, only, fmt, out) -> None:
             "all_passed": all_passed,
             "checks": [r._asdict() for r in results],
         }
-        _emit(_dumps(payload), out)
+        text = _dumps(payload)
     else:
         lines = []
         for r in results:
@@ -332,10 +315,8 @@ def cmd_verify(max_n, only, fmt, out) -> None:
                 lines.append(f"FAIL {r.name}: {r.detail}")
         passed = sum(1 for r in results if r.passed)
         lines.append(f"{passed}/{len(results)} checks passed (max_n={max_n})")
-        _emit("\n".join(lines), out)
-
-    if not all_passed:
-        sys.exit(3)
+        text = "\n".join(lines)
+    return text, not all_passed
 
 
 def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
@@ -349,7 +330,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     subparsers: Dict[str, argparse.ArgumentParser] = {}
 
-    def command(name: str, handler: Callable[..., None]) -> argparse.ArgumentParser:
+    def command(name: str, handler: Callable[..., Tuple[str, bool]]) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=handler.__doc__, description=handler.__doc__,
                                   allow_abbrev=False)
         sub.set_defaults(handler=handler)
@@ -357,7 +338,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
         return sub
 
     def output(sub: argparse.ArgumentParser, formats=_FORMATS, at_q: Optional[str] = None) -> None:
-        sub.add_argument("--format", "-f", dest="fmt", choices=formats, default=None)
+        sub.add_argument("--format", "-f", dest="fmt", choices=formats, default="text")
         if at_q is not None:
             sub.add_argument("--at-q", dest="point", type=_rational, default=None,
                              metavar="RATIONAL", help=at_q)
@@ -421,15 +402,26 @@ def _glue_at_q(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None, standalone_mode: bool = True) -> None:
-    """Run one command line (``sys.argv[1:]`` by default).  Success returns;
-    every nonzero exit raises ``SystemExit(code)``, whatever
-    ``standalone_mode`` says (see the module docstring)."""
+    """Run one command line (``sys.argv[1:]`` by default): open the output,
+    run the command, write its report once.  Success returns; every nonzero
+    exit raises ``SystemExit(code)``, whatever ``standalone_mode`` says (see
+    the module docstring)."""
     args = vars(_PARSER.parse_args(_glue_at_q(sys.argv[1:] if argv is None else argv)))
-    command, handler = args.pop("command"), args.pop("handler")
+    command, handler, out = args.pop("command"), args.pop("handler"), args.pop("out")
     try:
-        handler(**args)
-    except argparse.ArgumentError as exc:
-        _COMMANDS[command].error(str(exc))
+        sink = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        _COMMANDS[command].error(
+            f"Invalid value for '--out': cannot write {out!r}: {exc.strerror or exc}"
+        )
+    with sink as stream:
+        try:
+            text, failed = handler(**args)
+        except argparse.ArgumentError as exc:
+            _COMMANDS[command].error(str(exc))
+        stream.write(text + "\n")
+    if failed:
+        raise SystemExit(3)
 
 
 if __name__ == "__main__":

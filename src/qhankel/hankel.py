@@ -295,36 +295,6 @@ def jfraction_from_moments(moments: Sequence[RatFuncQ]) -> JFraction:
     return JFraction.from_lists(moments[0], a_list, b_list[1:])
 
 
-def _sum_of_first_squares(n: int) -> int:
-    return n * (n + 1) * (2 * n + 1) // 6
-
-
-def shift0_exponent(n: int) -> int:
-    """C(2n+2, 3)/4, an integer equal to 1^2 + 2^2 + ... + n^2."""
-    c = comb(2 * n + 2, 3)
-    if c % 4:
-        raise ArithmeticError(f"C(2n+2,3) not divisible by 4 at n={n}")
-    return c // 4
-
-
-def shift12_exponent(n: int) -> int:
-    """C(2n+4, 3)/4, an integer equal to 1^2 + ... + (n+1)^2."""
-    c = comb(2 * n + 4, 3)
-    if c % 4:
-        raise ArithmeticError(f"C(2n+4,3) not divisible by 4 at n={n}")
-    return c // 4
-
-
-def verify_exponent_integrality(upto: int = 50) -> bool:
-    """The quarter-binomial exponents are integers with the expected values."""
-    for n in range(upto + 1):
-        if shift0_exponent(n) != _sum_of_first_squares(n):
-            return False
-        if shift12_exponent(n) != _sum_of_first_squares(n + 1):
-            return False
-    return True
-
-
 def _poch_blocks(num: Sequence[int], den: Sequence[int], n: int) -> List[RatFuncQ]:
     """B_0..B_n with B_k = prod_a (q^a;q^2)_k / prod_b (-q^b;q^2)_k, for a in
     ``num`` and b in ``den``: each B_k is B_{k-1} times one factor per base."""

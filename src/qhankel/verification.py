@@ -49,9 +49,9 @@ from .hankel import (
     hankel_product,
     jfraction_expand,
     jfraction_from_moments,
-    verify_exponent_integrality,
 )
 from .orthopoly import (
+    _AFFINE_U,
     ZPoly,
     build_j_via_phi2,
     build_jtilde_via_phi2,
@@ -249,13 +249,11 @@ def _check_qeuler_q1(max_n: int) -> Tuple[int, List[str]]:
 def _check_cross_route(max_n: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     cases = 0
-    u = RatFuncQ(QPoly((0, -1, 1)))
-    v = qpow(1)
     for ell in range(4):
         series = [build_p_via_phi2(ell, n) for n in range(max_n + 1)]
         recur = favard_family("theta", ell, max_n)
         jtilde = [build_jtilde_via_phi2(ell, n) for n in range(max_n + 1)]
-        affine = affine_transform(jtilde, u, v)
+        affine = affine_transform(jtilde, _AFFINE_U, qpow(1))
         for n in range(max_n + 1):
             cases += 1
             if not (series[n] == recur[n] == affine[n]):
@@ -484,8 +482,11 @@ def _check_jfraction_roundtrip(max_n: int) -> Tuple[int, List[str]]:
 
 @_register("exponent-integrality")
 def _check_exponent_integrality(max_n: int) -> Tuple[int, List[str]]:
+    """Theorem 1's exponents: C(2n+2,3)/4 (shift 0) and C(2n+4,3)/4 (shifts
+    1-2) are the integers 1^2 + ... + n^2 and 1^2 + ... + (n+1)^2."""
     top = max(50, 10 * max_n)
-    ok = verify_exponent_integrality(top)
+    ok = all(math.comb(2 * m + 2, 3) == 4 * sum(k * k for k in range(m + 1))
+             for n in range(top + 1) for m in (n, n + 1))
     return top + 1, [] if ok else ["a quarter of a binomial failed to be an integer"]
 
 

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
 import traceback
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
+from typing import Iterator, List, NamedTuple, Sequence
 
 from qhankel import orthopoly
 from qhankel.cli import main
@@ -23,17 +22,13 @@ class Result(NamedTuple):
         return self.stdout + self.stderr
 
 
-def invoke(argv: Sequence[str], env: Optional[Dict[str, Optional[str]]] = None) -> Result:
-    """Run ``main(argv)`` in this process with both streams captured.
-
-    ``env`` sets variables for the call (None unsets one); the environment
-    is restored afterwards.  An uncaught exception counts as exit 1 with its
-    traceback on standard error, as in a process of its own."""
-    saved = {name: os.environ.get(name) for name in env or {}}
+def invoke(argv: Sequence[str]) -> Result:
+    """Run ``main(argv)`` in this process with both streams captured.  An
+    uncaught exception counts as exit 1 with its traceback on standard
+    error, as in a process of its own."""
     out, err = io.StringIO(), io.StringIO()
     code = 0
     try:
-        _set_env(env or {})
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             main(list(argv))
     except SystemExit as exc:
@@ -41,17 +36,7 @@ def invoke(argv: Sequence[str], env: Optional[Dict[str, Optional[str]]] = None) 
     except Exception:
         code = 1
         err.write(traceback.format_exc())
-    finally:
-        _set_env(saved)
     return Result(code, out.getvalue(), err.getvalue())
-
-
-def _set_env(values: Dict[str, Optional[str]]) -> None:
-    for name, value in values.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
 
 
 def orthopoly_caches() -> List:

@@ -36,8 +36,6 @@ from qhankel.hankel import (
     jfraction_expand,
     jfraction_from_moments,
     minor_quotients,
-    shift0_exponent,
-    shift12_exponent,
     theorem1_quotients,
     theta_det_quotients,
     xi_det_quotients,
@@ -53,6 +51,7 @@ from qhankel.orthopoly import (
     three_term_build,
 )
 from qhankel.ratcore import Q_ONE, QPoly, RatFuncQ, const, qpow
+from qhankel.verification import run_checks
 
 
 def _line(num: int, desc: str, bad: list) -> None:
@@ -235,12 +234,11 @@ def test_criterion_13_moment_roundtrip():
 def test_criterion_14_exponent_integrality():
     bad = []
     for n in range(51):
-        if 4 * shift0_exponent(n) != comb(2 * n + 2, 3):
+        if comb(2 * n + 2, 3) != 4 * sum(k * k for k in range(n + 1)):
             bad.append(f"shift0 n={n}")
-        if shift0_exponent(n) != sum(k * k for k in range(n + 1)):
-            bad.append(f"shift0 sum n={n}")
-        if 4 * shift12_exponent(n) != comb(2 * n + 4, 3):
+        if comb(2 * n + 4, 3) != 4 * sum(k * k for k in range(n + 2)):
             bad.append(f"shift12 n={n}")
-        if shift12_exponent(n) != sum(k * k for k in range(n + 2)):
-            bad.append(f"shift12 sum n={n}")
+    (check,) = run_checks(5, only="exponent-integrality")
+    if not (check.passed and check.cases == 51):
+        bad.append(f"exponent-integrality: {check}")
     _line(14, "quarter-binomial exponents are the square-sum integers, n <= 50", bad)

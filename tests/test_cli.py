@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhankel import hankel
+from qhankel import hankel, verification
 from qhankel.carlitz import q_euler_recursive
 from qhankel.cli import _COMMANDS, _json_value, _render, cmd_det, cmd_jfrac, cmd_seq
 from qhankel.functionals import SEQUENCES
@@ -277,13 +277,6 @@ class TestVerify:
         assert result.exit_code == 2
         assert result.stdout == ""
 
-    def test_env_latex_falls_back_to_text(self):
-        result = invoke(
-            ["verify", "--only", "exponent"], env={"QHANKEL_FORMAT": "latex"}
-        )
-        assert result.exit_code == 0
-        assert result.output.startswith("PASS exponent-integrality")
-
 
 def _perturb(monkeypatch, factors):
     """Replace hankel.heilermann_quotients by a double that multiplies d_k by
@@ -365,28 +358,6 @@ class TestOutputPlumbing:
         # canonical separators, no spaces
         assert ": " not in first.output
 
-    def test_env_format_override(self):
-        result = invoke(
-            ["seq", "--id", "qeuler", "--max-n", "0"],
-            env={"QHANKEL_FORMAT": "json"},
-        )
-        assert result.exit_code == 0
-        assert json.loads(result.output)["id"] == "qeuler"
-
-    def test_flag_beats_env(self):
-        result = invoke(
-            ["seq", "--id", "qeuler", "--max-n", "0", "-f", "text"],
-            env={"QHANKEL_FORMAT": "json"},
-        )
-        assert result.output.strip() == "qeuler[0] = 1"
-
-    def test_bad_env_value_falls_back_to_text(self):
-        result = invoke(
-            ["seq", "--id", "qeuler", "--max-n", "0"],
-            env={"QHANKEL_FORMAT": "yaml"},
-        )
-        assert result.output.strip() == "qeuler[0] = 1"
-
     def test_abbreviated_flag_is_a_usage_error(self):
         result = invoke(["seq", "--id", "qeuler", "--max-n", "1", "--max", "2"])
         assert result.exit_code == 2
@@ -415,6 +386,21 @@ class TestOutputPlumbing:
         assert "Traceback" not in result.output
         assert not target.exists()
 
+    def test_out_is_left_empty_by_a_usage_error(self, tmp_path):
+        target = tmp_path / "x.txt"
+        result = invoke(["det", "--id", "qeuler", "--shift", "3", "--n", "1",
+                         "--out", str(target)])
+        assert result.exit_code == 2
+        assert target.read_text() == ""
+
+    def test_out_keeps_the_report_of_a_failed_identity(self, monkeypatch, tmp_path):
+        _perturb(monkeypatch, {3: Q_ONE + qpow(1)})
+        target = tmp_path / "x.txt"
+        result = invoke(["det", "--id", "qeuler", "--n", "4", "--out", str(target)])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert target.read_text().splitlines()[-1] == "MISMATCH"
+
     def test_huge_value_at_q(self):
         # past CPython's 4,300-digit limit on str(int)
         big = 3 ** 10000
@@ -433,3 +419,47 @@ class TestOutputPlumbing:
             result = invoke(args)
             assert result.exit_code == 0
             assert result.output.count("{") == result.output.count("}")
+
+
+class TestOutOpenedFirst:
+    """An --out that cannot be opened exits 2 before any route or check runs."""
+
+    ARGVS = [["det", "--id", "qeuler", "--n", "14", "--method", "all", "-f", "json"], ["verify"]]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every qeuler shift-0 route and every check, recording its calls."""
+        calls = []
+
+        def recording(name, fn):
+            def double(*args):
+                calls.append(name)
+                return fn(*args)
+            return double
+
+        routes = ROUTES[("qeuler", 0)]
+        for method, fn in list(routes.items()):
+            monkeypatch.setitem(routes, method, recording(method, fn))
+        for name, fn in list(verification.CHECKS.items()):
+            monkeypatch.setitem(verification.CHECKS, name, recording(name, fn))
+        return calls
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_runs_nothing(self, calls, tmp_path, argv, missing):
+        target = tmp_path / "missing" / "x.json" if missing else tmp_path
+        result = invoke([*argv, "--out", str(target)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--out'" in result.stderr
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+        assert calls == []
+
+    def test_the_doubles_see_a_writable_run(self, calls, tmp_path):
+        # the control: the same doubles do record the routes and the checks
+        target = tmp_path / "x.json"
+        assert invoke(["det", "--id", "qeuler", "--n", "1", "--out", str(target)]).exit_code == 0
+        assert sorted(calls) == sorted(ROUTES[("qeuler", 0)])
+        calls.clear()
+        assert invoke(["verify", "--only", "exponent", "--out", str(target)]).exit_code == 0
+        assert calls == ["exponent-integrality"]

@@ -12,8 +12,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(*args, code=None):
-    env = {k: v for k, v in os.environ.items() if k != "QHANKEL_FORMAT"}
-    env["PYTHONPATH"] = str(SRC)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     argv = [sys.executable, *(("-c", code) if code else ("-m", "qhankel.cli", *args))]
     return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
 

@@ -80,7 +80,7 @@ CASES = _cases()
 
 
 def _run(argv):
-    result = invoke(argv, env={"QHANKEL_FORMAT": None})
+    result = invoke(argv)
     return {"exit_code": result.exit_code, "stdout": result.stdout}
 
 

@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 
-from qhankel import hankel, ratcore
+from qhankel import hankel, ratcore, verification
 from qhankel.carlitz import q_bernoulli_recursive, q_euler_recursive
 from qhankel.functionals import jfraction_for, moments_for, theta_moment, xi_moment
 from qhankel.hankel import (
@@ -24,11 +25,8 @@ from qhankel.hankel import (
     jfraction_expand,
     jfraction_from_moments,
     minor_quotients,
-    shift0_exponent,
-    shift12_exponent,
     theorem1_quotients,
     theta_det_quotients,
-    verify_exponent_integrality,
     xi_det_quotients,
 )
 from qhankel.orthopoly import (
@@ -41,6 +39,7 @@ from qhankel.qkit import parity_sign
 from qhankel.ratcore import (
     Q_ONE, Q_ZERO, QPoly, RatFuncQ, clear_denominators, const, qpow, serialize,
 )
+from qhankel.verification import CheckResult, run_checks
 from support import invoke
 
 
@@ -896,13 +895,19 @@ class TestClosedForms:
 
 
 class TestExponents:
-    def test_closed_forms(self):
-        for n in range(20):
-            assert shift0_exponent(n) == sum(k * k for k in range(n + 1))
-            assert shift12_exponent(n) == sum(k * k for k in range(n + 2))
+    """Theorem 1's quarter-binomial exponents, read by one verify check."""
+
+    def test_closed_forms(self, monkeypatch):
+        # C(m, 3) off by 4 is still a multiple of 4, but not the square sum
+        off = SimpleNamespace(comb=lambda m, k: comb(m, k) + 4)
+        monkeypatch.setattr(verification, "math", off)
+        assert run_checks(8, only="exponent-integrality") == [CheckResult(
+            "exponent-integrality", False, 81, "a quarter of a binomial failed to be an integer")]
 
     def test_integrality_sweep(self):
-        assert verify_exponent_integrality(80)
+        # max_n = 8 sweeps n <= 80
+        assert run_checks(8, only="exponent-integrality") == [
+            CheckResult("exponent-integrality", True, 81)]
 
 
 def test_hankel_result_json():
